@@ -194,7 +194,9 @@ def generation_check(
     """Span the images of H_i over all sufficiently subdivided topological
     copies of the generators inside the subdivided target, and test fullness.
 
-    Stops early once the span is the whole group.
+    Stops early once the span is the whole group.  A given ``ctx``
+    supplies the graph, i, n, extra_subdivision and ordered; the report
+    echoes those, not the arguments.
     """
     ctx = ctx or build_ambient(g, i, n, extra_subdivision, ordered)
     acc = Subgroup.zero(ctx.pres)
@@ -216,8 +218,8 @@ def generation_check(
         if acc.is_full():
             done = True
     return GenerationReport(
-        g, i, n, extra_subdivision, ordered, tuple(per_gen), acc,
-        acc.is_full(), tuple(witnesses)
+        ctx.graph, ctx.i, ctx.n, ctx.extra_subdivision, ctx.ordered,
+        tuple(per_gen), acc, acc.is_full(), tuple(witnesses)
     )
 
 
@@ -275,7 +277,8 @@ def betti_stage(
     ordered: bool = True,
     ctx: AmbientContext | None = None,
 ) -> Subgroup:
-    """Span of classes from subgraphs with first Betti number <= stage."""
+    """Span of classes from subgraphs with first Betti number <= stage.
+    A given ``ctx`` supplies i, n, extra_subdivision and ordered."""
     if stage < 0:
         raise BadParamsError("stage must be >= 0")
     ctx = ctx or build_ambient(g, i, n, extra_subdivision, ordered)
@@ -294,7 +297,8 @@ def robertson_stage(
     """Span of classes from subgraphs carrying no order-k Robertson chain
     as a topological minor.  Subgraphs with first Betti number below k are
     admitted without a minor search (the chain has Betti number k, and
-    Betti numbers only drop under topological minors)."""
+    Betti numbers only drop under topological minors).  A given ``ctx``
+    supplies i, n, extra_subdivision and ordered."""
     if k < 1:
         raise BadParamsError("k must be >= 1")
     ctx = ctx or build_ambient(g, i, n, extra_subdivision, ordered)

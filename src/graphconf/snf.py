@@ -4,6 +4,13 @@ Everything here is exact big-integer arithmetic; no modular shortcuts.
 The elimination engine is sparse (dict-of-dicts) and prefers unit pivots
 with low fill, which keeps the cubical boundary matrices produced
 elsewhere in the package tractable at desk scale.
+
+Elimination leaves a diagonal matrix.  Normalization then keeps one
+invariant: every pivot equal to 1 sits before every other pivot.  A unit
+divides everything, so the divisibility chain only has to be repaired on
+the non-unit tail, which is short for the boundary matrices met here.
+Every move is a tracked row and column operation, so U, V, V^-1 and U^-1
+stay consistent with the final diagonal.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ class SNFResult:
     diag: tuple[int, ...]  # positive invariant factors, divisibility order
     u_rows: dict | None = None  # U such that U*M*V = D, rows as dicts
     v_cols: dict | None = None  # V, columns as dicts
-    vinv_rows: dict | None = None  # V^-1, rows as dicts
+    vinv_cols: dict | None = None  # V^-1, columns as dicts
     uinv_cols: dict | None = None  # U^-1, columns as dicts
 
     @property
@@ -43,19 +50,19 @@ class SNFResult:
         return [dict(self.v_cols[j]) for j in range(self.rank, self.n)]
 
     def kernel_coords(self, vec: dict[int, int]) -> dict[int, int]:
-        """Coordinates of a kernel vector in the kernel_basis (0-indexed)."""
-        if self.vinv_rows is None:
+        """Coordinates of a kernel vector in the kernel_basis (0-indexed).
+
+        V^-1 is stored by column, so only the columns in the support of
+        ``vec`` are visited.
+        """
+        if self.vinv_cols is None:
             raise ValueError("SNF was computed without Vinv tracking")
+        acc: dict[int, int] = {}
+        for j, c in vec.items():
+            for i, w in self.vinv_cols.get(j, {}).items():
+                acc[i] = acc.get(i, 0) + w * c
         out: dict[int, int] = {}
-        for i in range(self.n):
-            row = self.vinv_rows.get(i)
-            if not row:
-                continue
-            s = 0
-            for j, c in vec.items():
-                w = row.get(j)
-                if w:
-                    s += w * c
+        for i, s in sorted(acc.items()):
             if s:
                 if i < self.rank:
                     raise ValueError("vector is not in the kernel")
@@ -69,7 +76,8 @@ def snf(entries, shape, *, track_u=False, track_v=False, track_vinv=False,
 
     ``entries`` is a mapping (i, j) -> value (zeros ignored); ``shape`` is
     (m, n).  Transform tracking is opt-in since it dominates the cost on
-    large inputs.
+    large inputs.  V^-1 is tracked by row during elimination and returned
+    by column, the form ``kernel_coords`` reads.
     """
     m, n = shape
     eng = _Engine(m, n, entries, track_u, track_v, track_vinv, track_uinv)
@@ -78,9 +86,20 @@ def snf(entries, shape, *, track_u=False, track_v=False, track_vinv=False,
         m, n, eng.rank, tuple(eng.diag),
         eng.u if track_u else None,
         eng.vcols if track_v else None,
-        eng.vinv if track_vinv else None,
+        _transpose_draining(eng.vinv) if track_vinv else None,
         eng.uinvcols if track_uinv else None,
     )
+
+
+def _transpose_draining(rows: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Transpose a dict-of-dicts matrix, emptying the input as it goes so
+    that the two forms never both exist in full."""
+    cols: dict[int, dict[int, int]] = {}
+    while rows:
+        i, row = rows.popitem()
+        for j, v in row.items():
+            cols.setdefault(j, {})[i] = v
+    return cols
 
 
 class _Engine:
@@ -263,7 +282,9 @@ class _Engine:
                                len(self.rows[i]), i),
             )
             return best, j
-        # fallback: scan (heap exhausted but stale state possible)
+        # fallback: scan.  Reachable: the column swapped out of slot t for
+        # the pivot keeps no heap entry under its new index unless the
+        # pivot row touches it, e.g. [[1, 0], [1, 0], [0, 1]].
         for j in sorted(self.cols):
             if j < t:
                 continue
@@ -316,8 +337,16 @@ class _Engine:
         for t in range(self.rank):
             if self.rows[t][t] < 0:
                 self._row_negate(t)
-        # divisibility chain via pairwise 2x2 fixes
-        for s in range(self.rank):
+        # units first: a unit pivot divides every other one, so after this
+        # pass only the non-unit tail [units, rank) can break the chain
+        units = 0
+        for t in range(self.rank):
+            if self.rows[t][t] == 1:
+                self._row_swap(t, units)
+                self._col_swap(t, units)
+                units += 1
+        # divisibility chain on the tail via pairwise 2x2 gcd/lcm fixes
+        for s in range(units, self.rank):
             for t in range(s + 1, self.rank):
                 a, b = self.rows[s][s], self.rows[t][t]
                 if b % a:

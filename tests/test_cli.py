@@ -1,8 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from graphconf import cli
 from graphconf.cli import main
+from graphconf.homology import IntegerChainComplex
 from graphconf.gio import load_graph, to_json
 from graphconf.graphs import family
 
@@ -117,6 +120,27 @@ def test_generate_gens_and_stage(capsys, g6):
 
     assert main(["generate", "--graph", c3, "-n", "2", "-i", "1"]) == 2
     capsys.readouterr()
+
+
+def test_generate_echoes_the_callers_parameters(capsys, g6):
+    c3 = g6("c3.json", family("cycle", 3))
+    assert main(["generate", "--graph", c3, "-n", "2", "-i", "1", "--unordered",
+                 "--extra-subdivision", "1", "--gens", c3]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["i"], obj["n"]) == (1, 2)
+    assert obj["ordered"] is False
+    assert obj["extra_subdivision"] == 1
+
+
+def test_broken_complex_exits_3(monkeypatch, capsys, g6):
+    broken = SimpleNamespace(chain=IntegerChainComplex(
+        (1, 1, 1), ({}, {(0, 0): 1}, {(0, 0): 1})))
+    monkeypatch.setattr(cli, "build_discretized", lambda *a, **k: broken)
+    c3 = g6("c3.json", family("cycle", 3))
+    assert main(["homology", "--graph", c3, "-n", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "square to zero" in captured.err
 
 
 def test_bad_input_exit_codes(tmp_path, capsys):

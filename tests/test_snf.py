@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphconf.snf import hermite_columns, hnf_contains, smith_normal_form, snf
@@ -95,9 +96,8 @@ def test_smith_normal_form_properties(rows):
     assert len(nonzero) == rational_rank(rows)
 
 
-@settings(max_examples=40, deadline=None)
-@given(matrix_strategy)
-def test_sparse_snf_transform_consistency(rows):
+def check_all_transforms(rows):
+    """U*M*V = D, V*Vinv = I and Uinv*U = I with all four transforms tracked."""
     m, n = len(rows), len(rows[0])
     res = snf(dense_to_entries(rows), (m, n), track_u=True, track_v=True,
               track_vinv=True, track_uinv=True)
@@ -110,12 +110,75 @@ def test_sparse_snf_transform_consistency(rows):
             expect = diag[i] if i == j and i < len(diag) else 0
             assert prod[i][j] == expect
     # V * Vinv == I, U^-1 * U == I
-    vinv = [[res.vinv_rows[i].get(j, 0) for j in range(n)] for i in range(n)]
+    vinv = [[res.vinv_cols[j].get(i, 0) for j in range(n)] for i in range(n)]
     uinv = [[res.uinv_cols[j].get(i, 0) for j in range(m)] for i in range(m)]
     ident_n = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     ident_m = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     assert matmul(v, vinv) == ident_n
     assert matmul(uinv, u) == ident_m
+    return res
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_strategy)
+def test_sparse_snf_transform_consistency(rows):
+    check_all_transforms(rows)
+
+
+# small entries on larger matrices: unit and non-unit pivots mix
+mixed_pivot_strategy = st.integers(1, 8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=8
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_pivot_strategy)
+def test_transforms_with_mixed_pivots(rows):
+    res = check_all_transforms(rows)
+    for a, b in zip(res.diag, res.diag[1:]):
+        assert b % a == 0
+    assert res.rank == rational_rank(rows)
+
+
+def test_units_interleaved_with_non_units():
+    res = check_all_transforms([[2, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 3, 0, 0],
+                                [0, 0, 0, 1, 0], [0, 0, 0, 0, 6]])
+    assert res.diag == (1, 1, 1, 6, 6)
+
+
+def test_pivot_column_found_by_fallback_scan():
+    # the pivot for column 1 moves column 0 to slot 1, where the heap has
+    # no entry for it; only the fallback scan finds the second pivot
+    res = check_all_transforms([[1, 0], [1, 0], [0, 1]])
+    assert res.rank == 2 and res.diag == (1, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_pivot_strategy, st.data())
+def test_kernel_coords_round_trip(rows, data):
+    m, n = len(rows), len(rows[0])
+    res = snf(dense_to_entries(rows), (m, n), track_v=True, track_vinv=True)
+    basis = res.kernel_basis()
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(basis),
+                                max_size=len(basis)))
+    vec: dict[int, int] = {}
+    for c, k in zip(coeffs, basis):
+        for i, v in k.items():
+            vec[i] = vec.get(i, 0) + c * v
+    vec = {i: v for i, v in vec.items() if v}
+    assert res.kernel_coords(vec) == {j: c for j, c in enumerate(coeffs) if c}
+
+
+def test_kernel_coords_rejects_non_kernel_vector():
+    rows = [[1, 2, 3], [2, 4, 6]]
+    res = snf(dense_to_entries(rows), (2, 3), track_v=True, track_vinv=True)
+    with pytest.raises(ValueError, match="not in the kernel"):
+        res.kernel_coords({0: 1})
+    # a kernel vector plus a non-kernel one is still rejected
+    with pytest.raises(ValueError, match="not in the kernel"):
+        res.kernel_coords({0: 2, 1: -1, 2: 1})
 
 
 def test_hermite_columns_membership():

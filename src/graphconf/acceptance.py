@@ -30,7 +30,9 @@ from .generation import (
     robertson_stage,
     subgraph_homeomorphism_types,
 )
-from .graphs import SimpleGraph, betti1, family, make_graph, subdivide_uniform, theta_graph
+from .errors import InvariantError
+from .graphs import (SimpleGraph, betti1, family, make_graph, subdivide_uniform,
+                     subdivision_pieces, theta_graph)
 from .homology import homology
 from .morphisms import gtm_k_member, has_topological_minor, is_isomorphic
 from .swiatkowski import verify_support_bound
@@ -92,8 +94,9 @@ def criterion_1() -> CriterionResult:
             for n in (2, 3):
                 seen = []
                 for extra in range(3):
-                    sub = subdivide_uniform(g, n + 1 + extra).subdivided
-                    assert is_sufficiently_subdivided(sub, n)
+                    sub = subdivide_uniform(g, subdivision_pieces(n, extra)).subdivided
+                    if not is_sufficiently_subdivided(sub, n):
+                        raise InvariantError(f"uniform subdivision not sufficient for n={n}")
                     cx = build_discretized(sub, n, ordered=False)
                     seen.append(homology(cx.chain).betti)
                 if not seen[0] == seen[1] == seen[2]:
@@ -114,7 +117,7 @@ def criterion_2() -> CriterionResult:
             if not g.edges:
                 continue
             for n in (1, 2):
-                sub = subdivide_uniform(g, n + 1).subdivided
+                sub = subdivide_uniform(g, subdivision_pieces(n, 0)).subdivided
                 for ordered in (True, False):
                     complexes.append(build_discretized(sub, n, ordered))
         complexes.append(build_discretized(family("complete", 5), 2, ordered=False))

@@ -20,10 +20,11 @@ from .cographs import (
     is_cograph,
 )
 from .discretized import build_discretized, cell_count_table, complex_to_json_obj
-from .errors import GraphConfError, NotAComplexError
+from .errors import GraphConfError, InvariantError, NotAComplexError
 from .generation import GeneratorList, betti_stage, build_ambient, generation_check, robertson_stage
 from .gio import load_graph, to_graph6, to_json
-from .graphs import SimpleGraph, betti1, complement, disjoint_union, family, make_graph, subdivide_uniform
+from .graphs import (SimpleGraph, betti1, complement, disjoint_union, family, make_graph,
+                     subdivide_uniform, subdivision_pieces)
 from .homology import homology
 from .morphisms import enumerate_tm, gtm_k_member, morphism_to_json
 from .swiatkowski import verify_support_bound
@@ -78,8 +79,9 @@ def cmd_homology(args) -> int:
         sub = g
         level = "none"
     else:
-        sub = subdivide_uniform(g, args.n + 1 + args.extra_subdivision).subdivided
-        level = f"{args.n + 1 + args.extra_subdivision} pieces per edge"
+        pieces = subdivision_pieces(args.n, args.extra_subdivision)
+        sub = subdivide_uniform(g, pieces).subdivided
+        level = f"{pieces} pieces per edge"
     print(f"subdivision: {level}", file=sys.stderr)
     cx = build_discretized(sub, args.n, ordered=not args.unordered)
     try:
@@ -153,7 +155,7 @@ def cmd_generate(args) -> int:
     g = _read_graph(args.graph)
     ctx = build_ambient(g, args.i, args.n, args.extra_subdivision, ordered=not args.unordered)
     print(
-        f"subdivision: {args.n + 1 + args.extra_subdivision} pieces per edge",
+        f"subdivision: {subdivision_pieces(args.n, args.extra_subdivision)} pieces per edge",
         file=sys.stderr,
     )
     if args.stage:
@@ -257,6 +259,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantError as exc:
+        return _fail(3, str(exc), kind=type(exc).__name__)
     except GraphConfError as exc:
         return _fail(2, str(exc), kind=type(exc).__name__)
     except (OSError, json.JSONDecodeError, ValueError) as exc:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BadParamsError, NotASubgraphError
-from .graphs import SimpleGraph, SubdivisionRecord, make_graph, subdivide_uniform
+from .errors import BadParamsError, InvariantError, NotASubgraphError
+from .graphs import (SimpleGraph, SubdivisionRecord, make_graph, subdivide_uniform,
+                     subdivision_pieces)
 from .homology import ChainMap, IntegerChainComplex, Sparse
 
 # slot encodings sort edges before vertices, matching the orbit representative
@@ -225,8 +226,10 @@ def sufficient_subdivision(g: SimpleGraph, n: int) -> SubdivisionRecord:
     """Subdivide every edge into n+1 edges; always sufficient for n."""
     if n < 1:
         raise BadParamsError("n must be >= 1")
-    rec = subdivide_uniform(g, n + 1)
-    assert is_sufficiently_subdivided(rec.subdivided, n) or not g.edges
+    pieces = subdivision_pieces(n, 0)
+    rec = subdivide_uniform(g, pieces)
+    if g.edges and not is_sufficiently_subdivided(rec.subdivided, n):
+        raise InvariantError(f"{pieces} pieces per edge is not sufficient for n={n}")
     return rec
 
 
@@ -251,7 +254,8 @@ def inclusion_chain_map(
         mat: Sparse = {}
         for col, key in enumerate(src.cells[d]):
             dd, row = tgt.cell_index[key]
-            assert dd == d
+            if dd != d:
+                raise InvariantError(f"cell {key} has dimension {d} in H, {dd} in G")
             mat[(row, col)] = 1
         mats.append(mat)
     return ChainMap(src.chain, tgt.chain, tuple(mats))

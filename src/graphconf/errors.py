@@ -63,3 +63,7 @@ class NotACographError(GraphConfError):
 
 class InvalidCotreeError(GraphConfError):
     pass
+
+
+class InvariantError(GraphConfError):
+    """An internal invariant does not hold: a bug, not bad input."""

@@ -21,7 +21,7 @@ from .discretized import (
     is_sufficiently_subdivided,
 )
 from .errors import BadParamsError
-from .graphs import SimpleGraph, betti1, subdivide_uniform
+from .graphs import Edge, SimpleGraph, betti1, norm_edge, subdivide_uniform, subdivision_pieces
 from .homology import (
     HomologyPresentation,
     Subgroup,
@@ -100,7 +100,7 @@ def build_ambient(
 ) -> AmbientContext:
     if n < 1 or i < 0 or extra_subdivision < 0:
         raise BadParamsError("need n >= 1, i >= 0, extra_subdivision >= 0")
-    sub = subdivide_uniform(g, n + 1 + extra_subdivision).subdivided
+    sub = subdivide_uniform(g, subdivision_pieces(n, extra_subdivision)).subdivided
     cx = build_discretized(sub, n, ordered)
     return AmbientContext(g, i, n, extra_subdivision, ordered, sub, cx,
                           presentation(cx.chain, i))
@@ -243,22 +243,96 @@ def generation_check_escalating(
 # -- filtration stages ---------------------------------------------------------
 
 
+def _ambient_arcs(g: SimpleGraph) -> list[list[Edge]]:
+    """Edges of each ambient arc of g, in path order.  An ambient arc is a
+    maximal path whose interior vertices have degree 2 in g; a cycle
+    component with every vertex of degree 2 is one arc.  The arcs
+    partition the edges."""
+    seen: set[Edge] = set()
+    arcs = []
+
+    def walk(prev: int, cur: int) -> list[Edge]:
+        arc = []
+        while (e := norm_edge(prev, cur)) not in seen:
+            seen.add(e)
+            arc.append(e)
+            if g.degree(cur) != 2:
+                break
+            prev, cur = cur, next(x for x in g.adjacency[cur] if x != prev)
+        return arc
+
+    # ends first, so that only cycle components start at a degree-2 vertex
+    starts = sorted(g.vertices, key=lambda v: g.degree(v) == 2)
+    for v in starts:
+        for w in g.adjacency[v]:
+            if arc := walk(v, w):
+                arcs.append(arc)
+    return arcs
+
+
+def _gap_sets(length: int, spacing: int) -> list[tuple[int, ...]]:
+    """Subsets of range(length) whose members are >= spacing apart."""
+    out: list[tuple[int, ...]] = [()]
+    for pos in range(length):
+        out += [s + (pos,) for s in out if not s or pos - s[-1] >= spacing]
+    return out
+
+
 def _stage_subgraphs(ctx: AmbientContext, predicate) -> list[SimpleGraph]:
     """Maximal edge subsets of the subdivided graph that pass the predicate
     and are sufficiently subdivided; isolated vertices are dropped since
-    they contribute nothing in positive degree."""
+    they contribute nothing in positive degree.
+
+    ``predicate`` must be invariant under subdividing an edge (both stage
+    predicates are: ``betti1 <= s``, and topological-minor containment of
+    the Robertson chain).  Only candidates are tested: on each ambient arc
+    of G'' a candidate takes no edges, or all edges but a set of gaps, any
+    two at least n+2 positions apart.  This is exact:
+
+    - Suppose a maximal passing H had two adjacent missing edges on an arc
+      that still has some edge in H.  Then some leaf x of H sits on that
+      arc, and x's other ambient neighbour is not in H.
+    - Adding that edge extends a leaf.  Every arc of H only gets longer,
+      the girth does not change, and the homeomorphism type does not
+      change.  So Abrams' test and the predicate give the same answer, and
+      H was not maximal.
+    - A floating segment shorter than n+1 between two gaps is itself an
+      arc of H shorter than n+1, so Abrams' test rejects it.
+    - So every maximal passing subset is a candidate, and the maximal
+      passing candidates are exactly the maximal passing subsets.  (On a
+      cycle component the gaps are spaced as on a path, which only adds
+      candidates.)
+
+    Edge j of G'' is bit ``1 << (|E''|-1-j)`` of a mask; within one size,
+    descending masks are the ``itertools.combinations`` order, so the
+    result comes in order of decreasing size, then lexicographic order.
+    """
     amb = ctx.subdivided
-    edges = list(amb.edges)
-    passing: list[frozenset] = []
-    for size in range(len(edges), 0, -1):
-        for combo in itertools.combinations(range(len(edges)), size):
-            mask = frozenset(combo)
-            if any(mask <= bigger for bigger in passing):
+    edges = amb.edges
+    bit = {e: 1 << (len(edges) - 1 - j) for j, e in enumerate(edges)}
+    masks = [0]
+    for arc in _ambient_arcs(amb):
+        full = sum(bit[e] for e in arc)
+        patterns = {0} | {full - sum(bit[arc[k]] for k in gaps)
+                          for gaps in _gap_sets(len(arc), ctx.n + 2)}
+        masks = [m | p for m in masks for p in patterns]
+    by_size: dict[int, list[int]] = {}
+    for mask in masks:
+        if mask:
+            by_size.setdefault(mask.bit_count(), []).append(mask)
+
+    def subgraph(mask: int) -> SimpleGraph:
+        return amb.subgraph([e for e in edges if mask & bit[e]])
+
+    passing: list[int] = []
+    for size in sorted(by_size, reverse=True):
+        for mask in sorted(by_size.pop(size), reverse=True):
+            if any(mask & bigger == mask for bigger in passing):
                 continue
-            h = amb.subgraph([edges[j] for j in combo])
+            h = subgraph(mask)
             if is_sufficiently_subdivided(h, ctx.n) and predicate(h):
                 passing.append(mask)
-    return [amb.subgraph([edges[j] for j in mask]) for mask in passing]
+    return [subgraph(mask) for mask in passing]
 
 
 def _stage_span(ctx: AmbientContext, predicate) -> Subgroup:

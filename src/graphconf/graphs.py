@@ -54,15 +54,8 @@ class SimpleGraph:
             nbrs[b].append(a)
         return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
 
-    @cached_property
-    def label_map(self) -> dict[int, str]:
-        return dict(self.labels)
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def has_edge(self, a: int, b: int) -> bool:
         return norm_edge(a, b) in self.edge_set
@@ -288,6 +281,11 @@ def subdivide(g: SimpleGraph, per_edge_counts) -> SubdivisionRecord:
         edge_paths.append((e, Path(tuple(chain))))
     sub = SimpleGraph(tuple(verts), tuple(sorted(edges)), g.labels)
     return SubdivisionRecord(g, sub, tuple(edge_paths))
+
+
+def subdivision_pieces(n: int, extra: int) -> int:
+    """Pieces per edge for n strands: Abrams' sufficient n+1, plus extra."""
+    return n + 1 + extra
 
 
 def subdivide_uniform(g: SimpleGraph, pieces: int) -> SubdivisionRecord:

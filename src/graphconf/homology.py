@@ -295,18 +295,22 @@ class Subgroup:
         """Rank of the subgroup modulo torsion."""
         return len(self.hnf) - self.ambient.relation_snf.rank
 
+    def _same_ambient(self, other: "Subgroup") -> bool:
+        return self.ambient is other.ambient or (
+            self.ambient.cycle_rank == other.ambient.cycle_rank
+            and self.ambient.relation_snf.diag == other.ambient.relation_snf.diag
+        )
+
     def _check_ambient(self, other: "Subgroup"):
-        if self.ambient is not other.ambient and (
-            self.ambient.cycle_rank != other.ambient.cycle_rank
-            or self.ambient.relation_snf.diag != other.ambient.relation_snf.diag
-        ):
+        if not self._same_ambient(other):
             raise AmbientMismatchError("subgroups live in different ambient groups")
 
     def __eq__(self, other):
-        return isinstance(other, Subgroup) and self.hnf == other.hnf
+        return (isinstance(other, Subgroup) and self._same_ambient(other)
+                and self.hnf == other.hnf)
 
     def __hash__(self):
-        return hash(self.hnf)
+        return hash((self.ambient.cycle_rank, self.hnf))
 
 
 def span_and_test(images: list[Subgroup], ambient: HomologyPresentation) -> tuple[Subgroup, bool]:

@@ -5,6 +5,7 @@ import pytest
 
 from graphconf import cli
 from graphconf.cli import main
+from graphconf.errors import InvariantError
 from graphconf.homology import IntegerChainComplex
 from graphconf.gio import load_graph, to_json
 from graphconf.graphs import family
@@ -55,7 +56,7 @@ def test_homology_json_and_table(capsys, g6):
     captured = capsys.readouterr()
     obj = json.loads(captured.out)
     assert obj["betti"][:2] == [1, 1]  # unordered 2 points on a circle
-    assert "subdivision" in captured.err
+    assert captured.err == "subdivision: 3 pieces per edge\n"
 
     assert main(["homology", "--graph", c3, "-n", "1", "--no-subdivision",
                  "--format", "table"]) == 0
@@ -141,6 +142,19 @@ def test_broken_complex_exits_3(monkeypatch, capsys, g6):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "square to zero" in captured.err
+
+
+def test_invariant_error_exits_3(monkeypatch, capsys, g6):
+    def breach(*args, **kwargs):
+        raise InvariantError("cell dimensions disagree")
+
+    monkeypatch.setattr(cli, "build_ambient", breach)
+    c3 = g6("c3.json", family("cycle", 3))
+    assert main(["generate", "--graph", c3, "-n", "2", "-i", "1", "--gens", c3]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "cell dimensions disagree",
+                                        "kind": "InvariantError"}
 
 
 def test_bad_input_exit_codes(tmp_path, capsys):

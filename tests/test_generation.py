@@ -1,8 +1,14 @@
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
+from graphconf.discretized import is_sufficiently_subdivided
 from graphconf.errors import BadParamsError
 from graphconf.generation import (
     GeneratorList,
+    _ambient_arcs,
+    _stage_subgraphs,
     betti_stage,
     brute_force_span,
     build_ambient,
@@ -11,7 +17,8 @@ from graphconf.generation import (
     robertson_stage,
     subgraph_homeomorphism_types,
 )
-from graphconf.graphs import family, make_graph, theta_graph
+from graphconf.graphs import betti1, family, make_graph, theta_graph
+from graphconf.morphisms import gtm_k_member
 
 
 def test_generator_list_validation():
@@ -111,3 +118,106 @@ def test_report_serialization():
     assert obj["generators"][0]["morphisms"] >= 1
     txt = rep.table()
     assert "generated=True" in txt
+
+
+# -- stage subgraphs against every edge subset ----------------------------------
+
+
+def all_subsets_stage_subgraphs(ctx, predicate):
+    """Reference for _stage_subgraphs: test every edge subset of G'', largest
+    first, skipping subsets of one that already passed."""
+    amb = ctx.subdivided
+    edges = list(amb.edges)
+    passing: list[frozenset] = []
+    for size in range(len(edges), 0, -1):
+        for combo in itertools.combinations(range(len(edges)), size):
+            mask = frozenset(combo)
+            if any(mask <= bigger for bigger in passing):
+                continue
+            h = amb.subgraph([edges[j] for j in combo])
+            if is_sufficiently_subdivided(h, ctx.n) and predicate(h):
+                passing.append(mask)
+    return [amb.subgraph([edges[j] for j in mask]) for mask in passing]
+
+
+def stage_predicate(stage: str):
+    kind, _, value = stage.partition(":")
+    k = int(value)
+    if kind == "betti":
+        return lambda h: betti1(h) <= k
+    return lambda h: betti1(h) < k or gtm_k_member(h, k)
+
+
+def lollipop():
+    # a cycle hanging off a branch vertex, whose arc starts and ends there
+    return make_graph(range(4), [(0, 1), (1, 2), (0, 2), (2, 3)])
+
+
+STAGE_CASES = [
+    ("C3", family("cycle", 3), 2, 0),
+    ("star3", family("star", 3), 2, 0),
+    ("theta", theta_graph(), 2, 0),
+    ("theta", theta_graph(), 2, 1),
+    ("C3", family("cycle", 3), 3, 0),
+    ("lollipop", lollipop(), 2, 0),
+]
+STAGES = ["betti:0", "betti:1", "betti:2", "robertson:1", "robertson:2", "robertson:3"]
+
+
+def _keys(subgraphs):
+    return [(h.vertices, h.edges) for h in subgraphs]
+
+
+@pytest.mark.parametrize("name,g,n,extra", STAGE_CASES,
+                         ids=[f"{c[0]}-n{c[2]}-extra{c[3]}" for c in STAGE_CASES])
+def test_stage_subgraphs_match_all_subsets(name, g, n, extra):
+    ctx = build_ambient(g, 1, n, extra, ordered=False)
+    for stage in STAGES:
+        pred = stage_predicate(stage)
+        assert _keys(_stage_subgraphs(ctx, pred)) == _keys(
+            all_subsets_stage_subgraphs(ctx, pred)), stage
+
+
+def test_stage_subgraphs_match_all_subsets_on_k4():
+    ctx = build_ambient(family("complete", 4), 1, 2, ordered=False)
+    pred = stage_predicate("betti:1")
+    got = _keys(_stage_subgraphs(ctx, pred))
+    assert got == _keys(all_subsets_stage_subgraphs(ctx, pred))
+    assert len(got) > 1
+
+
+def test_stage_subgraphs_keep_gaps_exactly_n_plus_2_apart():
+    # branch vertices 0 and 3, each with two pendant edges, joined by the arc
+    # 0-6-7-8-3; at n=1 the middle segment 6-7-8 between gaps (0,6) and (8,3)
+    # is maximal, since either gap edge makes a pendant edge a short arc
+    g = make_graph(range(9), [(0, 1), (0, 2), (3, 4), (3, 5),
+                              (0, 6), (6, 7), (7, 8), (8, 3)])
+    ctx = SimpleNamespace(subdivided=g, n=1)
+    pred = stage_predicate("betti:0")
+    got = _keys(_stage_subgraphs(ctx, pred))
+    assert got == _keys(all_subsets_stage_subgraphs(ctx, pred))
+    assert ((0, 1, 2, 3, 4, 5, 6, 7, 8),
+            ((0, 1), (0, 2), (3, 4), (3, 5), (6, 7), (7, 8))) in got
+
+
+def test_ambient_arcs_partition_the_edges():
+    # theta on branch vertices 1 and 2 (vertex 0 of degree 2 comes first),
+    # a pendant path 2-4-5, and a triangle component 6-7-8 with every
+    # vertex of degree 2
+    g = make_graph(range(9), [(1, 2), (0, 1), (0, 2), (1, 3), (2, 3),
+                              (2, 4), (4, 5), (6, 7), (7, 8), (6, 8)])
+    arcs = _ambient_arcs(g)
+    flat = [e for arc in arcs for e in arc]
+    assert sorted(flat) == list(g.edges)
+    assert {frozenset(arc) for arc in arcs} == {
+        frozenset({(1, 2)}),
+        frozenset({(0, 1), (0, 2)}),
+        frozenset({(1, 3), (2, 3)}),
+        frozenset({(2, 4), (4, 5)}),
+        frozenset({(6, 7), (7, 8), (6, 8)}),
+    }
+    for arc in arcs:
+        # path order: consecutive edges meet in a vertex of degree 2
+        for e, f in zip(arc, arc[1:]):
+            (shared,) = set(e) & set(f)
+            assert g.degree(shared) == 2

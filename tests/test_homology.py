@@ -120,6 +120,17 @@ def test_subgroup_ambient_mismatch():
         Subgroup.full(a).contains(Subgroup.zero(b))
 
 
+def test_subgroup_equality_needs_same_ambient():
+    # Z^2 and Z^3 in degree 1: both zero subgroups have an empty HNF
+    z2 = presentation(IntegerChainComplex((1, 2, 0), ({}, {}, {})), 1)
+    z3 = presentation(IntegerChainComplex((1, 3, 0), ({}, {}, {})), 1)
+    assert Subgroup.zero(z2) != Subgroup.zero(z3)
+    z2_again = presentation(IntegerChainComplex((1, 2, 0), ({}, {}, {})), 1)
+    assert Subgroup.zero(z2) == Subgroup.zero(z2_again)
+    assert hash(Subgroup.zero(z2)) == hash(Subgroup.zero(z2_again))
+    assert len({Subgroup.zero(z2), Subgroup.zero(z3)}) == 2
+
+
 def test_cycle_image_subgroup():
     c = circle_complex()
     pres = presentation(c, 1)

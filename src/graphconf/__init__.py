@@ -67,7 +67,7 @@ from .morphisms import (
     smooth,
     validate_tm,
 )
-from .snf import smith_normal_form, snf
+from .snf import snf
 from .swiatkowski import (
     SwiatkowskiCell,
     enumerate_cells,

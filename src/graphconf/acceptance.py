@@ -320,8 +320,8 @@ def criterion_7() -> CriterionResult:
         targets = [family("cycle", 3), theta_graph(), family("complete", 4)]
         for g in targets:
             ctx = build_ambient(g, 1, 2, 0, ordered=False)
-            b = {s: betti_stage(g, 1, 2, s, ctx=ctx) for s in (0, 1, 2)}
-            r = {k: robertson_stage(g, 1, 2, k, ctx=ctx) for k in (1, 2, 3)}
+            b = {s: betti_stage(ctx, s) for s in (0, 1, 2)}
+            r = {k: robertson_stage(ctx, k) for k in (1, 2, 3)}
             for s in (0, 1):
                 if not b[s + 1].contains(b[s]):
                     return False, f"B_{s} not inside B_{s + 1} on {g.edges}"
@@ -333,8 +333,8 @@ def criterion_7() -> CriterionResult:
                     return False, f"B_{k - 1} not inside R_{k} on {g.edges}"
         c3 = family("cycle", 3)
         ctx = build_ambient(c3, 1, 2, 0, ordered=False)
-        b0 = betti_stage(c3, 1, 2, 0, ctx=ctx)
-        b1_sub = betti_stage(c3, 1, 2, 1, ctx=ctx)
+        b0 = betti_stage(ctx, 0)
+        b1_sub = betti_stage(ctx, 1)
         if b0.free_rank() != 0:
             return False, f"circle B_0 has rank {b0.free_rank()}"
         if not b1_sub.is_full():
@@ -355,13 +355,11 @@ def criterion_8() -> CriterionResult:
             if not g.edges:
                 continue
             ctx = build_ambient(g, 1, 2, 0, ordered=False)
-            report = generation_check(g, 1, 2, circle, ctx=ctx)
+            report = generation_check(ctx, circle)
             brute = brute_force_span(ctx, circle)
             if report.achieved != brute:
                 return False, f"dedup span differs on {g.vertices}/{g.edges}"
-            self_rep = generation_check(
-                g, 1, 2, subgraph_homeomorphism_types(g), ctx=ctx
-            )
+            self_rep = generation_check(ctx, subgraph_homeomorphism_types(g))
             if not self_rep.is_generated:
                 return False, f"self-generation failed on {g.vertices}/{g.edges}"
             checked += 1

@@ -161,9 +161,9 @@ def cmd_generate(args) -> int:
     if args.stage:
         kind, _, value = args.stage.partition(":")
         if kind == "betti":
-            sub = betti_stage(g, args.i, args.n, int(value), ctx=ctx)
+            sub = betti_stage(ctx, int(value))
         elif kind == "robertson":
-            sub = robertson_stage(g, args.i, args.n, int(value), ctx=ctx)
+            sub = robertson_stage(ctx, int(value))
         else:
             return _fail(2, f"unknown stage kind {kind!r}")
         print(json.dumps({
@@ -177,7 +177,7 @@ def cmd_generate(args) -> int:
     if not args.gens:
         return _fail(2, "generate needs --gens or --stage")
     gens = GeneratorList.of(*[_read_graph(p) for p in args.gens])
-    report = generation_check(g, args.i, args.n, gens, ctx=ctx)
+    report = generation_check(ctx, gens)
     if args.format == "table":
         print(report.table())
     else:

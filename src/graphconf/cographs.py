@@ -241,37 +241,6 @@ def enumerate_full_embeddings(g: SimpleGraph, h: SimpleGraph) -> list[dict]:
     return out
 
 
-# -- label-preserving rooted-tree morphisms (object-level only; no claim is
-#    made that these match full embeddings arrow-for-arrow) -------------------
-
-
-@dataclass(frozen=True)
-class CotreeMorphism:
-    source: Cotree
-    target: Cotree
-    node_map: tuple  # (source node id, target node id)
-
-    def validate(self) -> tuple[bool, list[str]]:
-        violations = []
-        nm = dict(self.node_map)
-        if set(nm) != set(self.source.label_of):
-            violations.append("node_map must cover every source node")
-            return False, violations
-        for nid, lab in self.source.labels:
-            if self.target.label_of.get(nm[nid]) != lab:
-                violations.append(f"label not preserved at node {nid}")
-        for nid, kids in self.source.children:
-            for k in kids:
-                # images must keep the ancestor relation
-                cur = nm[k]
-                par = self.target.parent_of
-                while cur != self.target.root and cur != nm[nid]:
-                    cur = par[cur]
-                if cur != nm[nid]:
-                    violations.append(f"ancestry broken at edge {nid}->{k}")
-        return not violations, violations
-
-
 # -- JSON ----------------------------------------------------------------------
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadParamsError, InvariantError, NotASubgraphError
-from .graphs import (SimpleGraph, SubdivisionRecord, make_graph, subdivide_uniform,
-                     subdivision_pieces)
+from .graphs import (SimpleGraph, SubdivisionRecord, ambient_arcs, make_graph,
+                     subdivide_uniform, subdivision_pieces)
 from .homology import ChainMap, IntegerChainComplex, Sparse
 
 # slot encodings sort edges before vertices, matching the orbit representative
@@ -64,49 +64,30 @@ def build_discretized(g: SimpleGraph, n: int, ordered: bool = True) -> CubicalCo
 
     per_dim: list[list[tuple[Slot, ...]]] = [[] for _ in range(n + 1)]
 
-    if ordered:
-        chosen: list[Slot] = []
-        used: set[int] = set()
+    chosen: list[Slot] = []
+    used: set[int] = set()
 
-        def rec_ord():
-            if len(chosen) == n:
-                key = tuple(chosen)
-                per_dim[sum(1 for s in key if s[0] == "e")].append(key)
-                return
-            for s in slots:
-                cl = slot_closure(s)
-                if any(v in used for v in cl):
-                    continue
-                chosen.append(s)
-                used.update(cl)
-                rec_ord()
-                used.difference_update(cl)
-                chosen.pop()
+    def rec(start: int):
+        # ordered cells restart every slot at 0; unordered ones continue
+        # after the previous slot, which allows pruning short tails
+        if len(chosen) == n:
+            key = tuple(chosen)
+            per_dim[sum(1 for s in key if s[0] == "e")].append(key)
+            return
+        if not ordered and n - len(chosen) > len(slots) - start:
+            return
+        for idx in range(start, len(slots)):
+            s = slots[idx]
+            cl = slot_closure(s)
+            if any(v in used for v in cl):
+                continue
+            chosen.append(s)
+            used.update(cl)
+            rec(0 if ordered else idx + 1)
+            used.difference_update(cl)
+            chosen.pop()
 
-        rec_ord()
-    else:
-        chosen = []
-        used = set()
-
-        def rec_unord(start: int):
-            if len(chosen) == n:
-                key = tuple(chosen)
-                per_dim[sum(1 for s in key if s[0] == "e")].append(key)
-                return
-            if n - len(chosen) > len(slots) - start:
-                return
-            for idx in range(start, len(slots)):
-                s = slots[idx]
-                cl = slot_closure(s)
-                if any(v in used for v in cl):
-                    continue
-                chosen.append(s)
-                used.update(cl)
-                rec_unord(idx + 1)
-                used.difference_update(cl)
-                chosen.pop()
-
-        rec_unord(0)
+    rec(0)
 
     for layer in per_dim:
         layer.sort()
@@ -152,74 +133,20 @@ def _face_key(key: tuple[Slot, ...], pos: int, endpoint: int, ordered: bool):
 # -- sufficiency of subdivision ----------------------------------------------
 
 
-def _arcs_and_girth(g: SimpleGraph) -> tuple[list[int], int | None]:
-    """Lengths of maximal degree-2-interior paths between non-degree-2
-    endpoints, and the girth (None when acyclic)."""
-    arcs: list[int] = []
-    essential = [v for v in g.vertices if g.degree(v) != 2]
-    seen_edges: set[tuple[int, int]] = set()
-    for v in essential:
-        for w in g.adjacency[v]:
-            e = (v, w)
-            if e in seen_edges:
-                continue
-            # walk from v through w across degree-2 vertices
-            path = [v, w]
-            seen_edges.add((v, w))
-            seen_edges.add((w, v))
-            while g.degree(path[-1]) == 2 and path[-1] not in essential:
-                prev, cur = path[-2], path[-1]
-                nxt = next(x for x in g.adjacency[cur] if x != prev)
-                seen_edges.add((cur, nxt))
-                seen_edges.add((nxt, cur))
-                path.append(nxt)
-            if path[-1] == v:
-                continue  # closed walk back to v: a cycle, handled by girth
-            arcs.append(len(path) - 1)
-    girth = _girth(g)
-    return arcs, girth
-
-
-def _girth(g: SimpleGraph) -> int | None:
-    best: int | None = None
-    from collections import deque
-
-    for a, b in g.edges:
-        # shortest a-b path avoiding the edge (a, b)
-        dist = {a: 0}
-        dq = deque([a])
-        found = None
-        while dq:
-            x = dq.popleft()
-            if best is not None and dist[x] + 1 >= best:
-                continue
-            for y in g.adjacency[x]:
-                if x == a and y == b:
-                    continue
-                if y == b:
-                    found = dist[x] + 1
-                    dq.clear()
-                    break
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    dq.append(y)
-        if found is not None:
-            cyc = found + 1
-            if best is None or cyc < best:
-                best = cyc
-    return best
-
-
 def is_sufficiently_subdivided(g: SimpleGraph, n: int) -> bool:
-    """Abrams' condition: every essential arc and every cycle has >= n+1 edges."""
+    """Abrams' condition: every essential arc and every cycle has >= n+1 edges.
+
+    The ambient arcs alone decide it: every arc, open or closed, and every
+    cycle component needs >= n+1 edges.  The interior vertices of an arc
+    have degree 2, so a cycle that uses one edge of an arc uses the whole
+    arc, and every cycle has at least as many edges as some arc on it.
+    Closed arcs and cycle components are themselves cycles.  So "every arc
+    has >= n+1 edges" is the same as "every open arc has >= n+1 edges and
+    the girth is >= n+1", with no girth search.
+    """
     if n < 1:
         raise BadParamsError("n must be >= 1")
-    arcs, girth = _arcs_and_girth(g)
-    if any(a < n + 1 for a in arcs):
-        return False
-    if girth is not None and girth < n + 1:
-        return False
-    return True
+    return all(len(arc) >= n + 1 for arc in ambient_arcs(g))
 
 
 def sufficient_subdivision(g: SimpleGraph, n: int) -> SubdivisionRecord:

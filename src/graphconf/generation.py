@@ -21,7 +21,7 @@ from .discretized import (
     is_sufficiently_subdivided,
 )
 from .errors import BadParamsError
-from .graphs import Edge, SimpleGraph, betti1, norm_edge, subdivide_uniform, subdivision_pieces
+from .graphs import SimpleGraph, ambient_arcs, betti1, subdivide_uniform, subdivision_pieces
 from .homology import (
     HomologyPresentation,
     Subgroup,
@@ -182,23 +182,13 @@ class GenerationReport:
         return "\n".join(lines)
 
 
-def generation_check(
-    g: SimpleGraph,
-    i: int,
-    n: int,
-    gens: GeneratorList,
-    extra_subdivision: int = 0,
-    ordered: bool = True,
-    ctx: AmbientContext | None = None,
-) -> GenerationReport:
+def generation_check(ctx: AmbientContext, gens: GeneratorList) -> GenerationReport:
     """Span the images of H_i over all sufficiently subdivided topological
     copies of the generators inside the subdivided target, and test fullness.
 
-    Stops early once the span is the whole group.  A given ``ctx``
-    supplies the graph, i, n, extra_subdivision and ordered; the report
-    echoes those, not the arguments.
+    Stops early once the span is the whole group.  The report echoes the
+    graph, i, n, extra_subdivision and ordered of ``ctx``.
     """
-    ctx = ctx or build_ambient(g, i, n, extra_subdivision, ordered)
     acc = Subgroup.zero(ctx.pres)
     per_gen = []
     witnesses = []
@@ -234,40 +224,13 @@ def generation_check_escalating(
     """Retry at deeper subdivision levels until generated or the cap is hit."""
     report = None
     for extra in range(max_extra_subdivision + 1):
-        report = generation_check(g, i, n, gens, extra, ordered)
+        report = generation_check(build_ambient(g, i, n, extra, ordered), gens)
         if report.is_generated:
             return report
     return report
 
 
 # -- filtration stages ---------------------------------------------------------
-
-
-def _ambient_arcs(g: SimpleGraph) -> list[list[Edge]]:
-    """Edges of each ambient arc of g, in path order.  An ambient arc is a
-    maximal path whose interior vertices have degree 2 in g; a cycle
-    component with every vertex of degree 2 is one arc.  The arcs
-    partition the edges."""
-    seen: set[Edge] = set()
-    arcs = []
-
-    def walk(prev: int, cur: int) -> list[Edge]:
-        arc = []
-        while (e := norm_edge(prev, cur)) not in seen:
-            seen.add(e)
-            arc.append(e)
-            if g.degree(cur) != 2:
-                break
-            prev, cur = cur, next(x for x in g.adjacency[cur] if x != prev)
-        return arc
-
-    # ends first, so that only cycle components start at a degree-2 vertex
-    starts = sorted(g.vertices, key=lambda v: g.degree(v) == 2)
-    for v in starts:
-        for w in g.adjacency[v]:
-            if arc := walk(v, w):
-                arcs.append(arc)
-    return arcs
 
 
 def _gap_sets(length: int, spacing: int) -> list[tuple[int, ...]]:
@@ -311,7 +274,7 @@ def _stage_subgraphs(ctx: AmbientContext, predicate) -> list[SimpleGraph]:
     edges = amb.edges
     bit = {e: 1 << (len(edges) - 1 - j) for j, e in enumerate(edges)}
     masks = [0]
-    for arc in _ambient_arcs(amb):
+    for arc in ambient_arcs(amb):
         full = sum(bit[e] for e in arc)
         patterns = {0} | {full - sum(bit[arc[k]] for k in gaps)
                           for gaps in _gap_sets(len(arc), ctx.n + 2)}
@@ -342,40 +305,20 @@ def _stage_span(ctx: AmbientContext, predicate) -> Subgroup:
     return span
 
 
-def betti_stage(
-    g: SimpleGraph,
-    i: int,
-    n: int,
-    stage: int,
-    extra_subdivision: int = 0,
-    ordered: bool = True,
-    ctx: AmbientContext | None = None,
-) -> Subgroup:
-    """Span of classes from subgraphs with first Betti number <= stage.
-    A given ``ctx`` supplies i, n, extra_subdivision and ordered."""
+def betti_stage(ctx: AmbientContext, stage: int) -> Subgroup:
+    """Span of classes from subgraphs with first Betti number <= stage."""
     if stage < 0:
         raise BadParamsError("stage must be >= 0")
-    ctx = ctx or build_ambient(g, i, n, extra_subdivision, ordered)
     return _stage_span(ctx, lambda h: betti1(h) <= stage)
 
 
-def robertson_stage(
-    g: SimpleGraph,
-    i: int,
-    n: int,
-    k: int,
-    extra_subdivision: int = 0,
-    ordered: bool = True,
-    ctx: AmbientContext | None = None,
-) -> Subgroup:
+def robertson_stage(ctx: AmbientContext, k: int) -> Subgroup:
     """Span of classes from subgraphs carrying no order-k Robertson chain
     as a topological minor.  Subgraphs with first Betti number below k are
     admitted without a minor search (the chain has Betti number k, and
-    Betti numbers only drop under topological minors).  A given ``ctx``
-    supplies i, n, extra_subdivision and ordered."""
+    Betti numbers only drop under topological minors)."""
     if k < 1:
         raise BadParamsError("k must be >= 1")
-    ctx = ctx or build_ambient(g, i, n, extra_subdivision, ordered)
     return _stage_span(ctx, lambda h: betti1(h) < k or gtm_k_member(h, k))
 
 

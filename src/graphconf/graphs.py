@@ -300,6 +300,33 @@ def betti1(g: SimpleGraph) -> int:
     return len(g.edges) - len(g.vertices) + len(g.components)
 
 
+def ambient_arcs(g: SimpleGraph) -> list[list[Edge]]:
+    """Edges of each ambient arc of g, in path order.  An ambient arc is a
+    maximal path whose interior vertices have degree 2 in g; a cycle
+    component with every vertex of degree 2 is one arc.  The arcs
+    partition the edges."""
+    seen: set[Edge] = set()
+    arcs = []
+
+    def walk(prev: int, cur: int) -> list[Edge]:
+        arc = []
+        while (e := norm_edge(prev, cur)) not in seen:
+            seen.add(e)
+            arc.append(e)
+            if g.degree(cur) != 2:
+                break
+            prev, cur = cur, next(x for x in g.adjacency[cur] if x != prev)
+        return arc
+
+    # ends first, so that only cycle components start at a degree-2 vertex
+    starts = sorted(g.vertices, key=lambda v: g.degree(v) == 2)
+    for v in starts:
+        for w in g.adjacency[v]:
+            if arc := walk(v, w):
+                arcs.append(arc)
+    return arcs
+
+
 def family(name: str, *params: int) -> SimpleGraph:
     """Standard graph families by name.
 

@@ -121,17 +121,16 @@ class HomologyPresentation:
         return diag[j] if j < len(diag) else 0
 
     def cycle_to_normal(self, chain_vec: dict[int, int]) -> dict[int, int]:
-        """Normal coordinates of a cycle given in chain coordinates."""
-        kc = self.kernel.kernel_coords(chain_vec)
-        out: dict[int, int] = {}
-        for i in range(self.cycle_rank):
-            row = self.relation_snf.u_rows.get(i)
-            if not row:
-                continue
-            s = sum(v * kc.get(j, 0) for j, v in row.items())
-            if s:
-                out[i] = s
-        return out
+        """Normal coordinates of a cycle given in chain coordinates.
+
+        U is stored by column, so only the columns in the support of the
+        kernel coordinates are visited.
+        """
+        acc: dict[int, int] = {}
+        for j, c in self.kernel.kernel_coords(chain_vec).items():
+            for i, u in self.relation_snf.u_cols[j].items():
+                acc[i] = acc.get(i, 0) + u * c
+        return {i: s for i, s in sorted(acc.items()) if s}
 
     def normal_to_kernel_coords(self, normal_vec: dict[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -220,14 +219,6 @@ class ChainMap:
         return out
 
 
-def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    if f.target is not g.source and f.target.ranks != g.source.ranks:
-        raise NotChainMapError("chain maps not composable")
-    n = max(len(f.matrices), len(g.matrices))
-    mats = tuple(sparse_matmul(g.matrix(d), f.matrix(d)) for d in range(n))
-    return ChainMap(f.source, g.target, mats)
-
-
 def induced_on_homology(
     f: ChainMap,
     d: int,
@@ -284,9 +275,6 @@ class Subgroup:
     def contains(self, other: "Subgroup") -> bool:
         self._check_ambient(other)
         return all(hnf_contains(self.hnf, dict(c)) for c in other.hnf)
-
-    def contains_vector(self, normal_vec: dict[int, int]) -> bool:
-        return hnf_contains(self.hnf, normal_vec)
 
     def is_full(self) -> bool:
         return self == Subgroup.full(self.ambient)

@@ -34,7 +34,7 @@ class SNFResult:
     n: int
     rank: int
     diag: tuple[int, ...]  # positive invariant factors, divisibility order
-    u_rows: dict | None = None  # U such that U*M*V = D, rows as dicts
+    u_cols: dict | None = None  # U such that U*M*V = D, columns as dicts
     v_cols: dict | None = None  # V, columns as dicts
     vinv_cols: dict | None = None  # V^-1, columns as dicts
     uinv_cols: dict | None = None  # U^-1, columns as dicts
@@ -76,15 +76,16 @@ def snf(entries, shape, *, track_u=False, track_v=False, track_vinv=False,
 
     ``entries`` is a mapping (i, j) -> value (zeros ignored); ``shape`` is
     (m, n).  Transform tracking is opt-in since it dominates the cost on
-    large inputs.  V^-1 is tracked by row during elimination and returned
-    by column, the form ``kernel_coords`` reads.
+    large inputs.  U and V^-1 are tracked by row during elimination and
+    returned by column, the form ``cycle_to_normal`` and ``kernel_coords``
+    read.
     """
     m, n = shape
     eng = _Engine(m, n, entries, track_u, track_v, track_vinv, track_uinv)
     eng.run()
     return SNFResult(
         m, n, eng.rank, tuple(eng.diag),
-        eng.u if track_u else None,
+        _transpose_draining(eng.u) if track_u else None,
         eng.vcols if track_v else None,
         _transpose_draining(eng.vinv) if track_vinv else None,
         eng.uinvcols if track_uinv else None,
@@ -357,29 +358,6 @@ class _Engine:
                     if self.rows[t][t] < 0:
                         self._row_negate(t)
         self.diag = [self.rows[t][t] for t in range(self.rank)]
-
-
-# -- dense convenience API ---------------------------------------------------
-
-
-def smith_normal_form(matrix):
-    """SNF of a dense integer matrix given as a list of rows.
-
-    Returns (U, D, V) as dense lists of rows with U*M*V = D, U and V
-    unimodular, and the diagonal of D in divisibility order.
-    """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    entries = {
-        (i, j): matrix[i][j] for i in range(m) for j in range(n) if matrix[i][j]
-    }
-    res = snf(entries, (m, n), track_u=True, track_v=True)
-    u = [[res.u_rows[i].get(j, 0) for j in range(m)] for i in range(m)]
-    v = [[res.v_cols[j].get(i, 0) for j in range(n)] for i in range(n)]
-    d = [[0] * n for _ in range(m)]
-    for t, val in enumerate(res.diag):
-        d[t][t] = val
-    return u, d, v
 
 
 def sparse_matmul(a: dict, b: dict) -> dict:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from graphconf.cographs import (
     Cotree,
-    CotreeMorphism,
     cograph_of,
     cotree_from_json_obj,
     cotree_of,
@@ -139,23 +138,6 @@ def test_validate_cotree_violations():
     assert not ok
     with pytest.raises(InvalidCotreeError):
         cograph_of(t)
-
-
-def test_cotree_morphism_validate():
-    small = cotree_of(family("complete", 2))
-    big = cotree_of(family("complete", 3))
-    leaves_s, leaves_b = small.leaves(), big.leaves()
-    good = CotreeMorphism(
-        small, big, ((small.root, big.root), (leaves_s[0], leaves_b[0]), (leaves_s[1], leaves_b[1]))
-    )
-    ok, violations = good.validate()
-    assert ok, violations
-    # mapping the root to a leaf breaks label preservation
-    bad = CotreeMorphism(
-        small, big, ((small.root, leaves_b[2]), (leaves_s[0], leaves_b[0]), (leaves_s[1], leaves_b[1]))
-    )
-    ok, violations = bad.validate()
-    assert not ok
 
 
 def test_json_round_trip():

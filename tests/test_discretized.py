@@ -1,19 +1,26 @@
+import itertools
 import math
+from collections import deque
 
 import pytest
 
+from graphconf.acceptance import _atlas_graphs
 from graphconf.discretized import (
     build_discretized,
     cell_count_table,
     cell_generators_check,
     complex_to_json_obj,
+    edge_slot,
     generator_graph,
     inclusion_chain_map,
     is_sufficiently_subdivided,
+    slot_closure,
     sufficient_subdivision,
+    vertex_slot,
 )
 from graphconf.errors import NotASubgraphError
-from graphconf.graphs import family, make_graph, subdivide_uniform, theta_graph
+from graphconf.graphs import (disjoint_union, family, make_graph, subdivide,
+                              subdivide_uniform, theta_graph)
 from graphconf.homology import homology, presentation
 
 
@@ -127,3 +134,158 @@ def test_presentation_matches_summary():
     h = homology(cx.chain)
     assert pres.betti == h.betti[1]
     assert tuple(pres.torsion) == h.torsion[1]
+
+
+# -- cell enumeration against a brute-force oracle -------------------------------
+
+
+def brute_force_cells(g, n, ordered):
+    """Reference for build_discretized's cells: every n-tuple of slots (in
+    sorted slot order when unordered) whose closures are pairwise disjoint."""
+    slots = sorted([edge_slot(a, b) for a, b in g.edges] + [vertex_slot(v) for v in g.vertices])
+    keys = itertools.product(slots, repeat=n) if ordered else itertools.combinations(slots, n)
+    per_dim = [[] for _ in range(n + 1)]
+    for key in keys:
+        closure = [v for s in key for v in slot_closure(s)]
+        if len(set(closure)) == len(closure):
+            per_dim[sum(s[0] == "e" for s in key)].append(key)
+    return tuple(tuple(sorted(layer)) for layer in per_dim)
+
+
+CELL_GRAPHS = [
+    ("K2", family("complete", 2)),
+    ("C4", family("cycle", 4)),
+    ("star3", family("star", 3)),
+    ("theta-3", subdivide_uniform(theta_graph(), 3).subdivided),
+]
+
+
+@pytest.mark.parametrize("name,g", CELL_GRAPHS, ids=[c[0] for c in CELL_GRAPHS])
+def test_cells_match_brute_force(name, g):
+    for n in (1, 2, 3):
+        for ordered in (True, False):
+            assert build_discretized(g, n, ordered).cells == brute_force_cells(
+                g, n, ordered), (n, ordered)
+
+
+# -- Abrams' test against the arc-and-girth oracle --------------------------------
+
+
+def arcs_and_girth(g):
+    """Lengths of maximal degree-2-interior paths between non-degree-2
+    endpoints, and the girth (None when acyclic)."""
+    arcs = []
+    essential = [v for v in g.vertices if g.degree(v) != 2]
+    seen_edges = set()
+    for v in essential:
+        for w in g.adjacency[v]:
+            if (v, w) in seen_edges:
+                continue
+            # walk from v through w across degree-2 vertices
+            path = [v, w]
+            seen_edges.update(((v, w), (w, v)))
+            while g.degree(path[-1]) == 2 and path[-1] not in essential:
+                prev, cur = path[-2], path[-1]
+                nxt = next(x for x in g.adjacency[cur] if x != prev)
+                seen_edges.update(((cur, nxt), (nxt, cur)))
+                path.append(nxt)
+            if path[-1] == v:
+                continue  # closed walk back to v: a cycle, handled by girth
+            arcs.append(len(path) - 1)
+    return arcs, girth(g)
+
+
+def girth(g):
+    best = None
+    for a, b in g.edges:
+        # shortest a-b path avoiding the edge (a, b)
+        dist = {a: 0}
+        dq = deque([a])
+        found = None
+        while dq:
+            x = dq.popleft()
+            if best is not None and dist[x] + 1 >= best:
+                continue
+            for y in g.adjacency[x]:
+                if x == a and y == b:
+                    continue
+                if y == b:
+                    found = dist[x] + 1
+                    dq.clear()
+                    break
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    dq.append(y)
+        if found is not None and (best is None or found + 1 < best):
+            best = found + 1
+    return best
+
+
+def arc_and_girth_test(g, n):
+    """Reference for is_sufficiently_subdivided: every open arc and the
+    girth have >= n+1 edges."""
+    arcs, gi = arcs_and_girth(g)
+    return all(a >= n + 1 for a in arcs) and (gi is None or gi >= n + 1)
+
+
+def test_sufficiency_matches_oracle_on_atlas():
+    cases = 0
+    for g in _atlas_graphs(6):
+        for pieces in (1, 2, 3):
+            sub = subdivide_uniform(g, pieces).subdivided
+            for n in (1, 2, 3, 4):
+                assert is_sufficiently_subdivided(sub, n) == arc_and_girth_test(sub, n), (
+                    g.edges, pieces, n)
+                cases += 1
+    assert cases == 2496
+
+
+def test_sufficiency_matches_oracle_on_theta_edge_subsets():
+    sub = subdivide_uniform(theta_graph(), 3).subdivided
+    verdicts = set()
+    for size in range(len(sub.edges) + 1):
+        for combo in itertools.combinations(sub.edges, size):
+            h = sub.subgraph(combo)
+            got = is_sufficiently_subdivided(h, 2)
+            assert got == arc_and_girth_test(h, 2), combo
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def _dumbbell():
+    # branch vertices 0 and 3, each with two pendant paths of 3 edges,
+    # joined by the single edge (0, 3)
+    g = make_graph(range(6), [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])
+    return subdivide(g, {e: 2 for e in g.edges if e != (0, 3)}).subdivided
+
+
+def _lollipop():
+    # the triangle 0-1-2 is a closed arc at branch vertex 2; the stick
+    # 2-3 is subdivided into 6 edges
+    g = make_graph(range(4), [(0, 1), (1, 2), (0, 2), (2, 3)])
+    return subdivide(g, {(2, 3): 5}).subdivided
+
+
+SUFFICIENCY_CASES = [
+    ("edgeless", make_graph([], []), 3, True),
+    ("isolated-vertices", make_graph(range(3), []), 1, True),
+    ("path-and-isolated-vertex", make_graph(range(4), [(0, 1), (1, 2)]), 2, False),
+    ("single-edge-between-branches", _dumbbell(), 2, False),
+    ("single-edge-between-branches-subdivided",
+     subdivide_uniform(_dumbbell(), 3).subdivided, 2, True),
+    ("lollipop-short-loop", _lollipop(), 3, False),
+    ("lollipop-long-enough", _lollipop(), 2, True),
+    ("short-cycle-component",
+     disjoint_union(family("cycle", 3), subdivide_uniform(family("star", 3), 5).subdivided),
+     3, False),
+    ("cycle-component-long-enough",
+     disjoint_union(family("cycle", 3), subdivide_uniform(family("star", 3), 5).subdivided),
+     2, True),
+]
+
+
+@pytest.mark.parametrize("name,g,n,expected", SUFFICIENCY_CASES,
+                         ids=[c[0] for c in SUFFICIENCY_CASES])
+def test_sufficiency_named_cases(name, g, n, expected):
+    assert is_sufficiently_subdivided(g, n) is expected
+    assert arc_and_girth_test(g, n) is expected

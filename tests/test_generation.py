@@ -7,7 +7,6 @@ from graphconf.discretized import is_sufficiently_subdivided
 from graphconf.errors import BadParamsError
 from graphconf.generation import (
     GeneratorList,
-    _ambient_arcs,
     _stage_subgraphs,
     betti_stage,
     brute_force_span,
@@ -36,7 +35,7 @@ def test_generator_list_validation():
 
 def test_circle_generates_circle():
     c3 = family("cycle", 3)
-    rep = generation_check(c3, 1, 2, GeneratorList.of(c3), ordered=False)
+    rep = generation_check(build_ambient(c3, 1, 2, ordered=False), GeneratorList.of(c3))
     assert rep.is_generated
     assert rep.achieved.free_rank() == rep.achieved.ambient.betti == 1
 
@@ -45,7 +44,7 @@ def test_circle_does_not_generate_star_h1():
     # ordered 2-strand configuration space of the 3-star has H_1 = Z,
     # but the star contains no cycle, so no circle maps in
     star = family("star", 3)
-    rep = generation_check(star, 1, 2, GeneratorList.of(family("cycle", 3)))
+    rep = generation_check(build_ambient(star, 1, 2), GeneratorList.of(family("cycle", 3)))
     assert rep.achieved.ambient.betti == 1
     assert not rep.is_generated
     assert rep.achieved.free_rank() == 0
@@ -55,26 +54,27 @@ def test_circle_does_not_generate_star_h1():
 def test_stage_spans_on_theta():
     theta = theta_graph()
     ctx = build_ambient(theta, 1, 2, ordered=False)
-    b0 = betti_stage(theta, 1, 2, 0, ctx=ctx)
-    b1 = betti_stage(theta, 1, 2, 1, ctx=ctx)
-    b2 = betti_stage(theta, 1, 2, 2, ctx=ctx)
+    b0 = betti_stage(ctx, 0)
+    b1 = betti_stage(ctx, 1)
+    b2 = betti_stage(ctx, 2)
     # star subgraphs already contribute classes at stage 0, but not everything
     assert 0 < b0.free_rank() < b0.ambient.betti
     assert b1.contains(b0) and b2.contains(b1)
     assert b2.is_full()
     # theta has Betti number 2, so the order-2 Robertson stage is everything
-    r2 = robertson_stage(theta, 1, 2, 2, ctx=ctx)
+    r2 = robertson_stage(ctx, 2)
     assert r2.is_full()
-    r1 = robertson_stage(theta, 1, 2, 1, ctx=ctx)
+    r1 = robertson_stage(ctx, 1)
     assert r1.contains(b0) and r2.contains(r1)
 
 
 def test_stage_params_validated():
     c3 = family("cycle", 3)
+    ctx = build_ambient(c3, 1, 1)
     with pytest.raises(BadParamsError):
-        betti_stage(c3, 1, 1, -1)
+        betti_stage(ctx, -1)
     with pytest.raises(BadParamsError):
-        robertson_stage(c3, 1, 1, 0)
+        robertson_stage(ctx, 0)
     with pytest.raises(BadParamsError):
         build_ambient(c3, 1, 0)
 
@@ -83,7 +83,7 @@ def test_brute_force_matches_deduplicated_span():
     g = make_graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     gens = subgraph_homeomorphism_types(g)
     ctx = build_ambient(g, 1, 2, ordered=False)
-    rep = generation_check(g, 1, 2, gens, ordered=False, ctx=ctx)
+    rep = generation_check(ctx, gens)
     assert rep.is_generated  # full graph is its own subgraph
     assert brute_force_span(ctx, gens).is_full()
 
@@ -108,7 +108,7 @@ def test_escalating_wrapper_stops_on_success():
 
 def test_report_serialization():
     c3 = family("cycle", 3)
-    rep = generation_check(c3, 1, 2, GeneratorList.of(c3), ordered=False)
+    rep = generation_check(build_ambient(c3, 1, 2, ordered=False), GeneratorList.of(c3))
     obj = rep.to_json_obj()
     import json
 
@@ -199,25 +199,3 @@ def test_stage_subgraphs_keep_gaps_exactly_n_plus_2_apart():
     assert ((0, 1, 2, 3, 4, 5, 6, 7, 8),
             ((0, 1), (0, 2), (3, 4), (3, 5), (6, 7), (7, 8))) in got
 
-
-def test_ambient_arcs_partition_the_edges():
-    # theta on branch vertices 1 and 2 (vertex 0 of degree 2 comes first),
-    # a pendant path 2-4-5, and a triangle component 6-7-8 with every
-    # vertex of degree 2
-    g = make_graph(range(9), [(1, 2), (0, 1), (0, 2), (1, 3), (2, 3),
-                              (2, 4), (4, 5), (6, 7), (7, 8), (6, 8)])
-    arcs = _ambient_arcs(g)
-    flat = [e for arc in arcs for e in arc]
-    assert sorted(flat) == list(g.edges)
-    assert {frozenset(arc) for arc in arcs} == {
-        frozenset({(1, 2)}),
-        frozenset({(0, 1), (0, 2)}),
-        frozenset({(1, 3), (2, 3)}),
-        frozenset({(2, 4), (4, 5)}),
-        frozenset({(6, 7), (7, 8), (6, 8)}),
-    }
-    for arc in arcs:
-        # path order: consecutive edges meet in a vertex of degree 2
-        for e, f in zip(arc, arc[1:]):
-            (shared,) = set(e) & set(f)
-            assert g.degree(shared) == 2

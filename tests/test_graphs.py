@@ -10,6 +10,7 @@ from graphconf.errors import (
 )
 from graphconf.graphs import (
     Path,
+    ambient_arcs,
     betti1,
     complement,
     disjoint_union,
@@ -145,3 +146,26 @@ def test_make_graph_accepts_arbitrary_simple_edges(pairs):
     g = make_graph(range(7), edges)
     assert g.edge_set == frozenset(edges)
     assert complement(complement(g)) == g
+
+
+def test_ambient_arcs_partition_the_edges():
+    # theta on branch vertices 1 and 2 (vertex 0 of degree 2 comes first),
+    # a pendant path 2-4-5, and a triangle component 6-7-8 with every
+    # vertex of degree 2
+    g = make_graph(range(9), [(1, 2), (0, 1), (0, 2), (1, 3), (2, 3),
+                              (2, 4), (4, 5), (6, 7), (7, 8), (6, 8)])
+    arcs = ambient_arcs(g)
+    flat = [e for arc in arcs for e in arc]
+    assert sorted(flat) == list(g.edges)
+    assert {frozenset(arc) for arc in arcs} == {
+        frozenset({(1, 2)}),
+        frozenset({(0, 1), (0, 2)}),
+        frozenset({(1, 3), (2, 3)}),
+        frozenset({(2, 4), (4, 5)}),
+        frozenset({(6, 7), (7, 8), (6, 8)}),
+    }
+    for arc in arcs:
+        # path order: consecutive edges meet in a vertex of degree 2
+        for e, f in zip(arc, arc[1:]):
+            (shared,) = set(e) & set(f)
+            assert g.degree(shared) == 2

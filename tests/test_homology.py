@@ -1,11 +1,11 @@
 import pytest
 
+from graphconf.discretized import build_discretized
 from graphconf.errors import AmbientMismatchError, NotAComplexError, NotChainMapError
 from graphconf.homology import (
     ChainMap,
     IntegerChainComplex,
     Subgroup,
-    compose_chain_maps,
     cycle_image_subgroup,
     homology,
     image_subgroup,
@@ -13,6 +13,7 @@ from graphconf.homology import (
     presentation,
     span_and_test,
 )
+from graphconf.graphs import family
 
 
 def circle_complex():
@@ -77,6 +78,23 @@ def test_cycle_to_normal_rejects_non_cycle():
         pres1.cycle_to_normal({0: 1})
 
 
+def test_cycle_to_normal_matches_row_scan():
+    # reference: U times the kernel coordinates, one row of U at a time
+    cx = build_discretized(family("complete", 5), 2, ordered=False)
+    pres = presentation(cx.chain, 1)
+    u_cols = pres.relation_snf.u_cols
+    basis = pres.kernel.kernel_basis()
+    supports = set()
+    for b, c in zip(basis, basis[1:]):
+        chain = {i: b.get(i, 0) - 2 * c.get(i, 0) for i in set(b) | set(c)}
+        kc = pres.kernel.kernel_coords(chain)
+        expect = [(i, s) for i in range(pres.cycle_rank)
+                  if (s := sum(u_cols[j].get(i, 0) * x for j, x in kc.items()))]
+        assert list(pres.cycle_to_normal(chain).items()) == expect
+        supports.add(len(expect))
+    assert max(supports) > 1
+
+
 def test_chain_map_identity_and_induced():
     c = circle_complex()
     ident = ChainMap(c, c, ({(0, 0): 1, (1, 1): 1}, {(0, 0): 1, (1, 1): 1}))
@@ -92,13 +110,6 @@ def test_chain_map_commutation_enforced():
     bad = ChainMap(c, c, ({(0, 0): 1}, {(0, 0): 1, (1, 1): 1}))
     with pytest.raises(NotChainMapError):
         induced_on_homology(bad, 1)
-
-
-def test_compose_chain_maps():
-    c = circle_complex()
-    ident = ChainMap(c, c, ({(0, 0): 1, (1, 1): 1}, {(0, 0): 1, (1, 1): 1}))
-    twice = compose_chain_maps(ident, ident)
-    assert twice.matrices == ident.matrices
 
 
 def test_subgroup_lattice_ops():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphconf.snf import hermite_columns, hnf_contains, smith_normal_form, snf
+from graphconf.snf import hermite_columns, hnf_contains, snf
 
 
 def dense_to_entries(rows):
@@ -75,9 +75,14 @@ matrix_strategy = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(matrix_strategy)
-def test_smith_normal_form_properties(rows):
+def test_snf_properties(rows):
     m, n = len(rows), len(rows[0])
-    u, d, v = smith_normal_form(rows)
+    res = snf(dense_to_entries(rows), (m, n), track_u=True, track_v=True)
+    u = [[res.u_cols[j].get(i, 0) for j in range(m)] for i in range(m)]
+    v = [[res.v_cols[j].get(i, 0) for j in range(n)] for i in range(n)]
+    d = [[0] * n for _ in range(m)]
+    for t, val in enumerate(res.diag):
+        d[t][t] = val
     # U*M*V == D
     assert matmul(matmul(u, rows), v) == d
     # diagonal, nonnegative, divisibility chain
@@ -101,7 +106,7 @@ def check_all_transforms(rows):
     m, n = len(rows), len(rows[0])
     res = snf(dense_to_entries(rows), (m, n), track_u=True, track_v=True,
               track_vinv=True, track_uinv=True)
-    u = [[res.u_rows[i].get(j, 0) for j in range(m)] for i in range(m)]
+    u = [[res.u_cols[j].get(i, 0) for j in range(m)] for i in range(m)]
     v = [[res.v_cols[j].get(i, 0) for j in range(n)] for i in range(n)]
     prod = matmul(matmul(u, rows), v)
     diag = res.diag + (0,) * (min(m, n) - res.rank)

@@ -17,7 +17,6 @@ from .cographs import (
 from .discretized import (
     CubicalComplex,
     build_discretized,
-    cell_generators_check,
     inclusion_chain_map,
     is_sufficiently_subdivided,
     sufficient_subdivision,
@@ -50,7 +49,6 @@ from .homology import (
     IntegerChainComplex,
     Subgroup,
     homology,
-    induced_on_homology,
     presentation,
     span_and_test,
 )

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadParamsError, InvariantError, NotASubgraphError
-from .graphs import (SimpleGraph, SubdivisionRecord, ambient_arcs, make_graph,
-                     subdivide_uniform, subdivision_pieces)
+from .graphs import (SimpleGraph, SubdivisionRecord, ambient_arcs, subdivide_uniform,
+                     subdivision_pieces)
 from .homology import ChainMap, IntegerChainComplex, Sparse
 
 # slot encodings sort edges before vertices, matching the orbit representative
@@ -186,67 +186,6 @@ def inclusion_chain_map(
             mat[(row, col)] = 1
         mats.append(mat)
     return ChainMap(src.chain, tgt.chain, tuple(mats))
-
-
-# -- generator-graph surjectivity check ---------------------------------------
-
-
-def generator_graph(i: int, n: int) -> SimpleGraph:
-    """i isolated edges plus n-i isolated vertices."""
-    if not 0 <= i <= n:
-        raise BadParamsError("need 0 <= i <= n")
-    verts = list(range(2 * i + (n - i)))
-    edges = [(2 * k, 2 * k + 1) for k in range(i)]
-    return make_graph(verts, edges)
-
-
-@dataclass(frozen=True)
-class CellGeneratorsReport:
-    graph: SimpleGraph
-    i: int
-    n: int
-    total_cells: int
-    witnessed: int
-    failures: tuple
-
-    @property
-    def all_witnessed(self) -> bool:
-        return self.witnessed == self.total_cells
-
-
-def cell_generators_check(g: SimpleGraph, i: int, n: int) -> CellGeneratorsReport:
-    """Verify every i-cell of ordered D_n(G) is hit from the generator graph.
-
-    The witness is the morphism sending the k-th isolated edge to the k-th
-    edge slot and the isolated vertices to the vertex slots; its validity
-    is exactly pairwise disjointness of the slot closures.
-    """
-    from .graphs import Path
-    from .morphisms import TopMinorMorphism, validate_tm
-
-    cx = build_discretized(g, n, ordered=True)
-    src = generator_graph(i, n)
-    total = len(cx.cells[i]) if i < len(cx.cells) else 0
-    witnessed = 0
-    failures = []
-    for key in cx.cells[i]:
-        edge_slots = [s for s in key if s[0] == "e"]
-        vert_slots = [s for s in key if s[0] == "v"]
-        rho_v = []
-        rho_e = []
-        for k, (_, a, b) in enumerate(edge_slots):
-            rho_v.append((2 * k, a))
-            rho_v.append((2 * k + 1, b))
-            rho_e.append(((2 * k, 2 * k + 1), Path((a, b))))
-        for k, (_, v) in enumerate(vert_slots):
-            rho_v.append((2 * i + k, v))
-        rho = TopMinorMorphism(src, g, tuple(sorted(rho_v)), tuple(rho_e))
-        ok, violations = validate_tm(rho)
-        if ok:
-            witnessed += 1
-        else:
-            failures.append((key, tuple(violations)))
-    return CellGeneratorsReport(g, i, n, total, witnessed, tuple(failures))
 
 
 # -- export --------------------------------------------------------------------

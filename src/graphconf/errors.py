@@ -45,10 +45,6 @@ class NotAComplexError(GraphConfError):
     pass
 
 
-class NotChainMapError(GraphConfError):
-    pass
-
-
 class AmbientMismatchError(GraphConfError):
     pass
 

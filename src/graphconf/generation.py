@@ -117,19 +117,20 @@ def generator_images(
     ctx: AmbientContext, gen: SimpleGraph
 ) -> tuple[list[SimpleGraph], int, TopMinorMorphism | None]:
     """Distinct image subgraphs of morphisms gen -> G'' whose images are
-    sufficiently subdivided, plus the raw morphism count and one witness."""
-    images: dict = {}
+    sufficiently subdivided, plus the raw morphism count and one witness.
+    Abrams' test runs once per distinct image."""
+    verdicts: dict = {}  # image key -> the image if it passes, else None
     count = 0
     witness = None
     for rho in iter_tm(gen, ctx.subdivided, kind="tm"):
         count += 1
         img = rho.image_subgraph()
-        if not is_sufficiently_subdivided(img, ctx.n):
-            continue
-        if witness is None:
+        key = _subgraph_key(img)
+        if key not in verdicts:
+            verdicts[key] = img if is_sufficiently_subdivided(img, ctx.n) else None
+        if witness is None and verdicts[key] is not None:
             witness = rho
-        images.setdefault(_subgraph_key(img), img)
-    return list(images.values()), count, witness
+    return [img for img in verdicts.values() if img is not None], count, witness
 
 
 @dataclass(frozen=True)

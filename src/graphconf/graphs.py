@@ -393,33 +393,6 @@ def _check_params(name, params, want):
     return params
 
 
-def enumerate_paths(g: SimpleGraph, include_single_vertices: bool = False) -> list[Path]:
-    """All paths of g, deduplicated modulo reversal, canonically ordered.
-
-    Single-vertex paths are excluded by default; path concatenation never
-    needs them.
-    """
-    out: list[Path] = []
-    if include_single_vertices:
-        out.extend(Path((v,)) for v in g.vertices)
-
-    def extend(seq: list[int], used: set[int]):
-        if len(seq) >= 2 and seq[0] < seq[-1]:
-            out.append(Path(tuple(seq)))
-        for w in g.adjacency[seq[-1]]:
-            if w not in used:
-                seq.append(w)
-                used.add(w)
-                extend(seq, used)
-                used.remove(w)
-                seq.pop()
-
-    for v in g.vertices:
-        extend([v], {v})
-    out.sort(key=lambda p: (len(p.vertices), p.vertices))
-    return out
-
-
 def theta_graph(lengths: tuple[int, int, int] = (1, 2, 2)) -> SimpleGraph:
     """Two vertices joined by three internally disjoint arcs, realized simply.
 

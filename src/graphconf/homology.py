@@ -1,4 +1,4 @@
-"""Integer homology of finite chain complexes, induced maps, and subgroups.
+"""Integer homology of finite chain complexes, chain maps, and subgroups.
 
 A chain complex is ranks per degree plus sparse boundary matrices.  All
 homology data is derived from exact Smith normal forms; subgroups of a
@@ -8,10 +8,10 @@ and containment are plain lattice comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import AmbientMismatchError, NotAComplexError, NotChainMapError
+from .errors import AmbientMismatchError, NotAComplexError
 from .snf import SNFResult, hermite_columns, hnf_contains, snf, sparse_matmul
 
 Sparse = dict[tuple[int, int], int]
@@ -88,9 +88,14 @@ class HomologyPresentation:
 
     ``kernel`` is the SNF of the boundary out of degree d (tracking V and
     V^-1), so its kernel basis spans the cycles Z_d.  ``relation_snf`` is
-    the SNF (with U and U^-1) of the boundaries from degree d+1 written
-    in kernel coordinates.  Normal coordinates are U * (kernel coords);
-    coordinate j is taken modulo diag[j] when j < relation rank.
+    the SNF (with U) of the boundaries from degree d+1 written in kernel
+    coordinates, so U * (kernel coords) is a cycle's class in
+    ⊕ Z/diag[j] ⊕ Z^(cycle_rank - rank).
+
+    The ``units`` relations equal to 1 come first (divisibility order),
+    and Z/1 = 0, so projecting their coordinates away is an isomorphism.
+    Normal coordinates are the remaining ``dim`` ones: coordinate k has
+    order ``torsion[k]`` for k < len(torsion) and is free after that.
     """
 
     complex: IntegerChainComplex
@@ -111,55 +116,29 @@ class HomologyPresentation:
         return self.relation_snf.torsion
 
     @cached_property
-    def relation_lattice(self) -> list[dict[int, int]]:
-        """Relations in normal coordinates: diag[j] * e_j."""
-        return [{j: d} for j, d in enumerate(self.relation_snf.diag)]
+    def units(self) -> int:
+        """Number of relations equal to 1; their coordinates are 0 in H_d."""
+        return self.relation_snf.rank - len(self.torsion)
 
-    def order_of_coordinate(self, j: int) -> int:
-        """0 means infinite order (free coordinate)."""
-        diag = self.relation_snf.diag
-        return diag[j] if j < len(diag) else 0
+    @property
+    def dim(self) -> int:
+        """Number of normal coordinates: torsion ones, then free ones."""
+        return self.cycle_rank - self.units
 
     def cycle_to_normal(self, chain_vec: dict[int, int]) -> dict[int, int]:
         """Normal coordinates of a cycle given in chain coordinates.
 
         U is stored by column, so only the columns in the support of the
-        kernel coordinates are visited.
+        kernel coordinates are visited; rows of U below ``units`` are
+        skipped and the rest are shifted down by ``units``.
         """
+        units = self.units
         acc: dict[int, int] = {}
         for j, c in self.kernel.kernel_coords(chain_vec).items():
             for i, u in self.relation_snf.u_cols[j].items():
-                acc[i] = acc.get(i, 0) + u * c
+                if i >= units:
+                    acc[i - units] = acc.get(i - units, 0) + u * c
         return {i: s for i, s in sorted(acc.items()) if s}
-
-    def normal_to_kernel_coords(self, normal_vec: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for j, c in normal_vec.items():
-            col = self.relation_snf.uinv_cols[j]
-            for i, v in col.items():
-                nv = out.get(i, 0) + c * v
-                if nv:
-                    out[i] = nv
-                elif i in out:
-                    del out[i]
-        return out
-
-    def normal_to_chain(self, normal_vec: dict[int, int]) -> dict[int, int]:
-        """A chain-coordinate cycle representing the given normal vector."""
-        kc = self.normal_to_kernel_coords(normal_vec)
-        kb = self.kernel.kernel_basis()
-        out: dict[int, int] = {}
-        for j, c in kc.items():
-            for i, v in kb[j].items():
-                nv = out.get(i, 0) + c * v
-                if nv:
-                    out[i] = nv
-                elif i in out:
-                    del out[i]
-        return out
-
-    def summary(self) -> tuple[int, tuple[int, ...]]:
-        return self.betti, tuple(self.torsion)
 
 
 def presentation(c: IntegerChainComplex, d: int) -> HomologyPresentation:
@@ -176,7 +155,7 @@ def presentation(c: IntegerChainComplex, d: int) -> HomologyPresentation:
         for i, v in kc.items():
             rel_cols[(i, j)] = v
     z = kernel.n - kernel.rank
-    relation_snf = snf(rel_cols, (z, c.rank(d + 1)), track_u=True, track_uinv=True)
+    relation_snf = snf(rel_cols, (z, c.rank(d + 1)), track_u=True)
     return HomologyPresentation(c, d, kernel, relation_snf)
 
 
@@ -201,10 +180,17 @@ class ChainMap:
                 return False
         return True
 
+    @cached_property
+    def _columns(self) -> dict[int, dict[int, dict[int, int]]]:
+        """Column form of each degree's matrix, filled in by ``apply``."""
+        return {}
+
     def apply(self, d: int, vec: dict[int, int]) -> dict[int, int]:
-        cols: dict[int, dict[int, int]] = {}
-        for (i, j), v in self.matrix(d).items():
-            cols.setdefault(j, {})[i] = v
+        cols = self._columns.get(d)
+        if cols is None:
+            cols = self._columns[d] = {}
+            for (i, j), v in self.matrix(d).items():
+                cols.setdefault(j, {})[i] = v
         out: dict[int, int] = {}
         for j, c in vec.items():
             col = cols.get(j)
@@ -219,33 +205,18 @@ class ChainMap:
         return out
 
 
-def induced_on_homology(
-    f: ChainMap,
-    d: int,
-    source_pres: HomologyPresentation | None = None,
-    target_pres: HomologyPresentation | None = None,
-) -> dict[tuple[int, int], int]:
-    """The map H_d(source) -> H_d(target) in normal coordinates."""
-    if not f.check_commutes():
-        raise NotChainMapError("map does not commute with boundaries")
-    sp = source_pres or presentation(f.source, d)
-    tp = target_pres or presentation(f.target, d)
-    out: Sparse = {}
-    for j in range(sp.cycle_rank):
-        chain = sp.normal_to_chain({j: 1})
-        img = f.apply(d, chain)
-        for i, v in tp.cycle_to_normal(img).items():
-            out[(i, j)] = v
-    return out
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup of one homology group, canonicalized by HNF.
 
-    The canonical form always includes the ambient torsion relations, so
-    two generating sets span the same subgroup iff their canonical forms
-    are equal.
+    The HNF lives in the ambient's ``dim`` normal coordinates and always
+    includes the torsion relations torsion[k] * e_k.  This is exact: in
+    the coordinates of U, H_d = ⊕ Z/diag[j] ⊕ Z^(cycle_rank - rank), and
+    dropping the unit coordinates (Z/1 = 0) is an isomorphism onto
+    Z^dim / ⊕ torsion[k] Z.  So subgroups of H_d correspond one to one
+    with the lattices in Z^dim that contain the torsion relations, and
+    since the HNF of a lattice is unique, two generating sets span the
+    same subgroup iff their canonical forms are equal.
     """
 
     ambient: HomologyPresentation
@@ -254,23 +225,23 @@ class Subgroup:
     @staticmethod
     def from_generators(ambient: HomologyPresentation, gens) -> "Subgroup":
         cols = [dict(g) for g in gens if g]
-        cols.extend(dict(r) for r in ambient.relation_lattice)
-        return Subgroup(ambient, hermite_columns(cols, ambient.cycle_rank))
+        cols.extend({k: t} for k, t in enumerate(ambient.torsion))
+        return Subgroup(ambient, hermite_columns(cols, ambient.dim))
 
     @staticmethod
     def zero(ambient: HomologyPresentation) -> "Subgroup":
-        return Subgroup.from_generators(ambient, [])
+        """The torsion diagonal, already in canonical form."""
+        return Subgroup(ambient, tuple(((k, t),) for k, t in enumerate(ambient.torsion)))
 
     @staticmethod
     def full(ambient: HomologyPresentation) -> "Subgroup":
-        return Subgroup.from_generators(
-            ambient, [{j: 1} for j in range(ambient.cycle_rank)]
-        )
+        """The identity, already in canonical form."""
+        return Subgroup(ambient, tuple(((k, 1),) for k in range(ambient.dim)))
 
     def join(self, other: "Subgroup") -> "Subgroup":
         self._check_ambient(other)
         cols = [dict(c) for c in self.hnf] + [dict(c) for c in other.hnf]
-        return Subgroup(self.ambient, hermite_columns(cols, self.ambient.cycle_rank))
+        return Subgroup(self.ambient, hermite_columns(cols, self.ambient.dim))
 
     def contains(self, other: "Subgroup") -> bool:
         self._check_ambient(other)
@@ -281,7 +252,7 @@ class Subgroup:
 
     def free_rank(self) -> int:
         """Rank of the subgroup modulo torsion."""
-        return len(self.hnf) - self.ambient.relation_snf.rank
+        return len(self.hnf) - len(self.ambient.torsion)
 
     def _same_ambient(self, other: "Subgroup") -> bool:
         return self.ambient is other.ambient or (
@@ -307,21 +278,6 @@ def span_and_test(images: list[Subgroup], ambient: HomologyPresentation) -> tupl
     for sub in images:
         acc = acc.join(sub)
     return acc, acc.is_full()
-
-
-def image_subgroup(
-    f: ChainMap,
-    d: int,
-    source_pres: HomologyPresentation | None = None,
-    target_pres: HomologyPresentation | None = None,
-) -> Subgroup:
-    """Image of H_d(source) -> H_d(target) as a subgroup of the target."""
-    tp = target_pres or presentation(f.target, d)
-    mat = induced_on_homology(f, d, source_pres, tp)
-    cols: dict[int, dict[int, int]] = {}
-    for (i, j), v in mat.items():
-        cols.setdefault(j, {})[i] = v
-    return Subgroup.from_generators(tp, list(cols.values()))
 
 
 def cycle_image_subgroup(

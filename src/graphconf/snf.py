@@ -9,14 +9,16 @@ Elimination leaves a diagonal matrix.  Normalization then keeps one
 invariant: every pivot equal to 1 sits before every other pivot.  A unit
 divides everything, so the divisibility chain only has to be repaired on
 the non-unit tail, which is short for the boundary matrices met here.
-Every move is a tracked row and column operation, so U, V, V^-1 and U^-1
-stay consistent with the final diagonal.
+Every move is a tracked row and column operation, so U, V and V^-1 stay
+consistent with the final diagonal.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+
+from .errors import InvariantError
 
 
 def _divnear(a: int, b: int) -> int:
@@ -37,7 +39,6 @@ class SNFResult:
     u_cols: dict | None = None  # U such that U*M*V = D, columns as dicts
     v_cols: dict | None = None  # V, columns as dicts
     vinv_cols: dict | None = None  # V^-1, columns as dicts
-    uinv_cols: dict | None = None  # U^-1, columns as dicts
 
     @property
     def torsion(self) -> list[int]:
@@ -46,7 +47,7 @@ class SNFResult:
     def kernel_basis(self) -> list[dict[int, int]]:
         """Columns of V past the rank: a basis of ker(M) over Z (saturated)."""
         if self.v_cols is None:
-            raise ValueError("SNF was computed without V tracking")
+            raise InvariantError("SNF was computed without V tracking")
         return [dict(self.v_cols[j]) for j in range(self.rank, self.n)]
 
     def kernel_coords(self, vec: dict[int, int]) -> dict[int, int]:
@@ -56,7 +57,7 @@ class SNFResult:
         ``vec`` are visited.
         """
         if self.vinv_cols is None:
-            raise ValueError("SNF was computed without Vinv tracking")
+            raise InvariantError("SNF was computed without Vinv tracking")
         acc: dict[int, int] = {}
         for j, c in vec.items():
             for i, w in self.vinv_cols.get(j, {}).items():
@@ -65,13 +66,12 @@ class SNFResult:
         for i, s in sorted(acc.items()):
             if s:
                 if i < self.rank:
-                    raise ValueError("vector is not in the kernel")
+                    raise InvariantError("vector is not in the kernel")
                 out[i - self.rank] = s
         return out
 
 
-def snf(entries, shape, *, track_u=False, track_v=False, track_vinv=False,
-        track_uinv=False) -> SNFResult:
+def snf(entries, shape, *, track_u=False, track_v=False, track_vinv=False) -> SNFResult:
     """Smith normal form of a sparse integer matrix.
 
     ``entries`` is a mapping (i, j) -> value (zeros ignored); ``shape`` is
@@ -81,14 +81,13 @@ def snf(entries, shape, *, track_u=False, track_v=False, track_vinv=False,
     read.
     """
     m, n = shape
-    eng = _Engine(m, n, entries, track_u, track_v, track_vinv, track_uinv)
+    eng = _Engine(m, n, entries, track_u, track_v, track_vinv)
     eng.run()
     return SNFResult(
         m, n, eng.rank, tuple(eng.diag),
         _transpose_draining(eng.u) if track_u else None,
         eng.vcols if track_v else None,
         _transpose_draining(eng.vinv) if track_vinv else None,
-        eng.uinvcols if track_uinv else None,
     )
 
 
@@ -104,7 +103,7 @@ def _transpose_draining(rows: dict[int, dict[int, int]]) -> dict[int, dict[int, 
 
 
 class _Engine:
-    def __init__(self, m, n, entries, tu, tv, tvi, tui):
+    def __init__(self, m, n, entries, tu, tv, tvi):
         self.m, self.n = m, n
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
@@ -114,12 +113,11 @@ class _Engine:
                 continue
             i, j = key
             if not (0 <= i < m and 0 <= j < n):
-                raise ValueError(f"entry {key} outside shape {(m, n)}")
+                raise InvariantError(f"entry {key} outside shape {(m, n)}")
             self.rows.setdefault(i, {})[j] = v
             self.cols.setdefault(j, set()).add(i)
-        self.tu, self.tv, self.tvi, self.tui = tu, tv, tvi, tui
+        self.tu, self.tv, self.tvi = tu, tv, tvi
         self.u = {i: {i: 1} for i in range(m)} if tu else None
-        self.uinvcols = {i: {i: 1} for i in range(m)} if tui else None
         self.vcols = {j: {j: 1} for j in range(n)} if tv else None
         self.vinv = {j: {j: 1} for j in range(n)} if tvi else None
         self.rank = 0
@@ -148,15 +146,6 @@ class _Engine:
                     ui[j] = nv
                 elif j in ui:
                     del ui[j]
-        if self.tui:
-            # Uinv <- Uinv * (row_i += q row_t)^as-matrix: col_t += q * col_i
-            ct = self.uinvcols[t]
-            for r, v in self.uinvcols[i].items():
-                nv = ct.get(r, 0) + q * v
-                if nv:
-                    ct[r] = nv
-                elif r in ct:
-                    del ct[r]
 
     def _col_axpy(self, j, t, q):
         # col_j -= q * col_t
@@ -208,8 +197,6 @@ class _Engine:
         self.rows[i], self.rows[k] = rk, ri
         if self.tu:
             self.u[i], self.u[k] = self.u[k], self.u[i]
-        if self.tui:
-            self.uinvcols[i], self.uinvcols[k] = self.uinvcols[k], self.uinvcols[i]
 
     def _col_swap(self, j, k):
         if j == k:
@@ -236,9 +223,6 @@ class _Engine:
         if self.tu:
             for j in list(self.u[i]):
                 self.u[i][j] = -self.u[i][j]
-        if self.tui:
-            for r in list(self.uinvcols[i]):
-                self.uinvcols[i][r] = -self.uinvcols[i][r]
 
     # -- main loop ----------------------------------------------------------
 
@@ -412,7 +396,7 @@ def hermite_columns(columns: list[dict[int, int]], dim: int) -> tuple[tuple[tupl
                 q = c[r] // piv[r]
                 _col_sub(c, piv, q)
                 if c.get(r):  # remainder nonzero means piv[r] didn't divide
-                    raise AssertionError("HNF reduction invariant broken")
+                    raise InvariantError("HNF reduction invariant broken")
         if piv[r] < 0:
             for k in list(piv):
                 piv[k] = -piv[k]

@@ -8,10 +8,8 @@ from graphconf.acceptance import _atlas_graphs
 from graphconf.discretized import (
     build_discretized,
     cell_count_table,
-    cell_generators_check,
     complex_to_json_obj,
     edge_slot,
-    generator_graph,
     inclusion_chain_map,
     is_sufficiently_subdivided,
     slot_closure,
@@ -102,22 +100,6 @@ def test_inclusion_chain_map_commutes():
 def test_inclusion_requires_subgraph():
     with pytest.raises(NotASubgraphError):
         inclusion_chain_map(family("cycle", 3), family("path", 4), 2)
-
-
-def test_generator_graph_shape():
-    g = generator_graph(2, 3)
-    assert len(g.vertices) == 5
-    assert len(g.edges) == 2
-    assert generator_graph(0, 2).edges == ()
-
-
-def test_cell_generators_witnessed():
-    rep = cell_generators_check(family("cycle", 4), 1, 2)
-    assert rep.total_cells == 16
-    assert rep.all_witnessed
-    rep = cell_generators_check(family("complete", 5), 2, 2)
-    assert rep.total_cells == 30
-    assert rep.all_witnessed
 
 
 def test_exports():

@@ -12,12 +12,14 @@ from graphconf.generation import (
     brute_force_span,
     build_ambient,
     generation_check,
+    generator_images,
     generation_check_escalating,
     robertson_stage,
     subgraph_homeomorphism_types,
 )
-from graphconf.graphs import betti1, family, make_graph, theta_graph
-from graphconf.morphisms import gtm_k_member
+from graphconf.graphs import (betti1, family, make_graph, subdivide_uniform, subdivision_pieces,
+                              theta_graph)
+from graphconf.morphisms import gtm_k_member, iter_tm
 
 
 def test_generator_list_validation():
@@ -199,3 +201,61 @@ def test_stage_subgraphs_keep_gaps_exactly_n_plus_2_apart():
     assert ((0, 1, 2, 3, 4, 5, 6, 7, 8),
             ((0, 1), (0, 2), (3, 4), (3, 5), (6, 7), (7, 8))) in got
 
+
+
+# -- generator images against the per-morphism loop ------------------------------
+
+
+def per_morphism_generator_images(ctx, gen):
+    """Reference for generator_images: Abrams' test on every morphism's
+    image, then deduplication by (vertices, edges)."""
+    images: dict = {}
+    count = 0
+    witness = None
+    for rho in iter_tm(gen, ctx.subdivided, kind="tm"):
+        count += 1
+        img = rho.image_subgraph()
+        if not is_sufficiently_subdivided(img, ctx.n):
+            continue
+        if witness is None:
+            witness = rho
+        images.setdefault((img.vertices, img.edges), img)
+    return list(images.values()), count, witness
+
+
+# the generate workload: (target, n, extra subdivision, generator, morphisms, images)
+GENERATORS = {"C3": family("cycle", 3), "star3": family("star", 3)}
+GENERATE_CASES = [
+    ("K4", family("complete", 4), 2, 1, "C3", 15360, 7),
+    ("theta", theta_graph(), 2, 0, "star3", 2940, 54),
+    ("theta", theta_graph(), 2, 0, "C3", 2328, 3),
+    ("C4", family("cycle", 4), 3, 0, "C3", 3360, 1),
+    ("star3", family("star", 3), 3, 0, "star3", 384, 1),
+]
+
+
+@pytest.mark.parametrize("name,g,n,extra,gen,morphisms,distinct", GENERATE_CASES,
+                         ids=[f"{c[0]}-n{c[2]}-extra{c[3]}-{c[4]}" for c in GENERATE_CASES])
+def test_generator_images_match_per_morphism_loop(name, g, n, extra, gen, morphisms,
+                                                  distinct):
+    sub = subdivide_uniform(g, subdivision_pieces(n, extra)).subdivided
+    ctx = SimpleNamespace(subdivided=sub, n=n)
+    images, count, witness = generator_images(ctx, GENERATORS[gen])
+    ref_images, ref_count, ref_witness = per_morphism_generator_images(ctx, GENERATORS[gen])
+    assert _keys(images) == _keys(ref_images)
+    assert count == ref_count == morphisms
+    assert len(images) == distinct
+    assert witness == ref_witness and witness is not None
+
+
+def test_generator_images_witness_skips_a_failing_first_image():
+    # on unsubdivided theta at n=3 the first morphism's image is a 3-edge
+    # cycle, too short for Abrams' test, so the witness comes later
+    ctx = SimpleNamespace(subdivided=theta_graph(), n=3)
+    c3 = GENERATORS["C3"]
+    first = next(iter_tm(c3, ctx.subdivided, kind="tm"))
+    assert not is_sufficiently_subdivided(first.image_subgraph(), ctx.n)
+    images, count, witness = generator_images(ctx, c3)
+    ref_images, ref_count, ref_witness = per_morphism_generator_images(ctx, c3)
+    assert (_keys(images), count, witness) == (_keys(ref_images), ref_count, ref_witness)
+    assert witness is not None and witness != first

@@ -14,7 +14,6 @@ from graphconf.graphs import (
     betti1,
     complement,
     disjoint_union,
-    enumerate_paths,
     family,
     make_graph,
     subdivide,
@@ -116,13 +115,6 @@ def test_theta_graph():
     assert degs == [2, 2, 3, 3]
     longer = theta_graph((2, 2, 2))
     assert betti1(longer) == 2 and len(longer.vertices) == 5
-
-
-def test_enumerate_paths_triangle():
-    paths = enumerate_paths(family("cycle", 3))
-    assert len(paths) == 6  # 3 single edges + 3 two-edge paths
-    with_singletons = enumerate_paths(family("cycle", 3), include_single_vertices=True)
-    assert len(with_singletons) == 9
 
 
 def test_path_canonical_orientation():

@@ -1,19 +1,22 @@
+import itertools
+import random
+
 import pytest
 
 from graphconf.discretized import build_discretized
-from graphconf.errors import AmbientMismatchError, NotAComplexError, NotChainMapError
+from graphconf.errors import AmbientMismatchError, InvariantError, NotAComplexError
+from graphconf.generation import build_ambient
 from graphconf.homology import (
     ChainMap,
     IntegerChainComplex,
     Subgroup,
     cycle_image_subgroup,
     homology,
-    image_subgroup,
-    induced_on_homology,
     presentation,
     span_and_test,
 )
-from graphconf.graphs import family
+from graphconf.graphs import family, theta_graph
+from graphconf.snf import hermite_columns, hnf_contains
 
 
 def circle_complex():
@@ -59,9 +62,10 @@ def test_presentation_torsion_coordinates():
     pres = presentation(projective_plane_complex(), 1)
     assert pres.betti == 0
     assert pres.torsion == [2]
-    # the 1-cell is a cycle of order 2
+    # the 1-cell is a cycle of order 2, in the one (torsion) coordinate
+    assert pres.units == 0 and pres.dim == 1
     normal = pres.cycle_to_normal({0: 1})
-    assert pres.order_of_coordinate(next(iter(normal))) == 2
+    assert set(normal) == {0} and pres.torsion[0] == 2
     # twice the cycle is a boundary
     sub = Subgroup.from_generators(pres, [{k: 2 * v for k, v in normal.items()}])
     assert sub == Subgroup.zero(pres)
@@ -74,42 +78,51 @@ def test_cycle_to_normal_rejects_non_cycle():
     pres1 = presentation(
         IntegerChainComplex((2, 1), ({}, {(0, 0): -1, (1, 0): 1})), 1
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         pres1.cycle_to_normal({0: 1})
 
 
 def test_cycle_to_normal_matches_row_scan():
-    # reference: U times the kernel coordinates, one row of U at a time
+    # reference: U times the kernel coordinates, one row of U at a time,
+    # for the rows at or past the unit relations, shifted down by their count
     cx = build_discretized(family("complete", 5), 2, ordered=False)
     pres = presentation(cx.chain, 1)
+    units = pres.units
+    assert units > 0
     u_cols = pres.relation_snf.u_cols
     basis = pres.kernel.kernel_basis()
     supports = set()
     for b, c in zip(basis, basis[1:]):
         chain = {i: b.get(i, 0) - 2 * c.get(i, 0) for i in set(b) | set(c)}
         kc = pres.kernel.kernel_coords(chain)
-        expect = [(i, s) for i in range(pres.cycle_rank)
+        expect = [(i - units, s) for i in range(units, pres.cycle_rank)
                   if (s := sum(u_cols[j].get(i, 0) * x for j, x in kc.items()))]
         assert list(pres.cycle_to_normal(chain).items()) == expect
         supports.add(len(expect))
     assert max(supports) > 1
 
 
-def test_chain_map_identity_and_induced():
+def test_chain_map_identity_image():
     c = circle_complex()
     ident = ChainMap(c, c, ({(0, 0): 1, (1, 1): 1}, {(0, 0): 1, (1, 1): 1}))
     assert ident.check_commutes()
     pres = presentation(c, 1)
-    mat = induced_on_homology(ident, 1, pres, pres)
-    assert mat == {(0, 0): 1}
-    assert image_subgroup(ident, 1, pres, pres).is_full()
+    basis = pres.kernel.kernel_basis()
+    cycles = [ident.apply(1, k) for k in basis]
+    assert cycles == basis
+    assert cycle_image_subgroup(pres, cycles).is_full()
 
 
-def test_chain_map_commutation_enforced():
+def test_chain_map_apply_per_degree():
+    # swap the two vertices in degree 0 and negate both arcs in degree 1;
+    # apply must read each degree's own matrix, also on repeated calls
     c = circle_complex()
-    bad = ChainMap(c, c, ({(0, 0): 1}, {(0, 0): 1, (1, 1): 1}))
-    with pytest.raises(NotChainMapError):
-        induced_on_homology(bad, 1)
+    f = ChainMap(c, c, ({(0, 1): 1, (1, 0): 1}, {(0, 0): -1, (1, 1): -1}))
+    assert f.check_commutes()
+    for _ in range(2):
+        assert f.apply(0, {0: 3, 1: 1}) == {1: 3, 0: 1}
+        assert f.apply(1, {0: 1, 1: -1}) == {0: -1, 1: 1}
+        assert f.apply(2, {0: 1}) == {}
 
 
 def test_subgroup_lattice_ops():
@@ -150,3 +163,73 @@ def test_cycle_image_subgroup():
     assert sub.is_full()
     doubled = cycle_image_subgroup(pres, [{0: 2, 1: -2}])
     assert sub.contains(doubled) and not doubled.contains(sub)
+
+
+# -- subgroups against the full-coordinate lattice ------------------------------
+
+
+def full_coordinate_hnf(pres, cycles):
+    """Reference canonical form over all cycle_rank coordinates: U applied
+    to the kernel coordinates, with every relation diag[j] * e_j."""
+    cols = []
+    for cycle in cycles:
+        acc = {}
+        for j, x in pres.kernel.kernel_coords(cycle).items():
+            for i, u in pres.relation_snf.u_cols[j].items():
+                acc[i] = acc.get(i, 0) + u * x
+        cols.append({i: v for i, v in acc.items() if v})
+    cols += [{j: d} for j, d in enumerate(pres.relation_snf.diag)]
+    return hermite_columns(cols, pres.cycle_rank)
+
+
+def random_cycle_sets(pres, rng):
+    """Cycle sets in chain coordinates: sparse random combinations of the
+    kernel basis, boundaries, and full-generating sets."""
+    basis = pres.kernel.kernel_basis()
+
+    def combo(coeffs):
+        out = {}
+        for k, x in coeffs:
+            for i, v in basis[k].items():
+                out[i] = out.get(i, 0) + x * v
+        return {i: v for i, v in out.items() if v}
+
+    boundaries = {}
+    for (i, j), v in pres.complex.boundary(pres.degree + 1).items():
+        boundaries.setdefault(j, {})[i] = v
+    sets = [[], basis, [combo([(k, 2)]) for k in range(len(basis))],
+            basis + [combo([(0, 3)])], list(boundaries.values())[:6]]
+    for size in (1, 1, 2, 2, 3, 4, 6, 8):
+        sets.append([combo([(rng.randrange(len(basis)), rng.choice([-3, -2, -1, 1, 2, 3]))
+                            for _ in range(rng.randint(1, 3))])
+                     for _ in range(size)])
+    return sets
+
+
+def _ambient(name):
+    if name == "projective_plane":
+        return presentation(projective_plane_complex(), 1)
+    g = {"theta": theta_graph(), "K4": family("complete", 4),
+         "K33": family("complete_bipartite", 3, 3)}[name]
+    return build_ambient(g, 1, 2, ordered=False).pres
+
+
+@pytest.mark.parametrize("name", ["theta", "K4", "K33", "projective_plane"])
+def test_subgroup_matches_full_coordinate_lattice(name):
+    pres = _ambient(name)
+    sets = random_cycle_sets(pres, random.Random(name))
+    subs = [cycle_image_subgroup(pres, s) for s in sets]
+    refs = [full_coordinate_hnf(pres, s) for s in sets]
+    ref_full = full_coordinate_hnf(pres, pres.kernel.kernel_basis())
+    for sub, ref in zip(subs, refs):
+        assert sub.free_rank() == len(ref) - pres.relation_snf.rank
+        assert sub.is_full() == (ref == ref_full)
+    assert subs[1].is_full() and subs[0] == subs[4] == Subgroup.zero(pres)
+    for (a, ra), (b, rb) in itertools.product(zip(subs, refs), repeat=2):
+        assert a.contains(b) == all(hnf_contains(ra, dict(col)) for col in rb)
+        assert (a == b) == (ra == rb)
+        joined = hermite_columns([dict(col) for col in ra + rb], pres.cycle_rank)
+        assert a.join(b).free_rank() == len(joined) - pres.relation_snf.rank
+        assert a.join(b).is_full() == (joined == ref_full)
+    if name in ("K33", "projective_plane"):
+        assert pres.torsion == [2]

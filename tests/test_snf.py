@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphconf.errors import InvariantError
 from graphconf.snf import hermite_columns, hnf_contains, snf
 
 
@@ -32,6 +33,25 @@ def rational_rank(rows):
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def rational_det(rows):
+    """Exact determinant of a square integer matrix by Fraction elimination."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    det = Fraction(1)
+    for j in range(len(m)):
+        piv = next((i for i in range(j, len(m)) if m[i][j]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != j:
+            m[j], m[piv] = m[piv], m[j]
+            det = -det
+        det *= m[j][j]
+        for i in range(j + 1, len(m)):
+            if m[i][j]:
+                f = m[i][j] / m[j][j]
+                m[i] = [x - f * y for x, y in zip(m[i], m[j])]
+    return det
 
 
 def test_known_diagonal():
@@ -102,10 +122,10 @@ def test_snf_properties(rows):
 
 
 def check_all_transforms(rows):
-    """U*M*V = D, V*Vinv = I and Uinv*U = I with all four transforms tracked."""
+    """U*M*V = D, V*Vinv = I and det(U) = ±1 with all three transforms tracked."""
     m, n = len(rows), len(rows[0])
     res = snf(dense_to_entries(rows), (m, n), track_u=True, track_v=True,
-              track_vinv=True, track_uinv=True)
+              track_vinv=True)
     u = [[res.u_cols[j].get(i, 0) for j in range(m)] for i in range(m)]
     v = [[res.v_cols[j].get(i, 0) for j in range(n)] for i in range(n)]
     prod = matmul(matmul(u, rows), v)
@@ -114,13 +134,11 @@ def check_all_transforms(rows):
         for j in range(n):
             expect = diag[i] if i == j and i < len(diag) else 0
             assert prod[i][j] == expect
-    # V * Vinv == I, U^-1 * U == I
+    # V * Vinv == I, and U is unimodular over Z
     vinv = [[res.vinv_cols[j].get(i, 0) for j in range(n)] for i in range(n)]
-    uinv = [[res.uinv_cols[j].get(i, 0) for j in range(m)] for i in range(m)]
     ident_n = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    ident_m = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     assert matmul(v, vinv) == ident_n
-    assert matmul(uinv, u) == ident_m
+    assert rational_det(u) in (1, -1)
     return res
 
 
@@ -179,11 +197,28 @@ def test_kernel_coords_round_trip(rows, data):
 def test_kernel_coords_rejects_non_kernel_vector():
     rows = [[1, 2, 3], [2, 4, 6]]
     res = snf(dense_to_entries(rows), (2, 3), track_v=True, track_vinv=True)
-    with pytest.raises(ValueError, match="not in the kernel"):
+    with pytest.raises(InvariantError, match="not in the kernel"):
         res.kernel_coords({0: 1})
     # a kernel vector plus a non-kernel one is still rejected
-    with pytest.raises(ValueError, match="not in the kernel"):
+    with pytest.raises(InvariantError, match="not in the kernel"):
         res.kernel_coords({0: 2, 1: -1, 2: 1})
+
+
+def test_internal_misuse_raises_invariant_error():
+    with pytest.raises(InvariantError, match="outside shape"):
+        snf({(2, 0): 1}, (2, 2))
+    res = snf({(0, 0): 1}, (1, 2))
+    with pytest.raises(InvariantError, match="without V tracking"):
+        res.kernel_basis()
+    with pytest.raises(InvariantError, match="without Vinv tracking"):
+        res.kernel_coords({1: 1})
+
+
+def test_rational_det_oracle():
+    assert rational_det([[2, 1], [1, 1]]) == 1
+    assert rational_det([[0, 1], [1, 0]]) == -1
+    assert rational_det([[2, 0], [0, 1]]) == 2
+    assert rational_det([[1, 2], [2, 4]]) == 0
 
 
 def test_hermite_columns_membership():

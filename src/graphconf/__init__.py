@@ -10,7 +10,6 @@ from .cographs import (
     Cotree,
     cograph_of,
     cotree_of,
-    enumerate_full_embeddings,
     is_cograph,
     validate_cotree,
 )
@@ -19,7 +18,6 @@ from .discretized import (
     build_discretized,
     inclusion_chain_map,
     is_sufficiently_subdivided,
-    sufficient_subdivision,
 )
 from .errors import GraphConfError
 from .generation import (
@@ -50,15 +48,13 @@ from .homology import (
     Subgroup,
     homology,
     presentation,
-    span_and_test,
 )
 from .morphisms import (
     TopMinorMorphism,
-    compose_tm,
     enumerate_tm,
     gtm_k_member,
     has_topological_minor,
-    identity_morphism,
+    inclusion_morphism,
     is_homeomorphic,
     is_isomorphic,
     is_subdivision,

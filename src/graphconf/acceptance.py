@@ -94,7 +94,7 @@ def criterion_1() -> CriterionResult:
             for n in (2, 3):
                 seen = []
                 for extra in range(3):
-                    sub = subdivide_uniform(g, subdivision_pieces(n, extra)).subdivided
+                    sub = subdivide_uniform(g, subdivision_pieces(n, extra))
                     if not is_sufficiently_subdivided(sub, n):
                         raise InvariantError(f"uniform subdivision not sufficient for n={n}")
                     cx = build_discretized(sub, n, ordered=False)
@@ -117,7 +117,7 @@ def criterion_2() -> CriterionResult:
             if not g.edges:
                 continue
             for n in (1, 2):
-                sub = subdivide_uniform(g, subdivision_pieces(n, 0)).subdivided
+                sub = subdivide_uniform(g, subdivision_pieces(n, 0))
                 for ordered in (True, False):
                     complexes.append(build_discretized(sub, n, ordered))
         complexes.append(build_discretized(family("complete", 5), 2, ordered=False))

@@ -26,7 +26,7 @@ from .gio import load_graph, to_graph6, to_json
 from .graphs import (SimpleGraph, betti1, complement, disjoint_union, family, make_graph,
                      subdivide_uniform, subdivision_pieces)
 from .homology import homology
-from .morphisms import enumerate_tm, gtm_k_member, morphism_to_json
+from .morphisms import enumerate_tm, gtm_k_member
 from .swiatkowski import verify_support_bound
 
 
@@ -65,7 +65,7 @@ def cmd_graph(args) -> int:
     elif args.subcommand == "complement":
         g = complement(_read_graph(rest[0]))
     elif args.subcommand == "subdivide":
-        g = subdivide_uniform(_read_graph(rest[0]), args.pieces).subdivided
+        g = subdivide_uniform(_read_graph(rest[0]), args.pieces)
     else:  # betti1
         print(betti1(_read_graph(rest[0])))
         return 0
@@ -80,7 +80,7 @@ def cmd_homology(args) -> int:
         level = "none"
     else:
         pieces = subdivision_pieces(args.n, args.extra_subdivision)
-        sub = subdivide_uniform(g, pieces).subdivided
+        sub = subdivide_uniform(g, pieces)
         level = f"{pieces} pieces per edge"
     print(f"subdivision: {level}", file=sys.stderr)
     cx = build_discretized(sub, args.n, ordered=not args.unordered)
@@ -107,10 +107,14 @@ def cmd_homology(args) -> int:
 
 def cmd_minor(args) -> int:
     if args.gtm_k is not None:
+        if args.graph is None:
+            return _fail(2, "--gtm-k needs --graph")
         g = _read_graph(args.graph)
         member = gtm_k_member(g, args.gtm_k)
         print(json.dumps({"k": args.gtm_k, "member": member}))
         return 0
+    if args.pattern is None or args.host is None:
+        return _fail(2, "minor needs --pattern and --host, or --gtm-k with --graph")
     pattern = _read_graph(args.pattern)
     host = _read_graph(args.host)
     found = enumerate_tm(pattern, host, kind=args.kind, limit=args.limit)
@@ -118,7 +122,7 @@ def cmd_minor(args) -> int:
         "exists": bool(found),
         "count": len(found),
         "truncated": found.truncated,
-        "witness": morphism_to_json(found[0]) if found else None,
+        "witness": found[0].to_json_obj() if found else None,
     }))
     return 0
 

@@ -1,4 +1,4 @@
-"""Cograph recognition, cotree decomposition, and full embeddings.
+"""Cograph recognition and cotree decomposition.
 
 A cograph is built from singletons by disjoint unions and complements;
 the recognizer runs that recursion directly (the induced-P_4-free
@@ -211,34 +211,6 @@ def lca_adjacency_graph(t: Cotree) -> SimpleGraph:
         if t.label_of[lca(a, b)] == "1"
     ]
     return make_graph(sorted(vm.values()), edges)
-
-
-def enumerate_full_embeddings(g: SimpleGraph, h: SimpleGraph) -> list[dict]:
-    """All injective vertex maps G -> H preserving and reflecting adjacency."""
-    gv = list(g.vertices)
-    out: list[dict] = []
-    assign: dict[int, int] = {}
-
-    def rec(idx: int):
-        if idx == len(gv):
-            out.append(dict(assign))
-            return
-        v = gv[idx]
-        for w in h.vertices:
-            if w in assign.values():
-                continue
-            good = True
-            for u, x in assign.items():
-                if (v in g.adjacency[u]) != (w in h.adjacency[x]):
-                    good = False
-                    break
-            if good:
-                assign[v] = w
-                rec(idx + 1)
-                del assign[v]
-
-    rec(0)
-    return out
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadParamsError, InvariantError, NotASubgraphError
-from .graphs import (SimpleGraph, SubdivisionRecord, ambient_arcs, subdivide_uniform,
-                     subdivision_pieces)
+from .graphs import SimpleGraph, ambient_arcs
 from .homology import ChainMap, IntegerChainComplex, Sparse
 
 # slot encodings sort edges before vertices, matching the orbit representative
@@ -147,17 +146,6 @@ def is_sufficiently_subdivided(g: SimpleGraph, n: int) -> bool:
     if n < 1:
         raise BadParamsError("n must be >= 1")
     return all(len(arc) >= n + 1 for arc in ambient_arcs(g))
-
-
-def sufficient_subdivision(g: SimpleGraph, n: int) -> SubdivisionRecord:
-    """Subdivide every edge into n+1 edges; always sufficient for n."""
-    if n < 1:
-        raise BadParamsError("n must be >= 1")
-    pieces = subdivision_pieces(n, 0)
-    rec = subdivide_uniform(g, pieces)
-    if g.edges and not is_sufficiently_subdivided(rec.subdivided, n):
-        raise InvariantError(f"{pieces} pieces per edge is not sufficient for n={n}")
-    return rec
 
 
 # -- chain maps from subgraph inclusions --------------------------------------

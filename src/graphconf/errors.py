@@ -29,10 +29,6 @@ class BadParamsError(GraphConfError):
     pass
 
 
-class CompositionMismatchError(GraphConfError):
-    pass
-
-
 class InvalidMorphismError(GraphConfError):
     pass
 

@@ -27,7 +27,6 @@ from .homology import (
     Subgroup,
     cycle_image_subgroup,
     presentation,
-    span_and_test,
 )
 from .morphisms import (
     TopMinorMorphism,
@@ -100,7 +99,7 @@ def build_ambient(
 ) -> AmbientContext:
     if n < 1 or i < 0 or extra_subdivision < 0:
         raise BadParamsError("need n >= 1, i >= 0, extra_subdivision >= 0")
-    sub = subdivide_uniform(g, subdivision_pieces(n, extra_subdivision)).subdivided
+    sub = subdivide_uniform(g, subdivision_pieces(n, extra_subdivision))
     cx = build_discretized(sub, n, ordered)
     return AmbientContext(g, i, n, extra_subdivision, ordered, sub, cx,
                           presentation(cx.chain, i))
@@ -109,24 +108,21 @@ def build_ambient(
 # -- generator images ----------------------------------------------------------
 
 
-def _subgraph_key(h: SimpleGraph):
-    return (h.vertices, h.edges)
-
-
 def generator_images(
     ctx: AmbientContext, gen: SimpleGraph
 ) -> tuple[list[SimpleGraph], int, TopMinorMorphism | None]:
     """Distinct image subgraphs of morphisms gen -> G'' whose images are
     sufficiently subdivided, plus the raw morphism count and one witness.
-    Abrams' test runs once per distinct image."""
+    Images are keyed by the morphism's image sets, so each distinct image
+    is built, and passed to Abrams' test, once."""
     verdicts: dict = {}  # image key -> the image if it passes, else None
     count = 0
     witness = None
     for rho in iter_tm(gen, ctx.subdivided, kind="tm"):
         count += 1
-        img = rho.image_subgraph()
-        key = _subgraph_key(img)
+        key = (rho.image_vertices, rho.image_edges)
         if key not in verdicts:
+            img = rho.image_subgraph()
             verdicts[key] = img if is_sufficiently_subdivided(img, ctx.n) else None
         if witness is None and verdicts[key] is not None:
             witness = rho
@@ -146,8 +142,6 @@ class GenerationReport:
     witnesses: tuple  # one contributing morphism per generator, or None
 
     def to_json_obj(self) -> dict:
-        from .morphisms import morphism_to_json
-
         return {
             "i": self.i,
             "n": self.n,
@@ -168,7 +162,7 @@ class GenerationReport:
                 for gen, cnt, imgs, rank in self.per_generator
             ],
             "witnesses": [
-                morphism_to_json(w) if w is not None else None for w in self.witnesses
+                w.to_json_obj() if w is not None else None for w in self.witnesses
             ],
         }
 
@@ -212,23 +206,6 @@ def generation_check(ctx: AmbientContext, gens: GeneratorList) -> GenerationRepo
         ctx.graph, ctx.i, ctx.n, ctx.extra_subdivision, ctx.ordered,
         tuple(per_gen), acc, acc.is_full(), tuple(witnesses)
     )
-
-
-def generation_check_escalating(
-    g: SimpleGraph,
-    i: int,
-    n: int,
-    gens: GeneratorList,
-    max_extra_subdivision: int = 2,
-    ordered: bool = True,
-) -> GenerationReport:
-    """Retry at deeper subdivision levels until generated or the cap is hit."""
-    report = None
-    for extra in range(max_extra_subdivision + 1):
-        report = generation_check(build_ambient(g, i, n, extra, ordered), gens)
-        if report.is_generated:
-            return report
-    return report
 
 
 # -- filtration stages ---------------------------------------------------------
@@ -301,8 +278,9 @@ def _stage_subgraphs(ctx: AmbientContext, predicate) -> list[SimpleGraph]:
 
 def _stage_span(ctx: AmbientContext, predicate) -> Subgroup:
     subs = _stage_subgraphs(ctx, predicate)
-    images = [ctx.image_of_subgraph(h) for h in subs]
-    span, _ = span_and_test(images, ctx.pres)
+    span = Subgroup.zero(ctx.pres)
+    for h in subs:
+        span = span.join(ctx.image_of_subgraph(h))
     return span
 
 

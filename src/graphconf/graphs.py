@@ -1,4 +1,4 @@
-"""Finite simple graphs, paths, subdivision bookkeeping, and standard families.
+"""Finite simple graphs, paths, subdivision, and standard families.
 
 Vertex ids are arbitrary integers.  All values are immutable after
 construction, so everything here is safe to share across workers.
@@ -6,7 +6,7 @@ construction, so everything here is safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -158,10 +158,6 @@ class Path:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
-    @property
-    def interior(self) -> tuple[int, ...]:
-        return self.vertices[1:-1]
-
     def validates_in(self, graph: SimpleGraph) -> bool:
         return all(e in graph.edge_set for e in self.edges) and all(
             v in graph.vertex_set for v in self.vertices
@@ -218,8 +214,8 @@ def complement(g: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(vs, tuple(sorted(edges)), g.labels)
 
 
-def disjoint_union_with_offset(g: SimpleGraph, h: SimpleGraph) -> tuple[SimpleGraph, int]:
-    """Disjoint union; the second argument is shifted by the returned offset."""
+def disjoint_union(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
+    """Disjoint union; the vertices of h are shifted past those of g."""
     if not g.vertices:
         offset = 0
     else:
@@ -228,34 +224,10 @@ def disjoint_union_with_offset(g: SimpleGraph, h: SimpleGraph) -> tuple[SimpleGr
     verts = g.vertices + tuple(v + offset for v in h.vertices)
     edges = g.edges + tuple(norm_edge(a + offset, b + offset) for a, b in h.edges)
     labels = g.labels + tuple((v + offset, l) for v, l in h.labels)
-    return SimpleGraph(verts, tuple(sorted(edges)), tuple(sorted(labels))), offset
+    return SimpleGraph(verts, tuple(sorted(edges)), tuple(sorted(labels)))
 
 
-def disjoint_union(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
-    return disjoint_union_with_offset(g, h)[0]
-
-
-@dataclass(frozen=True)
-class SubdivisionRecord:
-    """Bookkeeping for replacing each edge of ``original`` by a path."""
-
-    original: SimpleGraph
-    subdivided: SimpleGraph
-    edge_paths: tuple[tuple[Edge, Path], ...]
-
-    @cached_property
-    def path_map(self) -> dict[Edge, Path]:
-        return dict(self.edge_paths)
-
-    def morphism(self):
-        """The subdivision as a topological minor morphism original -> subdivided."""
-        from .morphisms import TopMinorMorphism
-
-        rho_v = tuple((v, v) for v in self.original.vertices)
-        return TopMinorMorphism(self.original, self.subdivided, rho_v, self.edge_paths)
-
-
-def subdivide(g: SimpleGraph, per_edge_counts) -> SubdivisionRecord:
+def subdivide(g: SimpleGraph, per_edge_counts) -> SimpleGraph:
     """Replace each edge e by a path with per_edge_counts.get(e, 0) + 1 edges."""
     counts: dict[Edge, int] = {}
     for e, c in dict(per_edge_counts).items():
@@ -268,7 +240,6 @@ def subdivide(g: SimpleGraph, per_edge_counts) -> SubdivisionRecord:
     fresh = max(g.vertices) + 1 if g.vertices else 0
     verts = list(g.vertices)
     edges: list[Edge] = []
-    edge_paths: list[tuple[Edge, Path]] = []
     for e in g.edges:
         a, b = e
         c = counts.get(e, 0)
@@ -278,9 +249,7 @@ def subdivide(g: SimpleGraph, per_edge_counts) -> SubdivisionRecord:
         chain = [a, *mids, b]
         for i in range(len(chain) - 1):
             edges.append(norm_edge(chain[i], chain[i + 1]))
-        edge_paths.append((e, Path(tuple(chain))))
-    sub = SimpleGraph(tuple(verts), tuple(sorted(edges)), g.labels)
-    return SubdivisionRecord(g, sub, tuple(edge_paths))
+    return SimpleGraph(tuple(verts), tuple(sorted(edges)), g.labels)
 
 
 def subdivision_pieces(n: int, extra: int) -> int:
@@ -288,7 +257,7 @@ def subdivision_pieces(n: int, extra: int) -> int:
     return n + 1 + extra
 
 
-def subdivide_uniform(g: SimpleGraph, pieces: int) -> SubdivisionRecord:
+def subdivide_uniform(g: SimpleGraph, pieces: int) -> SimpleGraph:
     """Subdivide every edge into ``pieces`` edges."""
     if pieces < 1:
         raise BadParamsError("pieces must be >= 1")

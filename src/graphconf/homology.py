@@ -173,6 +173,8 @@ class ChainMap:
         return {}
 
     def check_commutes(self) -> bool:
+        """Whether the map commutes with the boundaries in every degree: the
+        oracle for ``discretized.inclusion_chain_map``."""
         for d in range(1, len(self.source.ranks)):
             lhs = sparse_matmul(self.target.boundary(d), self.matrix(d))
             rhs = sparse_matmul(self.matrix(d - 1), self.source.boundary(d))
@@ -270,14 +272,6 @@ class Subgroup:
 
     def __hash__(self):
         return hash((self.ambient.cycle_rank, self.hnf))
-
-
-def span_and_test(images: list[Subgroup], ambient: HomologyPresentation) -> tuple[Subgroup, bool]:
-    """Join of the given subgroups and whether it is the whole group."""
-    acc = Subgroup.zero(ambient)
-    for sub in images:
-        acc = acc.join(sub)
-    return acc, acc.is_full()
 
 
 def cycle_image_subgroup(

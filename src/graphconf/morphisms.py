@@ -1,4 +1,4 @@
-"""Topological minor morphisms: validation, composition, enumeration.
+"""Topological minor morphisms: validation and enumeration.
 
 A morphism is a vertex injection plus an edge-to-path assignment subject
 to four conditions; embeddings and subdivisions are the special cases
@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CompositionMismatchError, InvalidMorphismError
+from .errors import BadParamsError, InvalidMorphismError
 from .graphs import Edge, Path, SimpleGraph, family, norm_edge
 
 KINDS = ("simplicial", "full", "tm", "subdivision")
@@ -64,12 +64,13 @@ class TopMinorMorphism:
         }
 
 
-def identity_morphism(g: SimpleGraph) -> TopMinorMorphism:
+def inclusion_morphism(h: SimpleGraph, g: SimpleGraph) -> TopMinorMorphism:
+    """The inclusion of a subgraph h into g; the identity when h is g."""
     return TopMinorMorphism(
+        h,
         g,
-        g,
-        tuple((v, v) for v in g.vertices),
-        tuple((e, Path(e)) for e in g.edges),
+        tuple((v, v) for v in h.vertices),
+        tuple((e, Path(e)) for e in h.edges),
     )
 
 
@@ -116,32 +117,6 @@ def validate_tm(rho: TopMinorMorphism) -> tuple[bool, list[tuple[int, str]]]:
     return (not violations, violations)
 
 
-def extend_to_path(rho: TopMinorMorphism, p: Path) -> Path:
-    """The canonical extension rho_P applied to a path of the source."""
-    vs = p.vertices
-    if len(vs) == 1:
-        return Path((rho.rho_v[vs[0]],))
-    out = [rho.rho_v[vs[0]]]
-    for i in range(len(vs) - 1):
-        e = norm_edge(vs[i], vs[i + 1])
-        seg = rho.rho_e[e].oriented_from(rho.rho_v[vs[i]])
-        out.extend(seg[1:])
-    return Path(tuple(out))
-
-
-def compose_tm(sigma: TopMinorMorphism, rho: TopMinorMorphism) -> TopMinorMorphism:
-    """sigma after rho (paths of rho mapped through sigma's path extension)."""
-    if rho.target.vertices != sigma.source.vertices or rho.target.edges != sigma.source.edges:
-        raise CompositionMismatchError("target of rho is not the source of sigma")
-    rho_v = tuple((v, sigma.rho_v[w]) for v, w in rho.rho_v_items)
-    rho_e = tuple((e, extend_to_path(sigma, p)) for e, p in rho.rho_e_items)
-    out = TopMinorMorphism(rho.source, sigma.target, rho_v, rho_e)
-    ok, violations = validate_tm(out)
-    if not ok:
-        raise InvalidMorphismError(f"composite is not a morphism: {violations}")
-    return out
-
-
 def is_subdivision(rho: TopMinorMorphism) -> bool:
     """True iff the image exhausts the target (a homeomorphism on realizations)."""
     ok, violations = validate_tm(rho)
@@ -167,6 +142,8 @@ def enumerate_tm(source: SimpleGraph, target: SimpleGraph, kind: str = "tm",
     """All morphisms of the requested kind, in deterministic order."""
     if kind not in KINDS:
         raise InvalidMorphismError(f"unknown kind {kind!r}")
+    if limit is not None and limit < 1:
+        raise BadParamsError(f"limit must be >= 1, got {limit}")
     out = MorphismList()
     for rho in iter_tm(source, target, kind):
         out.append(rho)
@@ -401,7 +378,3 @@ def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
 
 def is_homeomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
     return is_isomorphic(smooth(g), smooth(h))
-
-
-def morphism_to_json(rho: TopMinorMorphism) -> dict:
-    return rho.to_json_obj()

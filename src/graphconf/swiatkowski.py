@@ -9,14 +9,12 @@ discretized model.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from dataclasses import dataclass
 
 from .errors import BadParamsError, NotAnEmbeddingError
-from .graphs import Path, SimpleGraph, norm_edge
-from .morphisms import TopMinorMorphism, validate_tm
+from .graphs import SimpleGraph, norm_edge
+from .morphisms import TopMinorMorphism, inclusion_morphism, validate_tm
 
 # vertex states: SELF, or ("half", a, b) for a mark at the vertex on edge (a, b);
 # both are tuples so that sorted cell keys compare cleanly
@@ -62,13 +60,6 @@ class SwiatkowskiCell:
     @property
     def key(self) -> tuple:
         return (self.weights, self.states)
-
-    def weight(self, a: int, b: int) -> int:
-        e = norm_edge(a, b)
-        return dict(self.weights).get(e, 0)
-
-    def state(self, v: int):
-        return dict(self.states).get(v)
 
     def edge_mass(self) -> int:
         return sum(w for _, w in self.weights)
@@ -158,15 +149,6 @@ def support_subgraph(g: SimpleGraph, cell: SwiatkowskiCell) -> SimpleGraph:
     return g.induced(sorted(verts))
 
 
-def _inclusion_embedding(h: SimpleGraph, g: SimpleGraph) -> TopMinorMorphism:
-    return TopMinorMorphism(
-        h,
-        g,
-        tuple((v, v) for v in h.vertices),
-        tuple((e, Path(e)) for e in h.edges),
-    )
-
-
 @dataclass(frozen=True)
 class SupportBoundReport:
     graph: SimpleGraph
@@ -199,27 +181,9 @@ def verify_support_bound(g: SimpleGraph, i: int, n: int) -> SupportBoundReport:
             violations.append(("size", cell.key, size))
             continue
         restricted = SwiatkowskiCell(supp, n, i, cell.weights, cell.states)
-        if push_cell(restricted, _inclusion_embedding(supp, g)) != cell:
+        if push_cell(restricted, inclusion_morphism(supp, g)) != cell:
             violations.append(("image", cell.key, size))
         if g_is_cograph and not is_cograph(supp):
             violations.append(("cograph", cell.key, size))
     return SupportBoundReport(g, i, n, len(cells), max_support, tuple(violations))
 
-
-def cells_to_csv(cells: list[SwiatkowskiCell]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["weights", "states", "support_size"])
-    for cell in cells:
-        supp = support_subgraph(cell.graph, cell)
-        writer.writerow(
-            [
-                " ".join(f"{a}-{b}:{w}" for (a, b), w in cell.weights),
-                " ".join(
-                    f"{v}:{'self' if state == SELF else f'{state[1]}-{state[2]}'}"
-                    for v, state in cell.states
-                ),
-                len(supp.vertices),
-            ]
-        )
-    return buf.getvalue()

@@ -1,0 +1,72 @@
+"""Every public function, class and method of the package has a caller in
+the package itself, so no API exists only for its own test.
+
+A definition counts as used when its name appears as a ``Name`` (read) or
+as an ``Attribute`` anywhere in ``src/graphconf`` outside its own body.
+Attribute names are matched without their owner, so the guard can miss an
+unused method that shares a name with a used one; it never flags a used one.
+"""
+
+import ast
+from pathlib import Path
+
+import graphconf
+
+PACKAGE = Path(graphconf.__file__).parent
+
+# qualified name -> why it may have no caller in the package
+ALLOWED = {
+    "homology.ChainMap.check_commutes": "oracle for discretized.inclusion_chain_map",
+}
+
+
+def _public(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
+def _scan():
+    """Public definitions as 'module.qualname', and every reference as
+    (name, 'module.qualname' of the innermost enclosing definition)."""
+    defs, refs = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        mod = path.stem
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{mod}.{getattr(top, 'name', '')}"
+            scopes = [(top, owner)]
+            if isinstance(top, ast.ClassDef):
+                scopes += [(m, f"{owner}.{m.name}") for m in top.body
+                           if isinstance(m, ast.FunctionDef)]
+            if _public(top):
+                defs.append(owner)
+                defs += [q for m, q in scopes[1:] if _public(m)]
+            in_methods = {id(n) for m, _ in scopes[1:] for n in ast.walk(m)}
+            for scope, q in scopes:
+                for n in ast.walk(scope):
+                    if scope is top and id(n) in in_methods:
+                        continue
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                        refs.append((n.id, q))
+                    elif isinstance(n, ast.Attribute):
+                        refs.append((n.attr, q))
+    return defs, refs
+
+
+def _unreferenced() -> set[str]:
+    defs, refs = _scan()
+    out = set()
+    for q in defs:
+        name = q.rpartition(".")[2]
+        if not any(r == name and o != q and not o.startswith(q + ".") for r, o in refs):
+            out.add(q)
+    return out
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    assert _unreferenced() - set(ALLOWED) == set()
+
+
+def test_allow_list_is_not_stale():
+    # an allowed entry that gained a caller, or was deleted, leaves the list
+    assert set(ALLOWED) <= _unreferenced()

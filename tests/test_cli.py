@@ -165,3 +165,17 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["graph", "make", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["minor", "--gtm-k", "1"],
+    ["minor", "--host", "{k3}"],
+    ["minor", "--pattern", "{k3}"],
+    ["minor", "--pattern", "{k3}", "--host", "{k3}", "--limit", "0"],
+], ids=["gtm-k-without-graph", "no-pattern", "no-host", "limit-0"])
+def test_minor_bad_input_exits_2(argv, capsys, g6):
+    k3 = g6("k3.json", family("complete", 3))
+    assert main([a.format(k3=k3) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphconf.acceptance import _atlas_graphs
 from graphconf.cographs import (
     Cotree,
     cograph_of,
     cotree_from_json_obj,
     cotree_of,
     cotree_to_json_obj,
-    enumerate_full_embeddings,
     is_cograph,
     lca_adjacency_graph,
     validate_cotree,
 )
 from graphconf.errors import InvalidCotreeError, NotACographError
 from graphconf.graphs import SimpleGraph, family, make_graph
-from graphconf.morphisms import is_isomorphic
+from graphconf.morphisms import enumerate_tm, is_isomorphic
 
 
 def has_induced_p4(g: SimpleGraph) -> bool:
@@ -102,20 +102,40 @@ def test_induced_subgraphs_of_cographs_are_cographs():
             assert is_cograph(g.induced(vs))
 
 
+def full_embeddings(g: SimpleGraph, h: SimpleGraph) -> list[dict]:
+    return [rho.rho_v for rho in enumerate_tm(g, h, kind="full")]
+
+
 def test_full_embedding_counts():
     k3 = family("complete", 3)
     # K_3 into K_3: all 6 permutations
-    assert len(enumerate_full_embeddings(k3, k3)) == 6
+    assert len(full_embeddings(k3, k3)) == 6
     # K_2 into the empty graph on 3 vertices: none (adjacency reflected)
-    assert enumerate_full_embeddings(family("complete", 2), make_graph(range(3), [])) == []
+    assert full_embeddings(family("complete", 2), make_graph(range(3), [])) == []
     # single vertex into any graph: |V| embeddings
     g = family("complete_bipartite", 2, 3)
-    assert len(enumerate_full_embeddings(family("complete", 1), g)) == len(g.vertices)
+    assert len(full_embeddings(family("complete", 1), g)) == len(g.vertices)
     # embeddings both preserve and reflect edges
-    for emb in enumerate_full_embeddings(family("path", 3), family("cycle", 4)):
-        p3, c4 = family("path", 3), family("cycle", 4)
+    p3, c4 = family("path", 3), family("cycle", 4)
+    for emb in full_embeddings(p3, c4):
         for u, v in itertools.combinations(p3.vertices, 2):
             assert (v in p3.adjacency[u]) == (emb[v] in c4.adjacency[emb[u]])
+
+
+def test_full_embeddings_match_permutation_filter():
+    """Every injective vertex map that preserves and reflects adjacency, on
+    all pairs of atlas graphs with at most 4 vertices."""
+    atlas = _atlas_graphs(4)
+    for g, h in itertools.product(atlas, repeat=2):
+        want = set()
+        for image in itertools.permutations(h.vertices, len(g.vertices)):
+            f = dict(zip(g.vertices, image))
+            if all(g.has_edge(u, v) == h.has_edge(f[u], f[v])
+                   for u, v in itertools.combinations(g.vertices, 2)):
+                want.add(tuple(sorted(f.items())))
+        got = [rho.rho_v_items for rho in enumerate_tm(g, h, kind="full")]
+        assert len(got) == len(set(got))
+        assert set(got) == want, (g, h)
 
 
 def test_validate_cotree_violations():

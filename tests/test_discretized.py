@@ -13,12 +13,11 @@ from graphconf.discretized import (
     inclusion_chain_map,
     is_sufficiently_subdivided,
     slot_closure,
-    sufficient_subdivision,
     vertex_slot,
 )
 from graphconf.errors import NotASubgraphError
 from graphconf.graphs import (disjoint_union, family, make_graph, subdivide,
-                              subdivide_uniform, theta_graph)
+                              subdivide_uniform, subdivision_pieces, theta_graph)
 from graphconf.homology import homology, presentation
 
 
@@ -47,7 +46,7 @@ def test_k5_two_points_unordered():
 def test_ordered_counts_are_factorial_multiples():
     for g in [family("cycle", 5), family("path", 5), theta_graph()]:
         for n in (2, 3):
-            sub = subdivide_uniform(g, n + 1).subdivided
+            sub = subdivide_uniform(g, n + 1)
             o = build_discretized(sub, n, ordered=True)
             u = build_discretized(sub, n, ordered=False)
             fact = math.factorial(n)
@@ -77,17 +76,19 @@ def test_sufficiency_predicate():
     # arcs are measured between essential vertices
     star = family("star", 3)
     assert not is_sufficiently_subdivided(star, 2)
-    assert is_sufficiently_subdivided(subdivide_uniform(star, 3).subdivided, 2)
+    assert is_sufficiently_subdivided(subdivide_uniform(star, 3), 2)
 
 
-def test_sufficient_subdivision_record():
-    rec = sufficient_subdivision(family("complete", 4), 2)
-    assert is_sufficiently_subdivided(rec.subdivided, 2)
-    assert len(rec.subdivided.edges) == 3 * 6
+def test_n_plus_one_pieces_suffice():
+    # n+1 pieces per edge always suffice for n strands
+    for n in (1, 2, 3):
+        sub = subdivide_uniform(family("complete", 4), subdivision_pieces(n, 0))
+        assert is_sufficiently_subdivided(sub, n)
+        assert len(sub.edges) == (n + 1) * 6
 
 
 def test_inclusion_chain_map_commutes():
-    g = subdivide_uniform(family("cycle", 3), 3).subdivided
+    g = subdivide_uniform(family("cycle", 3), 3)
     h = g.subgraph(list(g.edges)[:6])
     f = inclusion_chain_map(h, g, 2, ordered=False)
     assert f.check_commutes()
@@ -138,7 +139,7 @@ CELL_GRAPHS = [
     ("K2", family("complete", 2)),
     ("C4", family("cycle", 4)),
     ("star3", family("star", 3)),
-    ("theta-3", subdivide_uniform(theta_graph(), 3).subdivided),
+    ("theta-3", subdivide_uniform(theta_graph(), 3)),
 ]
 
 
@@ -214,7 +215,7 @@ def test_sufficiency_matches_oracle_on_atlas():
     cases = 0
     for g in _atlas_graphs(6):
         for pieces in (1, 2, 3):
-            sub = subdivide_uniform(g, pieces).subdivided
+            sub = subdivide_uniform(g, pieces)
             for n in (1, 2, 3, 4):
                 assert is_sufficiently_subdivided(sub, n) == arc_and_girth_test(sub, n), (
                     g.edges, pieces, n)
@@ -223,7 +224,7 @@ def test_sufficiency_matches_oracle_on_atlas():
 
 
 def test_sufficiency_matches_oracle_on_theta_edge_subsets():
-    sub = subdivide_uniform(theta_graph(), 3).subdivided
+    sub = subdivide_uniform(theta_graph(), 3)
     verdicts = set()
     for size in range(len(sub.edges) + 1):
         for combo in itertools.combinations(sub.edges, size):
@@ -238,14 +239,14 @@ def _dumbbell():
     # branch vertices 0 and 3, each with two pendant paths of 3 edges,
     # joined by the single edge (0, 3)
     g = make_graph(range(6), [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])
-    return subdivide(g, {e: 2 for e in g.edges if e != (0, 3)}).subdivided
+    return subdivide(g, {e: 2 for e in g.edges if e != (0, 3)})
 
 
 def _lollipop():
     # the triangle 0-1-2 is a closed arc at branch vertex 2; the stick
     # 2-3 is subdivided into 6 edges
     g = make_graph(range(4), [(0, 1), (1, 2), (0, 2), (2, 3)])
-    return subdivide(g, {(2, 3): 5}).subdivided
+    return subdivide(g, {(2, 3): 5})
 
 
 SUFFICIENCY_CASES = [
@@ -254,14 +255,14 @@ SUFFICIENCY_CASES = [
     ("path-and-isolated-vertex", make_graph(range(4), [(0, 1), (1, 2)]), 2, False),
     ("single-edge-between-branches", _dumbbell(), 2, False),
     ("single-edge-between-branches-subdivided",
-     subdivide_uniform(_dumbbell(), 3).subdivided, 2, True),
+     subdivide_uniform(_dumbbell(), 3), 2, True),
     ("lollipop-short-loop", _lollipop(), 3, False),
     ("lollipop-long-enough", _lollipop(), 2, True),
     ("short-cycle-component",
-     disjoint_union(family("cycle", 3), subdivide_uniform(family("star", 3), 5).subdivided),
+     disjoint_union(family("cycle", 3), subdivide_uniform(family("star", 3), 5)),
      3, False),
     ("cycle-component-long-enough",
-     disjoint_union(family("cycle", 3), subdivide_uniform(family("star", 3), 5).subdivided),
+     disjoint_union(family("cycle", 3), subdivide_uniform(family("star", 3), 5)),
      2, True),
 ]
 

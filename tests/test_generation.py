@@ -13,7 +13,6 @@ from graphconf.generation import (
     build_ambient,
     generation_check,
     generator_images,
-    generation_check_escalating,
     robertson_stage,
     subgraph_homeomorphism_types,
 )
@@ -99,13 +98,6 @@ def test_subgraph_homeomorphism_types():
     assert is_homeomorphic(gens.graphs[0], theta)
     # theta's proper types: circle and the trees P_2, P_3(smoothed to P_2)...
     assert all(len(t.edges) >= 1 for t in gens.graphs)
-
-
-def test_escalating_wrapper_stops_on_success():
-    c3 = family("cycle", 3)
-    rep = generation_check_escalating(c3, 1, 2, GeneratorList.of(c3),
-                                      max_extra_subdivision=2, ordered=False)
-    assert rep.is_generated and rep.extra_subdivision == 0
 
 
 def test_report_serialization():
@@ -238,7 +230,7 @@ GENERATE_CASES = [
                          ids=[f"{c[0]}-n{c[2]}-extra{c[3]}-{c[4]}" for c in GENERATE_CASES])
 def test_generator_images_match_per_morphism_loop(name, g, n, extra, gen, morphisms,
                                                   distinct):
-    sub = subdivide_uniform(g, subdivision_pieces(n, extra)).subdivided
+    sub = subdivide_uniform(g, subdivision_pieces(n, extra))
     ctx = SimpleNamespace(subdivided=sub, n=n)
     images, count, witness = generator_images(ctx, GENERATORS[gen])
     ref_images, ref_count, ref_witness = per_morphism_generator_images(ctx, GENERATORS[gen])

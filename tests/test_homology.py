@@ -13,7 +13,6 @@ from graphconf.homology import (
     cycle_image_subgroup,
     homology,
     presentation,
-    span_and_test,
 )
 from graphconf.graphs import family, theta_graph
 from graphconf.snf import hermite_columns, hnf_contains
@@ -133,8 +132,7 @@ def test_subgroup_lattice_ops():
     assert not zero.contains(full)
     assert zero.join(full) == full
     assert full.free_rank() == pres.betti == 1
-    span, is_full = span_and_test([zero, full], pres)
-    assert is_full and span == full
+    assert full.is_full() and not zero.is_full()
 
 
 def test_subgroup_ambient_mismatch():

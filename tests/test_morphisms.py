@@ -2,15 +2,14 @@ import itertools
 
 import pytest
 
-from graphconf.errors import CompositionMismatchError, InvalidMorphismError
+from graphconf.errors import BadParamsError, InvalidMorphismError
 from graphconf.graphs import Path, family, make_graph, subdivide_uniform
 from graphconf.morphisms import (
     TopMinorMorphism,
-    compose_tm,
     enumerate_tm,
     gtm_k_member,
     has_topological_minor,
-    identity_morphism,
+    inclusion_morphism,
     is_homeomorphic,
     is_isomorphic,
     is_subdivision,
@@ -22,9 +21,9 @@ from graphconf.morphisms import (
 
 def test_identity_validates():
     for g in [family("cycle", 3), family("complete", 4), family("star", 3)]:
-        ok, violations = validate_tm(identity_morphism(g))
+        ok, violations = validate_tm(inclusion_morphism(g, g))
         assert ok, violations
-        assert is_subdivision(identity_morphism(g))
+        assert is_subdivision(inclusion_morphism(g, g))
 
 
 def test_vertex_injectivity_enforced():
@@ -90,11 +89,14 @@ def test_totality_errors():
 
 
 def test_subdivision_morphism_recognized():
-    rec = subdivide_uniform(family("cycle", 3), 3)
-    rho = rec.morphism()
+    c3 = family("cycle", 3)
+    c9 = subdivide_uniform(c3, 3)
+    (rho,) = enumerate_tm(c3, c9, kind="subdivision", limit=1)
     ok, violations = validate_tm(rho)
     assert ok, violations
     assert is_subdivision(rho)
+    assert rho.image_subgraph() == c9
+    assert sorted(p.edge_count for p in rho.rho_e.values()) == [3, 3, 3]
 
 
 def test_enumeration_counts():
@@ -123,29 +125,12 @@ def test_full_vs_simplicial():
     assert len(enumerate_tm(two, k3, kind="full")) == 0
 
 
-def test_composition_and_associativity():
+def test_limit_must_be_positive():
     c3 = family("cycle", 3)
-    rec = subdivide_uniform(c3, 2)
-    rho = rec.morphism()
-    ident = identity_morphism(c3)
-    assert compose_tm(rho, ident) == rho
-    rec2 = subdivide_uniform(rec.subdivided, 2)
-    sigma = rec2.morphism()
-    comp = compose_tm(sigma, rho)
-    ok, violations = validate_tm(comp)
-    assert ok, violations
-    assert is_subdivision(comp)
-    # associativity on a sample of triples
-    tau = identity_morphism(rec2.subdivided)
-    assert compose_tm(tau, compose_tm(sigma, rho)) == compose_tm(
-        compose_tm(tau, sigma), rho
-    )
-
-
-def test_composition_mismatch():
-    c3 = family("cycle", 3)
-    with pytest.raises(CompositionMismatchError):
-        compose_tm(identity_morphism(family("cycle", 4)), identity_morphism(c3))
+    for limit in (0, -1):
+        with pytest.raises(BadParamsError):
+            enumerate_tm(c3, c3, limit=limit)
+    assert len(enumerate_tm(c3, c3, kind="simplicial", limit=1)) == 1
 
 
 def test_minor_relation():
@@ -180,7 +165,7 @@ def test_smooth_and_homeomorphism():
     assert is_isomorphic(smooth(c9), family("cycle", 3))
     assert is_homeomorphic(c9, family("cycle", 4))
     assert not is_homeomorphic(c9, family("path", 4))
-    sub = subdivide_uniform(family("star", 3), 5).subdivided
+    sub = subdivide_uniform(family("star", 3), 5)
     assert is_homeomorphic(sub, family("star", 3))
     assert is_isomorphic(smooth(sub), family("star", 3))
 

@@ -5,11 +5,10 @@ import pytest
 
 from graphconf.errors import BadParamsError, NotAnEmbeddingError
 from graphconf.graphs import family, make_graph
-from graphconf.morphisms import TopMinorMorphism, enumerate_tm, identity_morphism
+from graphconf.morphisms import TopMinorMorphism, enumerate_tm, inclusion_morphism
 from graphconf.swiatkowski import (
     SELF,
     SwiatkowskiCell,
-    cells_to_csv,
     enumerate_cells,
     push_cell,
     support_subgraph,
@@ -62,7 +61,7 @@ def test_tree_top_cells_count_half_edge_choices():
 
 def test_push_identity_and_injectivity():
     g = family("path", 3)
-    ident = identity_morphism(g)
+    ident = inclusion_morphism(g, g)
     cells = enumerate_cells(g, 1, 2)
     assert [push_cell(c, ident) for c in cells] == cells
     k2 = family("complete", 2)
@@ -126,10 +125,3 @@ def test_support_bound_reports():
     rep = verify_support_bound(family("complete_bipartite", 2, 3), 1, 2)
     assert rep.ok and rep.max_support <= 4
 
-
-def test_csv_export():
-    out = cells_to_csv(enumerate_cells(family("complete", 2), 1, 1))
-    lines = out.strip().splitlines()
-    assert lines[0] == "weights,states,support_size"
-    assert len(lines) == 3
-    assert any("0:0-1" in line for line in lines[1:])

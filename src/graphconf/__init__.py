@@ -65,8 +65,8 @@ from .snf import snf
 from .swiatkowski import (
     SwiatkowskiCell,
     enumerate_cells,
-    push_cell,
-    support_subgraph,
+    push_cells,
+    support_vertices,
     verify_support_bound,
 )
 

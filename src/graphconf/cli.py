@@ -22,8 +22,8 @@ from .cographs import (
 from .discretized import build_discretized, cell_count_table, complex_to_json_obj
 from .errors import GraphConfError, InvariantError, NotAComplexError
 from .generation import GeneratorList, betti_stage, build_ambient, generation_check, robertson_stage
-from .gio import load_graph, to_graph6, to_json
-from .graphs import (SimpleGraph, betti1, complement, disjoint_union, family, make_graph,
+from .gio import from_json, load_graph, to_graph6, to_json
+from .graphs import (SimpleGraph, betti1, complement, disjoint_union, family,
                      subdivide_uniform, subdivision_pieces)
 from .homology import homology
 from .morphisms import enumerate_tm, gtm_k_member
@@ -50,8 +50,7 @@ def cmd_graph(args) -> int:
     rest = args.args
     if args.subcommand == "make":
         src = sys.stdin.read() if not rest or rest[0] == "-" else open(rest[0]).read()
-        obj = json.loads(src)
-        g = make_graph(obj["vertices"], [tuple(e) for e in obj["edges"]])
+        g = from_json(src)
     elif args.subcommand == "family":
         if not rest:
             return _fail(2, "family needs a name")
@@ -142,7 +141,8 @@ def cmd_cograph(args) -> int:
     # support-report
     g = _read_graph(args.input)
     rows = []
-    for i in range(args.n + 1):
+    # a negative n still reaches verify_support_bound, which rejects it
+    for i in range(max(args.n, 0) + 1):
         rep = verify_support_bound(g, i, args.n)
         rows.append({
             "i": i,

@@ -100,8 +100,21 @@ def to_json(g: SimpleGraph) -> str:
     return json.dumps(to_json_obj(g), sort_keys=True)
 
 
-def from_json_obj(obj: dict) -> SimpleGraph:
-    labels = {int(k): v for k, v in obj.get("labels", {}).items()}
+def from_json_obj(obj) -> SimpleGraph:
+    """Graph from a parsed JSON object; a malformed one is BadParamsError."""
+    if not isinstance(obj, dict):
+        raise BadParamsError("graph JSON must be an object")
+    for key in ("vertices", "edges"):
+        if not isinstance(obj.get(key), list):
+            raise BadParamsError(f"graph JSON needs a list {key!r}")
+    if not all(type(v) is int for v in obj["vertices"]):
+        raise BadParamsError("vertex ids must be integers")
+    if not all(isinstance(e, list) and all(type(v) is int for v in e) for e in obj["edges"]):
+        raise BadParamsError("every edge must be a list [u, v] of vertex ids")
+    labels = obj.get("labels", {})
+    if not isinstance(labels, dict):
+        raise BadParamsError("graph JSON 'labels' must be an object")
+    labels = {int(k): v for k, v in labels.items()}
     return make_graph(obj["vertices"], [tuple(e) for e in obj["edges"]], labels)
 
 

@@ -1,4 +1,9 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -165,6 +170,50 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["graph", "make", str(bad)]) == 2
     capsys.readouterr()
+
+
+MALFORMED_GRAPHS = {
+    "not-an-object": [1],
+    "no-vertices": {"edges": []},
+    "no-edges": {"vertices": [0, 1]},
+    "empty-object": {},
+    "vertices-not-a-list": {"vertices": 2, "edges": []},
+    "edges-not-a-list": {"vertices": [0, 1], "edges": 5},
+    "edge-not-a-list": {"vertices": [0, 1], "edges": [5]},
+    "vertex-not-an-int": {"vertices": [[0], 1], "edges": []},
+    "endpoint-not-an-int": {"vertices": [0, 1], "edges": [[[0], 1]]},
+    "labels-not-an-object": {"vertices": [0, 1], "edges": [[0, 1]], "labels": [0]},
+}
+
+
+@pytest.mark.parametrize("obj", MALFORMED_GRAPHS.values(), ids=MALFORMED_GRAPHS.keys())
+def test_malformed_graph_json_exits_2(obj, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+    assert main(["graph", "make", "-"]) == 2
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    assert main(["graph", "betti1", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [json.loads(line) for line in captured.err.splitlines()]
+    assert [e["kind"] for e in errors] == ["BadParamsError", "BadParamsError"]
+
+
+def test_support_report_rejects_negative_n(capsys, g6):
+    k3 = g6("k3.json", family("complete", 3))
+    assert main(["cograph", "support-report", k3, "-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "BadParamsError"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "graphconf", "graph", "family", "complete", "3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "Bw\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from graphconf import cographs, swiatkowski
 from graphconf.errors import BadParamsError, NotAnEmbeddingError
 from graphconf.graphs import family, make_graph
 from graphconf.morphisms import TopMinorMorphism, enumerate_tm, inclusion_morphism
@@ -10,8 +11,8 @@ from graphconf.swiatkowski import (
     SELF,
     SwiatkowskiCell,
     enumerate_cells,
-    push_cell,
-    support_subgraph,
+    push_cells,
+    support_vertices,
     verify_support_bound,
 )
 
@@ -63,11 +64,11 @@ def test_push_identity_and_injectivity():
     g = family("path", 3)
     ident = inclusion_morphism(g, g)
     cells = enumerate_cells(g, 1, 2)
-    assert [push_cell(c, ident) for c in cells] == cells
+    assert push_cells(cells, ident) == cells
     k2 = family("complete", 2)
     embs = enumerate_tm(k2, g, kind="simplicial", limit=100)
     for emb in embs:
-        imgs = [push_cell(c, emb) for c in enumerate_cells(k2, 0, 2)]
+        imgs = push_cells(enumerate_cells(k2, 0, 2), emb)
         assert len(set(imgs)) == len(imgs)
 
 
@@ -78,7 +79,7 @@ def test_push_extends_by_zero():
 
     emb = TopMinorMorphism(k2, p3, ((0, 0), (1, 1)), (((0, 1), Path((0, 1))),))
     heavy = SwiatkowskiCell(k2, 2, 0, (((0, 1), 2),), ())
-    out = push_cell(heavy, emb)
+    (out,) = push_cells([heavy], emb)
     assert out.graph == p3
     assert out.weights == (((0, 1), 2),)
     assert out.states == ()
@@ -101,20 +102,28 @@ def test_push_rejects_non_embeddings():
     )
     cell = enumerate_cells(c3, 0, 1)[0]
     with pytest.raises(NotAnEmbeddingError):
-        push_cell(cell, subdiv)
+        push_cells([cell], subdiv)
+
+
+def test_push_rejects_a_cell_of_another_graph():
+    c3 = family("cycle", 3)
+    k2 = family("complete", 2)
+    emb = inclusion_morphism(c3, family("complete", 4))
+    ok, stray = enumerate_cells(c3, 0, 1)[0], enumerate_cells(k2, 0, 1)[0]
+    with pytest.raises(NotAnEmbeddingError):
+        push_cells([ok, stray], emb)
 
 
 def test_support_examples():
     k2 = family("complete", 2)
     heavy = SwiatkowskiCell(k2, 2, 0, (((0, 1), 2),), ())
-    assert support_subgraph(k2, heavy) == k2
+    assert support_vertices(heavy) == {0, 1}
     k3 = family("complete", 3)
     single = SwiatkowskiCell(k3, 1, 0, (), ((0, SELF),))
-    supp = support_subgraph(k3, single)
-    assert supp.vertices == (0,) and supp.edges == ()
+    assert support_vertices(single) == {0}
     c4 = family("cycle", 4)
     mixed = SwiatkowskiCell(c4, 2, 1, (), ((0, ("half", 0, 1)), (2, SELF)))
-    assert len(support_subgraph(c4, mixed).vertices) == 3
+    assert support_vertices(mixed) == {0, 1, 2}
 
 
 def test_support_bound_reports():
@@ -125,3 +134,99 @@ def test_support_bound_reports():
     rep = verify_support_bound(family("complete_bipartite", 2, 3), 1, 2)
     assert rep.ok and rep.max_support <= 4
 
+
+
+def per_cell_support_bound(g, i, n):
+    """Oracle: the per-cell loop, building G_λ, its inclusion and the
+    cograph verdict anew for every cell; returns (cell_count, max_support,
+    violations)."""
+    g_is_cograph = cographs.is_cograph(g)
+    violations = []
+    max_support = 0
+    cells = enumerate_cells(g, i, n)
+    for cell in cells:
+        verts = {v for v, s in cell.states if s == SELF}
+        verts.update(x for _, s in cell.states if s != SELF for x in s[1:])
+        verts.update(x for e, _ in cell.weights for x in e)
+        supp = g.induced(sorted(verts))
+        size = len(supp.vertices)
+        max_support = max(max_support, size)
+        if size > n + i + cell.edge_mass() or n + i + cell.edge_mass() > 2 * n:
+            violations.append(("size", cell.key, size))
+            continue
+        restricted = SwiatkowskiCell(supp, n, i, cell.weights, cell.states)
+        if push_cells([restricted], swiatkowski.inclusion_morphism(supp, g)) != [cell]:
+            violations.append(("image", cell.key, size))
+        if g_is_cograph and not cographs.is_cograph(supp):
+            violations.append(("cograph", cell.key, size))
+    return len(cells), max_support, tuple(violations)
+
+
+ORACLE_GRAPHS = {
+    "K4": family("complete", 4),
+    "K23": family("complete_bipartite", 2, 3),
+    "C4": family("cycle", 4),
+    "S3": family("star", 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_grouped_support_bound_matches_per_cell_oracle(name):
+    g = ORACLE_GRAPHS[name]
+    for n in (1, 2, 3):
+        for i in range(n + 1):
+            rep = verify_support_bound(g, i, n)
+            assert (rep.cell_count, rep.max_support, rep.violations) == \
+                per_cell_support_bound(g, i, n)
+
+
+def test_a_lying_cograph_verdict_reaches_every_cell_of_its_support(monkeypatch):
+    real = cographs.is_cograph
+    monkeypatch.setattr(cographs, "is_cograph", lambda h: len(h.vertices) != 3 and real(h))
+    g = family("complete", 4)
+    for i in range(3):
+        rep = verify_support_bound(g, i, 2)
+        expected = per_cell_support_bound(g, i, 2)[2]
+        assert rep.violations == expected
+        flagged = {key for kind, key, _ in rep.violations if kind == "cograph"}
+        assert flagged == {c.key for c in enumerate_cells(g, i, 2)
+                           if len(support_vertices(c)) == 3}
+        assert flagged
+
+
+def test_image_and_cograph_violations_keep_the_oracles_order(monkeypatch):
+    # swapping vertices 0 and 1 keeps each inclusion a valid embedding but
+    # moves every cell that tells 0 from 1, so those cells fail the image test
+    from graphconf.graphs import Path
+
+    def swapped(h, g):
+        s = {0: 1, 1: 0}.get
+        return TopMinorMorphism(h, g, tuple((v, s(v, v)) for v in h.vertices),
+                                tuple((e, Path((s(e[0], e[0]), s(e[1], e[1])))) for e in h.edges))
+
+    real = cographs.is_cograph
+    monkeypatch.setattr(cographs, "is_cograph", lambda h: len(h.vertices) != 3 and real(h))
+    monkeypatch.setattr(swiatkowski, "inclusion_morphism", swapped)
+    g = family("complete", 4)
+    for i in range(3):
+        rep = verify_support_bound(g, i, 2)
+        assert rep.violations == per_cell_support_bound(g, i, 2)[2]
+        assert {kind for kind, _, _ in rep.violations} == {"image", "cograph"}
+
+
+def test_validate_tm_runs_once_per_distinct_support(monkeypatch):
+    calls = []
+    real = swiatkowski.validate_tm
+    monkeypatch.setattr(swiatkowski, "validate_tm", lambda emb: calls.append(emb) or real(emb))
+    g = family("complete", 4)
+    for i in range(3):
+        calls.clear()
+        assert verify_support_bound(g, i, 2).ok
+        supports = {support_vertices(c) for c in enumerate_cells(g, i, 2)}
+        assert len(calls) == len(supports)
+        assert {frozenset(emb.source.vertices) for emb in calls} == supports
+
+
+def test_support_bound_rejects_negative_n():
+    with pytest.raises(BadParamsError):
+        verify_support_bound(family("complete", 3), 0, -1)

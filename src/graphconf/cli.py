@@ -156,6 +156,17 @@ def cmd_cograph(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    # check the arguments before the ambient complex is built
+    stages = {"betti": betti_stage, "robertson": robertson_stage}
+    if args.stage:
+        kind, _, value = args.stage.partition(":")
+        if kind not in stages:
+            return _fail(2, f"unknown stage kind {kind!r}")
+        level = int(value)
+    elif args.gens:
+        gens = GeneratorList.of(*[_read_graph(p) for p in args.gens])
+    else:
+        return _fail(2, "generate needs --gens or --stage")
     g = _read_graph(args.graph)
     ctx = build_ambient(g, args.i, args.n, args.extra_subdivision, ordered=not args.unordered)
     print(
@@ -163,13 +174,7 @@ def cmd_generate(args) -> int:
         file=sys.stderr,
     )
     if args.stage:
-        kind, _, value = args.stage.partition(":")
-        if kind == "betti":
-            sub = betti_stage(ctx, int(value))
-        elif kind == "robertson":
-            sub = robertson_stage(ctx, int(value))
-        else:
-            return _fail(2, f"unknown stage kind {kind!r}")
+        sub = stages[kind](ctx, level)
         print(json.dumps({
             "stage": args.stage,
             "rank": sub.free_rank(),
@@ -178,9 +183,6 @@ def cmd_generate(args) -> int:
             "extra_subdivision": args.extra_subdivision,
         }))
         return 0
-    if not args.gens:
-        return _fail(2, "generate needs --gens or --stage")
-    gens = GeneratorList.of(*[_read_graph(p) for p in args.gens])
     report = generation_check(ctx, gens)
     if args.format == "table":
         print(report.table())

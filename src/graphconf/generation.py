@@ -32,6 +32,7 @@ from .morphisms import (
     TopMinorMorphism,
     gtm_k_member,
     is_homeomorphic,
+    is_isomorphic,
     iter_tm,
     smooth,
 )
@@ -111,10 +112,80 @@ def build_ambient(
 def generator_images(
     ctx: AmbientContext, gen: SimpleGraph
 ) -> tuple[list[SimpleGraph], int, TopMinorMorphism | None]:
-    """Distinct image subgraphs of morphisms gen -> G'' whose images are
-    sufficiently subdivided, plus the raw morphism count and one witness.
-    Images are keyed by the morphism's image sets, so each distinct image
-    is built, and passed to Abrams' test, once."""
+    """Distinct image subgraphs of morphisms gen -> G'' that are
+    sufficiently subdivided, plus the count of all morphisms gen -> G''
+    (passing or not) and one witness: the first morphism in ``iter_tm``
+    order whose image passes.
+
+    A generator with an edge and no vertex of degree < 2 is image-first:
+    its images are found among the unions of whole ambient arcs of G''
+    that are homeomorphic to it.
+
+    - The image of such a morphism has no vertex of degree < 2: a vertex
+      image has the degree of its preimage (one path leaves it per edge),
+      and a path interior vertex has degree 2.
+    - An interior vertex of an ambient arc has degree 2 in G''.  If the
+      image reaches it, it has degree >= 2 in the image, so the image holds
+      both its edges.  Walking along the arc, an image that holds one edge
+      of an arc holds the whole arc.  So the image is a union of arcs, and
+      the morphism is a homeomorphism from gen onto it.
+    - Conversely, a homeomorphic union H is an image iff some morphism
+      gen -> H is onto H.  When gen has no degree-2 vertex, as in a
+      ``GeneratorList``, H is a subdivision of gen and every union is.
+
+    The morphisms gen -> G'' with image H are the morphisms gen -> H whose
+    image is all of H (paths in H are the paths of G'' inside H, and the
+    four conditions read the same in both).  Their number depends only on
+    the isomorphism class of H, so it is counted once per class.  The
+    count sums over every homeomorphic union, whether it passes Abrams'
+    test or not.
+
+    Any other generator (a leaf, an isolated vertex, or no edge) takes
+    every morphism from ``iter_tm``, keyed by its image sets, so each
+    distinct image is built and tested once."""
+    if not gen.edges or any(gen.degree(v) < 2 for v in gen.vertices):
+        return _images_by_morphism(ctx, gen)
+    amb = ctx.subdivided
+    arcs = ambient_arcs(amb)
+    passing: dict = {}  # (vertex set, edge set) -> image that passes
+    classes: list[tuple[SimpleGraph, int]] = []  # (representative, onto count)
+    count = 0
+    for size in range(1, len(arcs) + 1):
+        for combo in itertools.combinations(arcs, size):
+            h = amb.subgraph([e for arc in combo for e in arc])
+            if not is_homeomorphic(gen, h):
+                continue
+            onto = next((c for rep, c in classes if is_isomorphic(rep, h)), None)
+            if onto is None:
+                onto = _onto_count(gen, h)
+                classes.append((h, onto))
+            count += onto
+            if onto and is_sufficiently_subdivided(h, ctx.n):
+                passing[(h.vertex_set, h.edge_set)] = h
+    witness = None
+    if passing:
+        witness = next(rho for rho in iter_tm(gen, amb, kind="tm")
+                       if (rho.image_vertices, rho.image_edges) in passing)
+    return list(passing.values()), count, witness
+
+
+def _onto_count(gen: SimpleGraph, h: SimpleGraph) -> int:
+    """Number of morphisms gen -> h whose image is all of h.
+
+    The paths of a morphism share no edge, and their interiors miss each
+    other and the vertex images.  So the image has sum(len(path)) edges and
+    |V(gen)| + sum(len(path) - 1) vertices, and it is all of h iff the path
+    lengths add up to |E(h)| and |V(gen)| - |E(gen)| = |V(h)| - |E(h)|."""
+    if len(gen.vertices) - len(gen.edges) != len(h.vertices) - len(h.edges):
+        return 0
+    return sum(1 for rho in iter_tm(gen, h, kind="tm")
+               if sum(p.edge_count for _, p in rho.rho_e_items) == len(h.edges))
+
+
+def _images_by_morphism(
+    ctx: AmbientContext, gen: SimpleGraph
+) -> tuple[list[SimpleGraph], int, TopMinorMorphism | None]:
+    """generator_images over every morphism gen -> G''."""
     verdicts: dict = {}  # image key -> the image if it passes, else None
     count = 0
     witness = None
@@ -325,8 +396,6 @@ def subgraph_homeomorphism_types(g: SimpleGraph) -> GeneratorList:
     """Minimal representatives of all homeomorphism types of subgraphs of g
     with at least one edge (used for self-generation checks).  The full
     graph's type comes first so that self-generation short-circuits."""
-    from .morphisms import is_isomorphic
-
     reps: list[SimpleGraph] = []
     edges = list(g.edges)
     for size in range(len(edges), 0, -1):

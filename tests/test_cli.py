@@ -128,6 +128,23 @@ def test_generate_gens_and_stage(capsys, g6):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [
+    ["--stage", "bogus:1"],
+    ["--stage", "betti:one"],
+    [],
+], ids=["unknown-stage-kind", "non-integer-stage", "no-gens-no-stage"])
+def test_generate_rejects_bad_arguments_before_building(extra, monkeypatch, capsys, g6):
+    def build(*args, **kwargs):
+        raise AssertionError("build_ambient ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "build_ambient", build)
+    k4 = g6("k4.json", family("complete", 4))
+    assert main(["generate", "--graph", k4, "-n", "3", "-i", "1", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
 def test_generate_echoes_the_callers_parameters(capsys, g6):
     c3 = g6("c3.json", family("cycle", 3))
     assert main(["generate", "--graph", c3, "-n", "2", "-i", "1", "--unordered",

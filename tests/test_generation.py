@@ -7,6 +7,7 @@ from graphconf.discretized import is_sufficiently_subdivided
 from graphconf.errors import BadParamsError
 from graphconf.generation import (
     GeneratorList,
+    _onto_count,
     _stage_subgraphs,
     betti_stage,
     brute_force_span,
@@ -16,9 +17,9 @@ from graphconf.generation import (
     robertson_stage,
     subgraph_homeomorphism_types,
 )
-from graphconf.graphs import (betti1, family, make_graph, subdivide_uniform, subdivision_pieces,
-                              theta_graph)
-from graphconf.morphisms import gtm_k_member, iter_tm
+from graphconf.graphs import (SimpleGraph, betti1, disjoint_union, family, make_graph,
+                              subdivide_uniform, subdivision_pieces, theta_graph)
+from graphconf.morphisms import enumerate_tm, gtm_k_member, iter_tm, smooth
 
 
 def test_generator_list_validation():
@@ -215,8 +216,15 @@ def per_morphism_generator_images(ctx, gen):
     return list(images.values()), count, witness
 
 
+def _sorted_keys(subgraphs):
+    # image order is not part of the result: only the span of the images is
+    return sorted(_keys(subgraphs))
+
+
+C3 = family("cycle", 3)
+GENERATORS = {"C3": C3, "star3": family("star", 3), "theta": smooth(theta_graph()),
+              "C3+C3": disjoint_union(C3, C3), "C4": family("cycle", 4)}
 # the generate workload: (target, n, extra subdivision, generator, morphisms, images)
-GENERATORS = {"C3": family("cycle", 3), "star3": family("star", 3)}
 GENERATE_CASES = [
     ("K4", family("complete", 4), 2, 1, "C3", 15360, 7),
     ("theta", theta_graph(), 2, 0, "star3", 2940, 54),
@@ -226,15 +234,34 @@ GENERATE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,g,n,extra,gen,morphisms,distinct", GENERATE_CASES,
-                         ids=[f"{c[0]}-n{c[2]}-extra{c[3]}-{c[4]}" for c in GENERATE_CASES])
-def test_generator_images_match_per_morphism_loop(name, g, n, extra, gen, morphisms,
-                                                  distinct):
-    sub = subdivide_uniform(g, subdivision_pieces(n, extra))
+def _generate_case(name, g, n, extra, gen, morphisms, distinct):
+    """A GENERATE_CASES row as (G'', n, generator, morphisms, images)."""
+    return pytest.param(subdivide_uniform(g, subdivision_pieces(n, extra)), n, gen,
+                        morphisms, distinct, id=f"{name}-n{n}-extra{extra}-{gen}")
+
+
+IMAGE_CASES = [_generate_case(*c) for c in GENERATE_CASES] + [
+    # leafless generators beyond C3, on G'' as given
+    pytest.param(subdivide_uniform(family("complete", 4), 3), 2, "theta", 1080, 6,
+                 id="K4-sub3-n2-theta"),
+    # a cycle component of G'' is one closed ambient arc
+    pytest.param(subdivide_uniform(disjoint_union(theta_graph(), C3), 3), 2, "C3", 2832, 4,
+                 id="theta+C3-sub3-n2-C3"),
+    # two components; the two unions with a triangle fail Abrams' test at
+    # n=3 and still count
+    pytest.param(disjoint_union(theta_graph(), family("cycle", 4)), 3, "C3+C3", 1728, 1,
+                 id="theta+C4-n3-C3+C3"),
+    # an unsmoothed generator: C4 does not map onto theta's triangles
+    pytest.param(theta_graph(), 2, "C4", 8, 1, id="theta-n2-C4"),
+]
+
+
+@pytest.mark.parametrize("sub,n,gen,morphisms,distinct", IMAGE_CASES)
+def test_generator_images_match_per_morphism_loop(sub, n, gen, morphisms, distinct):
     ctx = SimpleNamespace(subdivided=sub, n=n)
     images, count, witness = generator_images(ctx, GENERATORS[gen])
     ref_images, ref_count, ref_witness = per_morphism_generator_images(ctx, GENERATORS[gen])
-    assert _keys(images) == _keys(ref_images)
+    assert _sorted_keys(images) == _sorted_keys(ref_images)
     assert count == ref_count == morphisms
     assert len(images) == distinct
     assert witness == ref_witness and witness is not None
@@ -249,5 +276,28 @@ def test_generator_images_witness_skips_a_failing_first_image():
     assert not is_sufficiently_subdivided(first.image_subgraph(), ctx.n)
     images, count, witness = generator_images(ctx, c3)
     ref_images, ref_count, ref_witness = per_morphism_generator_images(ctx, c3)
-    assert (_keys(images), count, witness) == (_keys(ref_images), ref_count, ref_witness)
+    assert (_sorted_keys(images), count, witness) == (
+        _sorted_keys(ref_images), ref_count, ref_witness)
     assert witness is not None and witness != first
+
+
+def test_generators_without_edges_keep_their_counts():
+    # generators with no edge take every morphism, as before; K4 at n=2
+    # has 16 vertices after subdivision
+    ctx = SimpleNamespace(subdivided=subdivide_uniform(family("complete", 4), 3), n=2)
+    images, count, witness = generator_images(ctx, SimpleGraph((0,), ()))
+    assert (count, len(images)) == (16, 16)
+    assert witness.rho_v == {0: 0}
+    images, count, witness = generator_images(ctx, SimpleGraph((), ()))
+    assert (count, len(images)) == (1, 1)
+    assert witness.to_json_obj() == {"rho_V": {}, "rho_E": {}}
+
+
+@pytest.mark.parametrize("sub,n,gen,morphisms,distinct", IMAGE_CASES)
+def test_onto_count_is_the_subdivision_count(sub, n, gen, morphisms, distinct):
+    ctx = SimpleNamespace(subdivided=sub, n=n)
+    images, _, _ = generator_images(ctx, GENERATORS[gen])
+    assert len(images) == distinct
+    for h in images:
+        assert _onto_count(GENERATORS[gen], h) == len(
+            enumerate_tm(GENERATORS[gen], h, kind="subdivision"))

@@ -30,7 +30,7 @@ from .generation import (
     robertson_stage,
     subgraph_homeomorphism_types,
 )
-from .errors import InvariantError
+from .errors import InvariantError, NotAComplexError
 from .graphs import (SimpleGraph, betti1, family, make_graph, subdivide_uniform,
                      subdivision_pieces, theta_graph)
 from .homology import homology
@@ -125,9 +125,11 @@ def criterion_2() -> CriterionResult:
         if len(complexes) < 50:
             return False, f"corpus too small: {len(complexes)}"
         for cx in complexes:
-            if not cx.chain.check_boundary_squares_to_zero():
+            # homology() checks d^2 = 0 first: clearing relies on it
+            try:
+                h = homology(cx.chain)
+            except NotAComplexError:
                 return False, "boundary does not square to zero"
-            h = homology(cx.chain)
             chi_cells = cx.euler_characteristic()
             chi_betti = sum((-1) ** d * b for d, b in enumerate(h.betti))
             if chi_cells != chi_betti:

@@ -21,7 +21,8 @@ from .cographs import (
 )
 from .discretized import build_discretized, cell_count_table, complex_to_json_obj
 from .errors import GraphConfError, InvariantError, NotAComplexError
-from .generation import GeneratorList, betti_stage, build_ambient, generation_check, robertson_stage
+from .generation import (GeneratorList, betti_stage, build_ambient, check_stage_level,
+                         generation_check, robertson_stage)
 from .gio import from_json, load_graph, to_graph6, to_json
 from .graphs import (SimpleGraph, betti1, complement, disjoint_union, family,
                      subdivide_uniform, subdivision_pieces)
@@ -163,6 +164,7 @@ def cmd_generate(args) -> int:
         if kind not in stages:
             return _fail(2, f"unknown stage kind {kind!r}")
         level = int(value)
+        check_stage_level(kind, level)
     elif args.gens:
         gens = GeneratorList.of(*[_read_graph(p) for p in args.gens])
     else:

@@ -355,10 +355,18 @@ def _stage_span(ctx: AmbientContext, predicate) -> Subgroup:
     return span
 
 
+def check_stage_level(kind: str, level: int) -> None:
+    """Reject a level below the first stage of its filtration: Betti
+    stages start at 0, Robertson stages at 1."""
+    if kind == "betti" and level < 0:
+        raise BadParamsError("stage must be >= 0")
+    if kind == "robertson" and level < 1:
+        raise BadParamsError("k must be >= 1")
+
+
 def betti_stage(ctx: AmbientContext, stage: int) -> Subgroup:
     """Span of classes from subgraphs with first Betti number <= stage."""
-    if stage < 0:
-        raise BadParamsError("stage must be >= 0")
+    check_stage_level("betti", stage)
     return _stage_span(ctx, lambda h: betti1(h) <= stage)
 
 
@@ -367,8 +375,7 @@ def robertson_stage(ctx: AmbientContext, k: int) -> Subgroup:
     as a topological minor.  Subgraphs with first Betti number below k are
     admitted without a minor search (the chain has Betti number k, and
     Betti numbers only drop under topological minors)."""
-    if k < 1:
-        raise BadParamsError("k must be >= 1")
+    check_stage_level("robertson", k)
     return _stage_span(ctx, lambda h: betti1(h) < k or gtm_k_member(h, k))
 
 

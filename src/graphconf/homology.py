@@ -65,13 +65,33 @@ class HomologySummary:
 
 
 def homology(c: IntegerChainComplex) -> HomologySummary:
-    """Betti numbers and torsion coefficients in every degree."""
+    """Betti numbers and torsion coefficients in every degree.
+
+    The boundaries are reduced from the top degree down, with clearing:
+    before the SNF of d_k, the columns B of d_k are dropped, where B is
+    the set of k-cells that ``snf`` reports as ``clean_unit_rows`` of
+    d_{k+1}.  This keeps the rank and every invariant factor of d_k, so
+    the answer is exact over Z:
+
+    d_{k+1}[B, :] maps onto Z^B, so for every b in B there is a chain x
+    with d_{k+1} x = e_b + y, where y avoids B.  Since d_k d_{k+1} = 0,
+    d_k e_b = -d_k y lies in d_k(Z^{B^c}).  Hence im d_k = d_k(Z^{B^c}) as
+    a lattice.  The rank and the invariant factors of d_k are read off its
+    cokernel, so they depend on that lattice alone and do not change.
+
+    The proof rests on d^2 = 0, so that is checked first.
+    """
     if not c.check_boundary_squares_to_zero():
         raise NotAComplexError("boundary does not square to zero")
     top = c.top_degree
     snfs: dict[int, SNFResult] = {}
-    for d in range(1, top + 1):
-        snfs[d] = snf(c.boundaries[d], (c.ranks[d - 1], c.ranks[d]))
+    cleared: frozenset[int] = frozenset()
+    for d in range(top, 0, -1):
+        bd = c.boundaries[d]
+        if cleared:
+            bd = {key: v for key, v in bd.items() if key[1] not in cleared}
+        snfs[d] = snf(bd, (c.ranks[d - 1], c.ranks[d]))
+        cleared = snfs[d].clean_unit_rows
     betti = []
     torsion = []
     for d in range(top + 1):

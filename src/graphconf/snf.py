@@ -11,6 +11,21 @@ divides everything, so the divisibility chain only has to be repaired on
 the non-unit tail, which is short for the boundary matrices met here.
 Every move is a tracked row and column operation, so U, V and V^-1 stay
 consistent with the final diagonal.
+
+The engine also reports which rows of M its unit pivots pair, for the
+clearing in ``homology.homology``.  Each row position carries the index
+of the row of M it started as.  A row turns dirty when it is a pivot
+whose entry is not a unit, or when a multiple of a dirty row is added to
+it.  A row operation always adds a multiple of the current pivot row,
+and a clean pivot row has a unit entry, so its step leaves no remainder
+and it stays the final pivot of its slot.  Normalization only negates
+and reorders unit pivots; its repairs touch non-unit, hence dirty, rows.
+Let B be the starting indices of the clean pivot rows (their diagonal
+entries are 1).  By induction in pivot order, the row of U for the pivot
+of b in B is ±(e_b plus multiples of e_b' for earlier b' in B): up to
+sign, U is unitriangular on those rows and columns B and zero off B.
+Those rows of U*M*V are unit vectors, hence M[B, :] maps onto Z^B.
+``SNFResult.clean_unit_rows`` reports B.
 """
 
 from __future__ import annotations
@@ -39,6 +54,8 @@ class SNFResult:
     u_cols: dict | None = None  # U such that U*M*V = D, columns as dicts
     v_cols: dict | None = None  # V, columns as dicts
     vinv_cols: dict | None = None  # V^-1, columns as dicts
+    # rows B of M with M[B, :] onto Z^B (see the module docstring)
+    clean_unit_rows: frozenset[int] = frozenset()
 
     @property
     def torsion(self) -> list[int]:
@@ -88,6 +105,7 @@ def snf(entries, shape, *, track_u=False, track_v=False, track_vinv=False) -> SN
         _transpose_draining(eng.u) if track_u else None,
         eng.vcols if track_v else None,
         _transpose_draining(eng.vinv) if track_vinv else None,
+        eng.clean_unit_rows(),
     )
 
 
@@ -123,11 +141,15 @@ class _Engine:
         self.rank = 0
         self.diag: list[int] = []
         self.touched: set[int] = set()  # columns whose support changed
+        self.origin = list(range(m))  # row position -> starting row of M
+        self.dirty: set[int] = set()  # starting rows of the dirty rows
 
     # -- elementary operations (applied to M and companions) ---------------
 
     def _row_axpy(self, i, t, q):
         # row_i -= q * row_t
+        if self.origin[t] in self.dirty:
+            self.dirty.add(self.origin[i])
         ri = self.rows.setdefault(i, {})
         for j, v in list(self.rows.get(t, {}).items()):
             self.touched.add(j)
@@ -195,6 +217,7 @@ class _Engine:
                     s.discard(k)
                     s.add(i)
         self.rows[i], self.rows[k] = rk, ri
+        self.origin[i], self.origin[k] = self.origin[k], self.origin[i]
         if self.tu:
             self.u[i], self.u[k] = self.u[k], self.u[i]
 
@@ -235,18 +258,25 @@ class _Engine:
             if piv is None:
                 break
             i, j = piv
-            self._row_swap(i, t)
-            self._col_swap(j, t)
             self.touched.clear()
+            self._row_swap(i, t)
+            # the column moved out of slot t has no heap entry at slot j yet;
+            # it is in ``touched`` and re-enters below
+            self._col_swap(j, t)
             self._clear_at(t)
             t += 1
             # only columns whose support changed re-enter the heap
             for jj in self.touched:
                 if jj >= t and self.cols.get(jj):
                     heapq.heappush(heap, (len(self.cols[jj]), jj))
-            self.touched.clear()
+        if any(j >= t and live for j, live in self.cols.items()):
+            raise InvariantError("a live column was left out of the pivot heap")
         self.rank = t
         self._normalize()
+
+    def clean_unit_rows(self) -> frozenset[int]:
+        return frozenset(self.origin[t] for t in range(self.rank)
+                         if self.diag[t] == 1 and self.origin[t] not in self.dirty)
 
     def _select_pivot(self, heap, t):
         while heap:
@@ -267,25 +297,13 @@ class _Engine:
                                len(self.rows[i]), i),
             )
             return best, j
-        # fallback: scan.  Reachable: the column swapped out of slot t for
-        # the pivot keeps no heap entry under its new index unless the
-        # pivot row touches it, e.g. [[1, 0], [1, 0], [0, 1]].
-        for j in sorted(self.cols):
-            if j < t:
-                continue
-            live = {i for i in self.cols[j] if i >= t and self.rows[i].get(j)}
-            if live:
-                best = min(
-                    live,
-                    key=lambda i: (abs(self.rows[i][j]) != 1, abs(self.rows[i][j]),
-                                   len(self.rows[i]), i),
-                )
-                return best, j
         return None
 
     def _clear_at(self, t):
         while True:
             pivot = self.rows[t][t]
+            if abs(pivot) != 1:
+                self.dirty.add(self.origin[t])
             # clear column t with row operations
             col = [i for i in self.cols.get(t, set()) if i != t]
             for i in col:

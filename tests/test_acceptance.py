@@ -6,9 +6,11 @@ complete.  These are slow (minutes in total) by design: they sweep real
 graph corpora rather than hand-picked examples.
 """
 
-import pytest
+from types import SimpleNamespace
 
+from graphconf import acceptance
 from graphconf.acceptance import CRITERIA
+from graphconf.homology import IntegerChainComplex
 
 
 def _run(number: int):
@@ -24,6 +26,15 @@ def test_criterion_1_subdivision_invariance():
 
 def test_criterion_2_complex_sanity_sweep():
     _run(2)
+
+
+def test_criterion_2_reports_a_broken_complex(monkeypatch):
+    broken = SimpleNamespace(chain=IntegerChainComplex(
+        (1, 1, 1), ({}, {(0, 0): 1}, {(0, 0): 1})))
+    monkeypatch.setattr(acceptance, "build_discretized", lambda *a, **k: broken)
+    res = CRITERIA[2]()
+    assert not res.passed
+    assert res.detail == "boundary does not square to zero"
 
 
 def test_criterion_3_known_homology_values():

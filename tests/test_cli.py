@@ -128,12 +128,16 @@ def test_generate_gens_and_stage(capsys, g6):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("extra", [
-    ["--stage", "bogus:1"],
-    ["--stage", "betti:one"],
-    [],
-], ids=["unknown-stage-kind", "non-integer-stage", "no-gens-no-stage"])
-def test_generate_rejects_bad_arguments_before_building(extra, monkeypatch, capsys, g6):
+@pytest.mark.parametrize("extra, message", [
+    (["--stage", "bogus:1"], "unknown stage kind"),
+    (["--stage", "betti:one"], "invalid literal"),
+    ([], "needs --gens or --stage"),
+    (["--stage", "betti:-1"], "stage must be >= 0"),
+    (["--stage", "robertson:0"], "k must be >= 1"),
+], ids=["unknown-stage-kind", "non-integer-stage", "no-gens-no-stage",
+        "negative-betti-stage", "robertson-stage-below-1"])
+def test_generate_rejects_bad_arguments_before_building(extra, message, monkeypatch,
+                                                        capsys, g6):
     def build(*args, **kwargs):
         raise AssertionError("build_ambient ran before the arguments were checked")
 
@@ -142,7 +146,7 @@ def test_generate_rejects_bad_arguments_before_building(extra, monkeypatch, caps
     assert main(["generate", "--graph", k4, "-n", "3", "-i", "1", *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error" in json.loads(captured.err)
+    assert message in json.loads(captured.err)["error"]
 
 
 def test_generate_echoes_the_callers_parameters(capsys, g6):

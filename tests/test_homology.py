@@ -3,19 +3,21 @@ import random
 
 import pytest
 
+from graphconf.acceptance import _atlas_graphs
 from graphconf.discretized import build_discretized
 from graphconf.errors import AmbientMismatchError, InvariantError, NotAComplexError
 from graphconf.generation import build_ambient
 from graphconf.homology import (
     ChainMap,
+    HomologySummary,
     IntegerChainComplex,
     Subgroup,
     cycle_image_subgroup,
     homology,
     presentation,
 )
-from graphconf.graphs import family, theta_graph
-from graphconf.snf import hermite_columns, hnf_contains
+from graphconf.graphs import family, subdivide_uniform, subdivision_pieces, theta_graph
+from graphconf.snf import hermite_columns, hnf_contains, snf
 
 
 def circle_complex():
@@ -41,6 +43,68 @@ def test_homology_projective_plane():
     h = homology(projective_plane_complex())
     assert h.betti == (1, 0, 0)
     assert h.torsion == ((), (2,), ())
+
+
+def homology_without_clearing(c):
+    """Oracle for ``homology``: one full SNF per degree, no columns dropped."""
+    top = c.top_degree
+    snfs = {d: snf(c.boundaries[d], (c.ranks[d - 1], c.ranks[d]))
+            for d in range(1, top + 1)}
+    rank = {d: snfs[d].rank for d in snfs}
+    betti = tuple(c.ranks[d] - rank.get(d, 0) - rank.get(d + 1, 0)
+                  for d in range(top + 1))
+    torsion = tuple(tuple(snfs[d + 1].torsion) if d + 1 <= top else ()
+                    for d in range(top + 1))
+    return HomologySummary(betti, torsion)
+
+
+@pytest.fixture(scope="module")
+def clearing_corpus():
+    corpus = []
+    for g in _atlas_graphs(4):
+        if not g.edges:
+            continue
+        for n in (1, 2):
+            sub = subdivide_uniform(g, subdivision_pieces(n, 0))
+            for ordered in (True, False):
+                corpus.append(build_discretized(sub, n, ordered).chain)
+    for g in (family("complete", 5), family("complete_bipartite", 3, 3)):
+        for n in (2, 3):
+            sub = subdivide_uniform(g, subdivision_pieces(n, 0))
+            corpus.append(build_discretized(sub, n, ordered=False).chain)
+    corpus.append(projective_plane_complex())
+    return corpus
+
+
+def test_homology_matches_oracle_without_clearing(clearing_corpus):
+    torsion_seen = 0
+    for c in clearing_corpus:
+        h = homology(c)
+        assert h == homology_without_clearing(c)
+        torsion_seen += any(h.torsion)
+    assert torsion_seen >= 3
+
+
+def test_clearing_respects_dirty_rows():
+    # d2 = [[2], [3]] pairs its 2-cell with no 1-cell: the unit pivot that
+    # SNF reaches on row 1 is 3 - 2, built from the non-unit pivot row 0;
+    # dropping column 1 of d1 = [[3, -2]] would leave H_0 = Z/3
+    c = IntegerChainComplex((1, 2, 1), ({}, {(0, 0): 3, (0, 1): -2},
+                                        {(0, 0): 2, (1, 0): 3}))
+    assert snf(c.boundaries[2], (2, 1)).clean_unit_rows == frozenset()
+    h = homology(c)
+    assert h == homology_without_clearing(c)
+    assert h.betti == (0, 0, 0) and h.torsion == ((), (), ())
+
+
+def test_clean_unit_rows_map_onto(clearing_corpus):
+    for c in clearing_corpus:
+        for d in range(1, c.top_degree + 1):
+            rows = snf(c.boundaries[d], (c.ranks[d - 1], c.ranks[d])).clean_unit_rows
+            index = {b: k for k, b in enumerate(sorted(rows))}
+            sub = {(index[i], j): v for (i, j), v in c.boundaries[d].items() if i in index}
+            res = snf(sub, (len(rows), c.ranks[d]))
+            assert res.rank == len(rows) and set(res.diag) <= {1}
 
 
 def test_euler_characteristic():

@@ -1,10 +1,16 @@
+import heapq
+import importlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphconf.errors import InvariantError
 from graphconf.snf import hermite_columns, hnf_contains, snf
+
+# the package re-exports the function ``snf`` under the module's name
+snf_module = importlib.import_module("graphconf.snf")
 
 
 def dense_to_entries(rows):
@@ -171,11 +177,19 @@ def test_units_interleaved_with_non_units():
     assert res.diag == (1, 1, 1, 6, 6)
 
 
-def test_pivot_column_found_by_fallback_scan():
-    # the pivot for column 1 moves column 0 to slot 1, where the heap has
-    # no entry for it; only the fallback scan finds the second pivot
+def test_column_moved_out_of_pivot_slot_is_pushed_again():
+    # the pivot for column 1 moves column 0 to slot 1, which the pivot row
+    # does not touch; only its re-push under index 1 finds the second pivot
     res = check_all_transforms([[1, 0], [1, 0], [0, 1]])
     assert res.rank == 2 and res.diag == (1, 1)
+
+
+def test_live_column_missing_from_heap_raises(monkeypatch):
+    # a heap that loses every push misses the moved column above
+    monkeypatch.setattr(snf_module, "heapq", SimpleNamespace(
+        heapify=heapq.heapify, heappop=heapq.heappop, heappush=lambda heap, item: None))
+    with pytest.raises(InvariantError, match="left out of the pivot heap"):
+        snf(dense_to_entries([[1, 0], [1, 0], [0, 1]]), (3, 2))
 
 
 @settings(max_examples=40, deadline=None)

@@ -50,7 +50,11 @@ def _emit_graph(g: SimpleGraph, fmt: str):
 def cmd_graph(args) -> int:
     rest = args.args
     if args.subcommand == "make":
-        src = sys.stdin.read() if not rest or rest[0] == "-" else open(rest[0]).read()
+        if not rest or rest[0] == "-":
+            src = sys.stdin.read()
+        else:
+            with open(rest[0]) as fh:
+                src = fh.read()
         g = from_json(src)
     elif args.subcommand == "family":
         if not rest:

@@ -98,8 +98,8 @@ class AmbientContext:
 def build_ambient(
     g: SimpleGraph, i: int, n: int, extra_subdivision: int = 0, ordered: bool = True
 ) -> AmbientContext:
-    if n < 1 or i < 0 or extra_subdivision < 0:
-        raise BadParamsError("need n >= 1, i >= 0, extra_subdivision >= 0")
+    if n < 1 or i < 0:
+        raise BadParamsError("need n >= 1, i >= 0")
     sub = subdivide_uniform(g, subdivision_pieces(n, extra_subdivision))
     cx = build_discretized(sub, n, ordered)
     return AmbientContext(g, i, n, extra_subdivision, ordered, sub, cx,

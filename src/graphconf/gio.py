@@ -109,12 +109,16 @@ def from_json_obj(obj) -> SimpleGraph:
             raise BadParamsError(f"graph JSON needs a list {key!r}")
     if not all(type(v) is int for v in obj["vertices"]):
         raise BadParamsError("vertex ids must be integers")
-    if not all(isinstance(e, list) and all(type(v) is int for v in e) for e in obj["edges"]):
+    if not all(isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)
+               for e in obj["edges"]):
         raise BadParamsError("every edge must be a list [u, v] of vertex ids")
     labels = obj.get("labels", {})
     if not isinstance(labels, dict):
         raise BadParamsError("graph JSON 'labels' must be an object")
-    labels = {int(k): v for k, v in labels.items()}
+    try:
+        labels = {int(k): v for k, v in labels.items()}
+    except ValueError:
+        raise BadParamsError("graph JSON label keys must be vertex ids") from None
     return make_graph(obj["vertices"], [tuple(e) for e in obj["edges"]], labels)
 
 

@@ -5,26 +5,29 @@ The elimination engine is sparse (dict-of-dicts) and prefers unit pivots
 with low fill, which keeps the cubical boundary matrices produced
 elsewhere in the package tractable at desk scale.
 
-Elimination leaves a diagonal matrix.  Normalization then keeps one
-invariant: every pivot equal to 1 sits before every other pivot.  A unit
-divides everything, so the divisibility chain only has to be repaired on
-the non-unit tail, which is short for the boundary matrices met here.
-Every move is a tracked row and column operation, so U, V and V^-1 stay
-consistent with the final diagonal.
+Elimination works in place: rows and columns keep their indices, and
+the k-th pivot is the pair (row, column) where its entry ended up.  It
+leaves one nonzero entry per pivot row and column.  Normalization then
+keeps one invariant: every pivot equal to 1 comes before every other
+pivot.  A unit divides everything, so the divisibility chain only has to
+be repaired on the non-unit tail, which is short for the boundary
+matrices met here.  Every change to M is a tracked row or column
+operation, so U, V and V^-1 stay consistent with it; ``snf`` numbers the
+pivot rows and columns first at the end, which puts the diagonal on
+(k, k).
 
 The engine also reports which rows of M its unit pivots pair, for the
-clearing in ``homology.homology``.  Each row position carries the index
-of the row of M it started as.  A row turns dirty when it is a pivot
+clearing in ``homology.homology``.  A row turns dirty when it is a pivot
 whose entry is not a unit, or when a multiple of a dirty row is added to
 it.  A row operation always adds a multiple of the current pivot row,
 and a clean pivot row has a unit entry, so its step leaves no remainder
-and it stays the final pivot of its slot.  Normalization only negates
-and reorders unit pivots; its repairs touch non-unit, hence dirty, rows.
-Let B be the starting indices of the clean pivot rows (their diagonal
-entries are 1).  By induction in pivot order, the row of U for the pivot
-of b in B is ±(e_b plus multiples of e_b' for earlier b' in B): up to
-sign, U is unitriangular on those rows and columns B and zero off B.
-Those rows of U*M*V are unit vectors, hence M[B, :] maps onto Z^B.
+and it stays the pivot row of its pair.  Normalization only negates and
+reorders unit pivots; its repairs touch non-unit, hence dirty, rows.
+Let B be the clean pivot rows (their diagonal entries are 1).  By
+induction in pivot order, the row of U for b in B is ±(e_b plus
+multiples of e_b' for earlier b' in B): up to sign, U is unitriangular
+on those rows and columns B and zero off B.  Those rows of U*M*V are
+unit vectors, hence M[B, :] maps onto Z^B.
 ``SNFResult.clean_unit_rows`` reports B.
 """
 
@@ -95,32 +98,50 @@ def snf(entries, shape, *, track_u=False, track_v=False, track_vinv=False) -> SN
     (m, n).  Transform tracking is opt-in since it dominates the cost on
     large inputs.  U and V^-1 are tracked by row during elimination and
     returned by column, the form ``cycle_to_normal`` and ``kernel_coords``
-    read.
+    read.  The transforms are renumbered once at the end, pivot rows
+    (columns) first in pivot order and then the rest ascending, so the
+    k-th invariant factor sits at (k, k).
     """
     m, n = shape
     eng = _Engine(m, n, entries, track_u, track_v, track_vinv)
     eng.run()
+    row_pos = _positions([r for r, _ in eng.pivots], m)
+    col_pos = _positions([c for _, c in eng.pivots], n)
     return SNFResult(
         m, n, eng.rank, tuple(eng.diag),
-        _transpose_draining(eng.u) if track_u else None,
-        eng.vcols if track_v else None,
-        _transpose_draining(eng.vinv) if track_vinv else None,
+        _transpose_draining(eng.u, row_pos) if track_u else None,
+        {col_pos[j]: col for j, col in eng.vcols.items()} if track_v else None,
+        _transpose_draining(eng.vinv, col_pos) if track_vinv else None,
         eng.clean_unit_rows(),
     )
 
 
-def _transpose_draining(rows: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Transpose a dict-of-dicts matrix, emptying the input as it goes so
-    that the two forms never both exist in full."""
+def _positions(pivots: list[int], size: int) -> dict[int, int]:
+    """Index -> position: the pivots first in order, then the rest ascending."""
+    first = set(pivots)
+    order = pivots + [i for i in range(size) if i not in first]
+    return {i: k for k, i in enumerate(order)}
+
+
+def _transpose_draining(rows: dict[int, dict[int, int]],
+                        pos: dict[int, int]) -> dict[int, dict[int, int]]:
+    """Transpose a dict-of-dicts matrix, row i becoming entries at index
+    ``pos[i]``, emptying the input as it goes so that the two forms never
+    both exist in full."""
     cols: dict[int, dict[int, int]] = {}
     while rows:
         i, row = rows.popitem()
+        p = pos[i]
         for j, v in row.items():
-            cols.setdefault(j, {})[i] = v
+            cols.setdefault(j, {})[p] = v
     return cols
 
 
 class _Engine:
+    """Sparse elimination in place.  Rows and columns keep their indices;
+    the k-th pivot is the pair ``pivots[k] = (row, col)``, and ``snf``
+    renumbers the transforms once at the end."""
+
     def __init__(self, m, n, entries, tu, tv, tvi):
         self.m, self.n = m, n
         self.rows: dict[int, dict[int, int]] = {}
@@ -138,18 +159,18 @@ class _Engine:
         self.u = {i: {i: 1} for i in range(m)} if tu else None
         self.vcols = {j: {j: 1} for j in range(n)} if tv else None
         self.vinv = {j: {j: 1} for j in range(n)} if tvi else None
+        self.pivots: list[tuple[int, int]] = []
         self.rank = 0
         self.diag: list[int] = []
         self.touched: set[int] = set()  # columns whose support changed
-        self.origin = list(range(m))  # row position -> starting row of M
-        self.dirty: set[int] = set()  # starting rows of the dirty rows
+        self.dirty: set[int] = set()  # rows ruled out of clean_unit_rows
 
     # -- elementary operations (applied to M and companions) ---------------
 
     def _row_axpy(self, i, t, q):
         # row_i -= q * row_t
-        if self.origin[t] in self.dirty:
-            self.dirty.add(self.origin[i])
+        if t in self.dirty:
+            self.dirty.add(i)
         ri = self.rows.setdefault(i, {})
         for j, v in list(self.rows.get(t, {}).items()):
             self.touched.add(j)
@@ -202,44 +223,6 @@ class _Engine:
                 elif c in rt:
                     del rt[c]
 
-    def _row_swap(self, i, k):
-        if i == k:
-            return
-        ri, rk = self.rows.get(i, {}), self.rows.get(k, {})
-        for j in set(ri) | set(rk):
-            s = self.cols[j]
-            ini, ink = i in s, k in s
-            if ini != ink:
-                if ini:
-                    s.discard(i)
-                    s.add(k)
-                else:
-                    s.discard(k)
-                    s.add(i)
-        self.rows[i], self.rows[k] = rk, ri
-        self.origin[i], self.origin[k] = self.origin[k], self.origin[i]
-        if self.tu:
-            self.u[i], self.u[k] = self.u[k], self.u[i]
-
-    def _col_swap(self, j, k):
-        if j == k:
-            return
-        self.touched.update((j, k))
-        for i in self.cols.get(j, set()) | self.cols.get(k, set()):
-            ri = self.rows[i]
-            vj, vk = ri.pop(j, None), ri.pop(k, None)
-            if vk is not None:
-                ri[j] = vk
-            if vj is not None:
-                ri[k] = vj
-        cj = self.cols.get(j, set())
-        self.cols[j] = self.cols.get(k, set())
-        self.cols[k] = cj
-        if self.tv:
-            self.vcols[j], self.vcols[k] = self.vcols[k], self.vcols[j]
-        if self.tvi:
-            self.vinv[j], self.vinv[k] = self.vinv[k], self.vinv[j]
-
     def _row_negate(self, i):
         for j in list(self.rows.get(i, {})):
             self.rows[i][j] = -self.rows[i][j]
@@ -252,39 +235,35 @@ class _Engine:
     def run(self):
         heap = [(len(s), j) for j, s in self.cols.items() if s]
         heapq.heapify(heap)
-        t = 0
+        done: set[int] = set()  # pivot columns
         while True:
-            piv = self._select_pivot(heap, t)
+            piv = self._select_pivot(heap, done)
             if piv is None:
                 break
-            i, j = piv
             self.touched.clear()
-            self._row_swap(i, t)
-            # the column moved out of slot t has no heap entry at slot j yet;
-            # it is in ``touched`` and re-enters below
-            self._col_swap(j, t)
-            self._clear_at(t)
-            t += 1
+            r, c = self._clear_at(*piv)
+            self.pivots.append((r, c))
+            done.add(c)
             # only columns whose support changed re-enter the heap
-            for jj in self.touched:
-                if jj >= t and self.cols.get(jj):
-                    heapq.heappush(heap, (len(self.cols[jj]), jj))
-        if any(j >= t and live for j, live in self.cols.items()):
+            for j in self.touched:
+                if j not in done and self.cols.get(j):
+                    heapq.heappush(heap, (len(self.cols[j]), j))
+        if any(live and j not in done for j, live in self.cols.items()):
             raise InvariantError("a live column was left out of the pivot heap")
-        self.rank = t
+        self.rank = len(self.pivots)
         self._normalize()
 
     def clean_unit_rows(self) -> frozenset[int]:
-        return frozenset(self.origin[t] for t in range(self.rank)
-                         if self.diag[t] == 1 and self.origin[t] not in self.dirty)
+        return frozenset(r for (r, _), d in zip(self.pivots, self.diag)
+                         if d == 1 and r not in self.dirty)
 
-    def _select_pivot(self, heap, t):
+    def _select_pivot(self, heap, done):
         while heap:
             nnz, j = heapq.heappop(heap)
-            if j < t:
+            if j in done:
                 continue
-            # finalized pivot rows are fully cleared, so every support entry
-            # of a live column already sits at or below row t
+            # finished pivot rows are cleared off their own column, so
+            # every support entry of a live column is in a non-pivot row
             live = self.cols.get(j, set())
             if not live:
                 continue
@@ -299,67 +278,66 @@ class _Engine:
             return best, j
         return None
 
-    def _clear_at(self, t):
+    def _clear_at(self, r, c):
+        """Clear row r and column c around the pivot (r, c); return the
+        final pivot pair, which a Euclid step may move to another row or
+        column of the block."""
+        # if the pivot leaves column c, c must re-enter the heap
+        self.touched.add(c)
         while True:
-            pivot = self.rows[t][t]
+            pivot = self.rows[r][c]
             if abs(pivot) != 1:
-                self.dirty.add(self.origin[t])
-            # clear column t with row operations
-            col = [i for i in self.cols.get(t, set()) if i != t]
-            for i in col:
-                v = self.rows[i].get(t)
+                self.dirty.add(r)
+            # clear column c with row operations
+            for i in [i for i in self.cols.get(c, set()) if i != r]:
+                v = self.rows[i].get(c)
                 if not v:
                     continue
                 q = _divnear(v, pivot)
                 if q:
-                    self._row_axpy(i, t, q)
-            rem = [i for i in self.cols.get(t, set()) if i != t and self.rows[i].get(t)]
+                    self._row_axpy(i, r, q)
+            rem = [i for i in self.cols.get(c, set()) if i != r and self.rows[i].get(c)]
             if rem:
-                i = min(rem, key=lambda r: (abs(self.rows[r][t]), r))
-                self._row_swap(i, t)
+                r = min(rem, key=lambda i: (abs(self.rows[i][c]), i))
                 continue
-            # clear row t with column operations
-            pivot = self.rows[t][t]
-            row = [j for j in self.rows[t] if j != t]
-            for j in row:
-                v = self.rows[t].get(j)
+            # clear row r with column operations
+            pivot = self.rows[r][c]
+            for j in [j for j in self.rows[r] if j != c]:
+                v = self.rows[r].get(j)
                 if not v:
                     continue
                 q = _divnear(v, pivot)
                 if q:
-                    self._col_axpy(j, t, q)
-            rem = [j for j in self.rows[t] if j != t and self.rows[t].get(j)]
+                    self._col_axpy(j, c, q)
+            rem = [j for j in self.rows[r] if j != c and self.rows[r].get(j)]
             if rem:
-                j = min(rem, key=lambda c: (abs(self.rows[t][c]), c))
-                self._col_swap(j, t)
+                c = min(rem, key=lambda j: (abs(self.rows[r][j]), j))
                 continue
-            return
+            return r, c
 
     def _normalize(self):
+        rows, pivots = self.rows, self.pivots
         # positive diagonal
-        for t in range(self.rank):
-            if self.rows[t][t] < 0:
-                self._row_negate(t)
+        for r, c in pivots:
+            if rows[r][c] < 0:
+                self._row_negate(r)
         # units first: a unit pivot divides every other one, so after this
-        # pass only the non-unit tail [units, rank) can break the chain
-        units = 0
-        for t in range(self.rank):
-            if self.rows[t][t] == 1:
-                self._row_swap(t, units)
-                self._col_swap(t, units)
-                units += 1
+        # sort only the non-unit tail [units, rank) can break the chain
+        pivots.sort(key=lambda p: rows[p[0]][p[1]] != 1)
+        units = sum(rows[r][c] == 1 for r, c in pivots)
         # divisibility chain on the tail via pairwise 2x2 gcd/lcm fixes
         for s in range(units, self.rank):
             for t in range(s + 1, self.rank):
-                a, b = self.rows[s][s], self.rows[t][t]
-                if b % a:
-                    self._col_axpy(s, t, -1)  # puts b into position (t, s)
-                    self._clear_at(s)
-                    if self.rows[s][s] < 0:
-                        self._row_negate(s)
-                    if self.rows[t][t] < 0:
-                        self._row_negate(t)
-        self.diag = [self.rows[t][t] for t in range(self.rank)]
+                (rs, cs), (rt, ct) = pivots[s], pivots[t]
+                if rows[rt][ct] % rows[rs][cs]:
+                    self._col_axpy(cs, ct, -1)  # copies pivot t's entry to (rt, cs)
+                    r, c = pivots[s] = self._clear_at(rs, cs)
+                    # the lcm sits at the block's other row and column
+                    pivots[t] = ({rs, rt} - {r}).pop(), ({cs, ct} - {c}).pop()
+                    for r, c in pivots[s], pivots[t]:
+                        if rows[r][c] < 0:
+                            self._row_negate(r)
+        self.diag = [rows[r][c] for r, c in pivots]
 
 
 def sparse_matmul(a: dict, b: dict) -> dict:

@@ -204,6 +204,9 @@ MALFORMED_GRAPHS = {
     "vertex-not-an-int": {"vertices": [[0], 1], "edges": []},
     "endpoint-not-an-int": {"vertices": [0, 1], "edges": [[[0], 1]]},
     "labels-not-an-object": {"vertices": [0, 1], "edges": [[0, 1]], "labels": [0]},
+    "edge-of-three-ids": {"vertices": [0, 1], "edges": [[0, 1, 1]]},
+    "edge-of-one-id": {"vertices": [0, 1], "edges": [[0]]},
+    "label-key-not-an-int": {"vertices": [0, 1], "edges": [[0, 1]], "labels": {"x": "a"}},
 }
 
 
@@ -218,6 +221,15 @@ def test_malformed_graph_json_exits_2(obj, monkeypatch, tmp_path, capsys):
     assert captured.out == ""
     errors = [json.loads(line) for line in captured.err.splitlines()]
     assert [e["kind"] for e in errors] == ["BadParamsError", "BadParamsError"]
+
+
+def test_homology_rejects_negative_extra_subdivision(capsys, g6):
+    k4 = g6("k4.json", family("complete", 4))
+    assert main(["homology", "--graph", k4, "-n", "3", "--unordered",
+                 "--extra-subdivision", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "BadParamsError"
 
 
 def test_support_report_rejects_negative_n(capsys, g6):

@@ -177,19 +177,31 @@ def test_units_interleaved_with_non_units():
     assert res.diag == (1, 1, 1, 6, 6)
 
 
-def test_column_moved_out_of_pivot_slot_is_pushed_again():
-    # the pivot for column 1 moves column 0 to slot 1, which the pivot row
-    # does not touch; only its re-push under index 1 finds the second pivot
+def test_repeated_row_with_pivots_out_of_column_order():
+    # column 1 is the sparser one and pivots first, on row 2; column 0
+    # then pivots on one of its two equal rows and clears the other
     res = check_all_transforms([[1, 0], [1, 0], [0, 1]])
     assert res.rank == 2 and res.diag == (1, 1)
 
 
 def test_live_column_missing_from_heap_raises(monkeypatch):
-    # a heap that loses every push misses the moved column above
+    # a heap that loses every push misses column 0: the pivot (0, 1)
+    # clears row 0 by a column operation that shrinks column 0 to one entry
     monkeypatch.setattr(snf_module, "heapq", SimpleNamespace(
         heapify=heapq.heapify, heappop=heapq.heappop, heappush=lambda heap, item: None))
     with pytest.raises(InvariantError, match="left out of the pivot heap"):
-        snf(dense_to_entries([[1, 0], [1, 0], [0, 1]]), (3, 2))
+        snf(dense_to_entries([[1, 1], [1, 0]]), (2, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_pivot_strategy)
+def test_clean_unit_rows_map_onto(rows):
+    # non-unit pivots are common here, so Euclid steps move pivots between
+    # rows; the clean rows B must still give M[B, :] onto Z^B
+    n = len(rows[0])
+    clean = sorted(snf(dense_to_entries(rows), (len(rows), n)).clean_unit_rows)
+    res = snf(dense_to_entries([rows[b] for b in clean]), (len(clean), n))
+    assert res.rank == len(clean) and set(res.diag) <= {1}
 
 
 @settings(max_examples=40, deadline=None)

@@ -78,6 +78,10 @@ def cmd_graph(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    if args.dump_complex and args.format == "table":
+        return _fail(2, "--dump-complex needs --format json")
+    if args.no_subdivision and args.extra_subdivision:
+        return _fail(2, "--extra-subdivision cannot be combined with --no-subdivision")
     g = _read_graph(args.graph)
     if args.no_subdivision:
         sub = g
@@ -86,8 +90,8 @@ def cmd_homology(args) -> int:
         pieces = subdivision_pieces(args.n, args.extra_subdivision)
         sub = subdivide_uniform(g, pieces)
         level = f"{pieces} pieces per edge"
-    print(f"subdivision: {level}", file=sys.stderr)
     cx = build_discretized(sub, args.n, ordered=not args.unordered)
+    print(f"subdivision: {level}", file=sys.stderr)
     try:
         h = homology(cx.chain)
     except NotAComplexError as exc:

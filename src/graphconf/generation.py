@@ -12,7 +12,9 @@ which every report records.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .discretized import (
     CubicalComplex,
@@ -118,8 +120,7 @@ def generator_images(
     order whose image passes.
 
     A generator with an edge and no vertex of degree < 2 is image-first:
-    its images are found among the unions of whole ambient arcs of G''
-    that are homeomorphic to it.
+    its images are found among the unions of whole ambient arcs of G''.
 
     - The image of such a morphism has no vertex of degree < 2: a vertex
       image has the degree of its preimage (one path leaves it per edge),
@@ -127,18 +128,15 @@ def generator_images(
     - An interior vertex of an ambient arc has degree 2 in G''.  If the
       image reaches it, it has degree >= 2 in the image, so the image holds
       both its edges.  Walking along the arc, an image that holds one edge
-      of an arc holds the whole arc.  So the image is a union of arcs, and
-      the morphism is a homeomorphism from gen onto it.
-    - Conversely, a homeomorphic union H is an image iff some morphism
-      gen -> H is onto H.  When gen has no degree-2 vertex, as in a
-      ``GeneratorList``, H is a subdivision of gen and every union is.
+      of an arc holds the whole arc.  So the image is a union of arcs.
+    - The morphisms gen -> G'' with image H are the morphisms gen -> H
+      whose image is all of H (paths in H are the paths of G'' inside H,
+      and the four conditions read the same in both).
 
-    The morphisms gen -> G'' with image H are the morphisms gen -> H whose
-    image is all of H (paths in H are the paths of G'' inside H, and the
-    four conditions read the same in both).  Their number depends only on
-    the isomorphism class of H, so it is counted once per class.  The
-    count sums over every homeomorphic union, whether it passes Abrams'
-    test or not.
+    So each union H adds ``_onto_count`` to the count, and it is an image
+    iff that count is not 0.  The count is exact for any union, so no
+    union is filtered or grouped first, and unions that fail Abrams' test
+    count too.  ``iter_tm`` runs only for the witness, and stops at it.
 
     Any other generator (a leaf, an isolated vertex, or no edge) takes
     every morphism from ``iter_tm``, keyed by its image sets, so each
@@ -147,18 +145,13 @@ def generator_images(
         return _images_by_morphism(ctx, gen)
     amb = ctx.subdivided
     arcs = ambient_arcs(amb)
+    profile = _arc_profile(gen)
     passing: dict = {}  # (vertex set, edge set) -> image that passes
-    classes: list[tuple[SimpleGraph, int]] = []  # (representative, onto count)
     count = 0
     for size in range(1, len(arcs) + 1):
         for combo in itertools.combinations(arcs, size):
             h = amb.subgraph([e for arc in combo for e in arc])
-            if not is_homeomorphic(gen, h):
-                continue
-            onto = next((c for rep, c in classes if is_isomorphic(rep, h)), None)
-            if onto is None:
-                onto = _onto_count(gen, h)
-                classes.append((h, onto))
+            onto = _onto_count(profile, h)
             count += onto
             if onto and is_sufficiently_subdivided(h, ctx.n):
                 passing[(h.vertex_set, h.edge_set)] = h
@@ -169,17 +162,115 @@ def generator_images(
     return list(passing.values()), count, witness
 
 
-def _onto_count(gen: SimpleGraph, h: SimpleGraph) -> int:
-    """Number of morphisms gen -> h whose image is all of h.
+class _ArcProfile(NamedTuple):
+    """A graph cut into arcs at its branch vertices (degree != 2)."""
 
-    The paths of a morphism share no edge, and their interiors miss each
-    other and the vertex images.  So the image has sum(len(path)) edges and
-    |V(gen)| + sum(len(path) - 1) vertices, and it is all of h iff the path
-    lengths add up to |E(h)| and |V(gen)| - |E(gen)| = |V(h)| - |E(h)|."""
-    if len(gen.vertices) - len(gen.edges) != len(h.vertices) - len(h.edges):
+    euler: int  # |V| - |E|
+    branch: dict[int, int]  # branch vertex -> degree
+    arcs: dict[tuple[int, int], list[int]]  # (a, b), a <= b -> edges of each arc a..b
+    cycles: list[int]  # edges of each cycle component (no branch vertex)
+
+
+def _arc_profile(g: SimpleGraph) -> _ArcProfile:
+    branch = {v: g.degree(v) for v in g.vertices if g.degree(v) != 2}
+    arcs: dict[tuple[int, int], list[int]] = {}
+    cycles = []
+    for arc in ambient_arcs(g):
+        # the branch vertices of an arc's end edges are its ends; a loop
+        # arc has one, a cycle component none
+        ends = {v for e in (arc[0], arc[-1]) for v in e if v in branch}
+        if ends:
+            arcs.setdefault((min(ends), max(ends)), []).append(len(arc))
+        else:
+            cycles.append(len(arc))
+    return _ArcProfile(len(g.vertices) - len(g.edges), branch, arcs, cycles)
+
+
+def _bijections(src: list[int], dst: list[int], ways) -> int:
+    """Sum over the bijections src -> dst of the product of ways(s, d):
+    the permanent of the matrix ways(s, d), 0 if it is not square."""
+    if len(src) != len(dst):
         return 0
-    return sum(1 for rho in iter_tm(gen, h, kind="tm")
-               if sum(p.edge_count for _, p in rho.rho_e_items) == len(h.edges))
+    return sum(math.prod(map(ways, src, perm)) for perm in itertools.permutations(dst))
+
+
+def _onto_count(gen: _ArcProfile, h: SimpleGraph) -> int:
+    """Number of morphisms gen -> h whose image is all of h, where gen is
+    given by its ``_arc_profile``.  Exact for every simple graph h.
+
+    Branch vertices are the vertices of degree != 2.  Let rho be onto h.
+
+    - Each vertex of h is a vertex image or a path interior vertex.  A
+      vertex image has the degree of its preimage (one path leaves it per
+      edge, and no other path reaches it), and an interior vertex has
+      degree 2.  So rho restricts to a degree-preserving bijection phi
+      from the branch vertices of gen to those of h, and sends the
+      degree-2 vertices of gen to degree-2 vertices of h.
+    - Follow a gen arc from branch vertex a to branch vertex b.  Its image
+      is a path (closed when a = b) from phi(a) to phi(b) whose interior
+      vertices all have degree 2 in h: an h arc between phi(a) and phi(b).
+      Two gen arcs share no image edge, and rho is onto, so rho matches
+      the gen arcs between a and b one to one with the h arcs between
+      phi(a) and phi(b).  Likewise it matches the cycle components
+      (components with no branch vertex) of gen with those of h.
+    - Conversely, fix phi and these matchings.  A gen arc with k interior
+      vertices (k + 1 edges) onto an h arc with L edges is placed by
+      picking, in order, k of the L - 1 interior vertices of the h arc
+      for its interior vertices; the paths are the segments in between,
+      and they cover the h arc.  That is C(L - 1, k) ways, and twice that
+      for a loop arc (a = b), which can run either way round: the two
+      directions give different maps since k >= 2 in a simple graph.  A
+      gen cycle with k vertices onto an h cycle with L vertices takes L
+      images for a fixed gen vertex, 2 directions and C(L - 1, k - 1)
+      places for the rest.  The paths so chosen are disjoint apart from
+      shared ends, so each choice is one onto morphism, and different
+      choices differ in rho_V or in an edge's path.
+
+    So the count is the sum over phi of the product, over pairs of branch
+    vertices, of the sum over arc matchings of the product of placements,
+    times the same sum over cycle matchings.  phi is built one vertex at a
+    time, and a pair whose arcs cannot be matched prunes it.  The early
+    exit: an onto image has |E(gen)| + sum(len(path) - 1) edges and
+    |V(gen)| + sum(len(path) - 1) vertices, so |V| - |E| agrees."""
+    if gen.euler != len(h.vertices) - len(h.edges):
+        return 0
+    tgt = _arc_profile(h)
+    if len(gen.branch) != len(tgt.branch):
+        return 0
+    cycles = _bijections(gen.cycles, tgt.cycles,
+                         lambda k, L: 2 * L * math.comb(L - 1, k - 1))
+    if not cycles:
+        return 0
+    order = list(gen.branch)
+    phi: dict[int, int] = {}
+
+    def arcs_between(u: int, v: int, x: int, w: int) -> int:
+        # gen arcs u..v matched onto h arcs x..w, x = phi(u) and w = phi(v)
+        turns = 2 if u == v else 1
+        return _bijections(gen.arcs.get((min(u, v), max(u, v)), []),
+                           tgt.arcs.get((min(x, w), max(x, w)), []),
+                           lambda m, L: turns * math.comb(L - 1, m - 1))
+
+    def extend(i: int) -> int:
+        if i == len(order):
+            return 1
+        v = order[i]
+        total = 0
+        for w, degree in tgt.branch.items():
+            if degree != gen.branch[v] or w in phi.values():
+                continue
+            phi[v] = w
+            weight = 1
+            for u in order[:i + 1]:
+                weight *= arcs_between(u, v, phi[u], w)
+                if not weight:
+                    break
+            if weight:
+                total += weight * extend(i + 1)
+            del phi[v]
+        return total
+
+    return cycles * extend(0)
 
 
 def _images_by_morphism(

@@ -254,6 +254,8 @@ def subdivide(g: SimpleGraph, per_edge_counts) -> SimpleGraph:
 
 def subdivision_pieces(n: int, extra: int) -> int:
     """Pieces per edge for n strands: Abrams' sufficient n+1, plus extra."""
+    if n < 1:
+        raise BadParamsError("n must be >= 1")
     if extra < 0:
         raise BadParamsError("extra subdivision must be >= 0")
     return n + 1 + extra

@@ -261,3 +261,25 @@ def test_minor_bad_input_exits_2(argv, capsys, g6):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in json.loads(captured.err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--no-subdivision", "--extra-subdivision", "5"],
+     "--extra-subdivision cannot be combined with --no-subdivision"),
+    (["--dump-complex", "--format", "table"], "--dump-complex needs --format json"),
+], ids=["extra-with-no-subdivision", "dump-complex-with-table"])
+def test_homology_rejects_a_flag_that_would_do_nothing(argv, message, capsys, g6):
+    k4 = g6("k4.json", family("complete", 4))
+    assert main(["homology", "--graph", k4, "-n", "2", "--unordered", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": message}
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_homology_rejects_n_below_1(n, capsys, g6):
+    k4 = g6("k4.json", family("complete", 4))
+    assert main(["homology", "--graph", k4, "-n", n, "--unordered"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == '{"error": "n must be >= 1", "kind": "BadParamsError"}\n'

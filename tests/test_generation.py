@@ -3,10 +3,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from graphconf import generation
 from graphconf.discretized import is_sufficiently_subdivided
 from graphconf.errors import BadParamsError
 from graphconf.generation import (
     GeneratorList,
+    _arc_profile,
     _onto_count,
     _stage_subgraphs,
     betti_stage,
@@ -17,8 +19,8 @@ from graphconf.generation import (
     robertson_stage,
     subgraph_homeomorphism_types,
 )
-from graphconf.graphs import (SimpleGraph, betti1, disjoint_union, family, make_graph,
-                              subdivide_uniform, subdivision_pieces, theta_graph)
+from graphconf.graphs import (SimpleGraph, ambient_arcs, betti1, disjoint_union, family,
+                              make_graph, subdivide_uniform, subdivision_pieces, theta_graph)
 from graphconf.morphisms import enumerate_tm, gtm_k_member, iter_tm, smooth
 
 
@@ -293,11 +295,86 @@ def test_generators_without_edges_keep_their_counts():
     assert witness.to_json_obj() == {"rho_V": {}, "rho_E": {}}
 
 
+def onto_count_by_morphisms(gen, h):
+    """Reference for _onto_count: walk every morphism gen -> h and keep the
+    ones whose paths cover all edges of h (with |V| - |E| equal, they then
+    cover every vertex too)."""
+    if len(gen.vertices) - len(gen.edges) != len(h.vertices) - len(h.edges):
+        return 0
+    return sum(1 for rho in iter_tm(gen, h, kind="tm")
+               if sum(p.edge_count for _, p in rho.rho_e_items) == len(h.edges))
+
+
+def onto_count(gen, h):
+    return _onto_count(_arc_profile(gen), h)
+
+
 @pytest.mark.parametrize("sub,n,gen,morphisms,distinct", IMAGE_CASES)
 def test_onto_count_is_the_subdivision_count(sub, n, gen, morphisms, distinct):
     ctx = SimpleNamespace(subdivided=sub, n=n)
     images, _, _ = generator_images(ctx, GENERATORS[gen])
     assert len(images) == distinct
     for h in images:
-        assert _onto_count(GENERATORS[gen], h) == len(
+        assert onto_count(GENERATORS[gen], h) == len(
             enumerate_tm(GENERATORS[gen], h, kind="subdivision"))
+
+
+@pytest.mark.parametrize("sub,n,gen,morphisms,distinct", IMAGE_CASES)
+def test_onto_count_matches_morphisms_on_every_union_of_arcs(sub, n, gen, morphisms,
+                                                              distinct):
+    # every union, homeomorphic to the generator or not
+    arcs = ambient_arcs(sub)
+    for size in range(1, len(arcs) + 1):
+        for combo in itertools.combinations(arcs, size):
+            h = sub.subgraph([e for arc in combo for e in arc])
+            assert onto_count(GENERATORS[gen], h) == onto_count_by_morphisms(
+                GENERATORS[gen], h), h
+
+
+BOWTIE = make_graph(range(5), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+ONTO_CASES = [
+    # two loop arcs at one vertex: 2 matchings, each loop 2 * C(5, 2) ways
+    pytest.param(BOWTIE, subdivide_uniform(BOWTIE, 2), 800, id="bowtie-loops"),
+    # a loop arc and a leaf: 2 * C(8, 2) ways round the loop, one on the stem
+    pytest.param(lollipop(), subdivide_uniform(lollipop(), 3), 56, id="lollipop-leaf"),
+    # |V| - |E| differs, so nothing is onto
+    pytest.param(disjoint_union(C3, C3), disjoint_union(theta_graph(), family("cycle", 4)),
+                 0, id="C3+C3-into-theta+C4"),
+    pytest.param(family("cycle", 4), theta_graph(), 0, id="C4-onto-theta"),
+    # one placement per automorphism
+    pytest.param(family("complete", 4), subdivide_uniform(family("complete", 4), 3), 24,
+                 id="K4-onto-K4''"),
+]
+
+
+@pytest.mark.parametrize("gen,h,expected", ONTO_CASES)
+def test_onto_count_named_cases(gen, h, expected):
+    assert onto_count(gen, h) == onto_count_by_morphisms(gen, h) == expected
+
+
+def _count_iter_tm_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return iter_tm(*args, **kwargs)
+
+    monkeypatch.setattr(generation, "iter_tm", counted)
+    return calls
+
+
+def test_leafless_generator_walks_iter_tm_only_for_the_witness(monkeypatch):
+    calls = _count_iter_tm_calls(monkeypatch)
+    ctx = SimpleNamespace(subdivided=subdivide_uniform(family("complete", 4), 4), n=2)
+    images, count, witness = generator_images(ctx, C3)
+    assert (count, len(images)) == (15360, 7) and witness is not None
+    assert len(calls) == 1
+
+
+def test_leafless_generator_with_no_passing_image_never_walks_iter_tm(monkeypatch):
+    calls = _count_iter_tm_calls(monkeypatch)
+    # theta's cycles have 3, 3 and 4 edges, too short for Abrams' test at n = 4
+    ctx = SimpleNamespace(subdivided=theta_graph(), n=4)
+    images, count, witness = generator_images(ctx, C3)
+    assert images == [] and witness is None and count > 0
+    assert calls == []

@@ -27,6 +27,7 @@ from .generation import (
     brute_force_span,
     build_ambient,
     generation_check,
+    image_by_chain_map,
     robertson_stage,
     subgraph_homeomorphism_types,
 )
@@ -316,7 +317,16 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    """Filtration stage containments and the circle's Betti stages."""
+    """Filtration stage containments and the circle's Betti stages; every
+    stage subgraph's image agrees with the chain-map oracle."""
+
+    def oracle_mismatch(ctx, g):
+        # the stage spans cache one image per stage subgraph they used
+        for vertices, edges in list(ctx._image_cache):
+            h = SimpleGraph(vertices, edges)
+            if ctx.image_of_subgraph(h) != image_by_chain_map(ctx, h):
+                return f"image of {edges} differs from the chain-map image on {g.edges}"
+        return None
 
     def run():
         targets = [family("cycle", 3), theta_graph(), family("complete", 4)]
@@ -324,6 +334,8 @@ def criterion_7() -> CriterionResult:
             ctx = build_ambient(g, 1, 2, 0, ordered=False)
             b = {s: betti_stage(ctx, s) for s in (0, 1, 2)}
             r = {k: robertson_stage(ctx, k) for k in (1, 2, 3)}
+            if mismatch := oracle_mismatch(ctx, g):
+                return False, mismatch
             for s in (0, 1):
                 if not b[s + 1].contains(b[s]):
                     return False, f"B_{s} not inside B_{s + 1} on {g.edges}"
@@ -337,6 +349,8 @@ def criterion_7() -> CriterionResult:
         ctx = build_ambient(c3, 1, 2, 0, ordered=False)
         b0 = betti_stage(ctx, 0)
         b1_sub = betti_stage(ctx, 1)
+        if mismatch := oracle_mismatch(ctx, c3):
+            return False, mismatch
         if b0.free_rank() != 0:
             return False, f"circle B_0 has rank {b0.free_rank()}"
         if not b1_sub.is_full():

@@ -20,7 +20,7 @@ from .cographs import (
     is_cograph,
 )
 from .discretized import build_discretized, cell_count_table, complex_to_json_obj
-from .errors import GraphConfError, InvariantError, NotAComplexError
+from .errors import BadParamsError, GraphConfError, InvariantError, NotAComplexError
 from .generation import (GeneratorList, betti_stage, build_ambient, check_stage_level,
                          generation_check, robertson_stage)
 from .gio import from_json, load_graph, to_graph6, to_json
@@ -168,10 +168,17 @@ def cmd_generate(args) -> int:
     # check the arguments before the ambient complex is built
     stages = {"betti": betti_stage, "robertson": robertson_stage}
     if args.stage:
+        if args.gens is not None:
+            return _fail(2, "--gens cannot be combined with --stage")
+        if args.format == "table":
+            return _fail(2, "--stage has no table format")
         kind, _, value = args.stage.partition(":")
         if kind not in stages:
             return _fail(2, f"unknown stage kind {kind!r}")
-        level = int(value)
+        try:
+            level = int(value)
+        except ValueError:
+            raise BadParamsError("stage level must be an integer") from None
         check_stage_level(kind, level)
     elif args.gens:
         gens = GeneratorList.of(*[_read_graph(p) for p in args.gens])
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--graph", required=True)
     pn.add_argument("-n", type=int, required=True)
     pn.add_argument("-i", type=int, required=True)
-    pn.add_argument("--gens", nargs="*", default=[])
+    pn.add_argument("--gens", nargs="*")
     pn.add_argument("--stage", help="betti:<g> or robertson:<k>")
     pn.add_argument("--extra-subdivision", type=int, default=0)
     pn.add_argument("--unordered", action="store_true")

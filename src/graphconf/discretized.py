@@ -148,7 +148,11 @@ def is_sufficiently_subdivided(g: SimpleGraph, n: int) -> bool:
     return all(len(arc) >= n + 1 for arc in ambient_arcs(g))
 
 
-# -- chain maps from subgraph inclusions --------------------------------------
+# -- the oracle for subgraph images: chain maps of inclusions ----------------
+#
+# ``generation.AmbientContext.image_of_subgraph`` reads D_n(H) off the
+# ambient complex as a subset of its cells; ``generation.image_by_chain_map``
+# rebuilds D_n(H) and maps it along ``inclusion_chain_map`` to check it.
 
 
 def inclusion_chain_map(

@@ -14,15 +14,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .discretized import (
     CubicalComplex,
     build_discretized,
+    edge_slot,
     inclusion_chain_map,
     is_sufficiently_subdivided,
+    vertex_slot,
 )
-from .errors import BadParamsError
+from .errors import BadParamsError, NotASubgraphError
 from .graphs import SimpleGraph, ambient_arcs, betti1, subdivide_uniform, subdivision_pieces
 from .homology import (
     HomologyPresentation,
@@ -76,25 +79,72 @@ class AmbientContext:
     _image_cache: dict = field(default_factory=dict)
 
     def image_of_subgraph(self, h: SimpleGraph) -> Subgroup:
-        """Image of H_i(D_n(H)) -> H_i(D_n(G'')) for a subgraph H."""
+        """Image of H_i(D_n(H)) -> H_i(D_n(G'')) for a subgraph H.
+
+        D_n(H) is the subcomplex of D_n(G'') spanned by the cells whose
+        slots (edges and vertices) all lie in H: the faces of such a cell
+        lie in H too, with the same boundary entries and signs.  So Z_i(H)
+        is the kernel of the ambient d_i restricted to those columns, with
+        the ambient rows, and the inclusion sends each of its vectors to
+        itself.  ``image_by_chain_map`` builds D_n(H) instead; it is the
+        oracle for this method."""
         key = (h.vertices, h.edges)
         cached = self._image_cache.get(key)
         if cached is not None:
             return cached
-        fmap = inclusion_chain_map(
-            h, self.subdivided, self.n, self.ordered, target_complex=self.complex
-        )
-        src = fmap.source
+        if not h.is_subgraph_of(self.subdivided):
+            raise NotASubgraphError("H is not a subgraph of G''")
+        bits = self._slot_bits
+        outside = ~(sum(bits[edge_slot(a, b)] for a, b in h.edges)
+                    | sum(bits[vertex_slot(v)] for v in h.vertices))
+        inside = [j for j, cell in enumerate(self._cell_bits) if not cell & outside]
         if self.i == 0:
-            kernel = [{j: 1} for j in range(src.rank(0))]
+            cycles = [{j: 1} for j in inside]
         else:
-            res = snf(src.boundary(self.i),
-                      (src.rank(self.i - 1), src.rank(self.i)), track_v=True)
-            kernel = res.kernel_basis()
-        cycles = [fmap.apply(self.i, vec) for vec in kernel]
+            cols = self._columns
+            entries = {(r, c): v for c, j in enumerate(inside) for r, v in cols[j].items()}
+            res = snf(entries, (self.complex.chain.rank(self.i - 1), len(inside)),
+                      track_v=True)
+            cycles = [{inside[c]: v for c, v in vec.items()} for vec in res.kernel_basis()]
         sub = cycle_image_subgroup(self.pres, cycles)
         self._image_cache[key] = sub
         return sub
+
+    @cached_property
+    def _slot_bits(self) -> dict:
+        """One bit per slot of D_n(G''): each edge and each vertex of G''."""
+        g = self.subdivided
+        slots = [edge_slot(a, b) for a, b in g.edges] + [vertex_slot(v) for v in g.vertices]
+        return {s: 1 << k for k, s in enumerate(slots)}
+
+    @cached_property
+    def _cell_bits(self) -> list[int]:
+        """The slots of each i-cell of D_n(G''), as bits of ``_slot_bits``."""
+        cells = self.complex.cells[self.i] if self.i <= self.n else ()
+        return [sum(self._slot_bits[s] for s in cell) for cell in cells]
+
+    @cached_property
+    def _columns(self) -> dict[int, dict[int, int]]:
+        """The ambient d_i by column."""
+        cols: dict[int, dict[int, int]] = {}
+        for (r, c), v in self.complex.chain.boundary(self.i).items():
+            cols.setdefault(c, {})[r] = v
+        return cols
+
+
+def image_by_chain_map(ctx: AmbientContext, h: SimpleGraph) -> Subgroup:
+    """``AmbientContext.image_of_subgraph`` the long way, as its oracle:
+    build D_n(H), take the kernel of its d_i and push it forward along the
+    inclusion chain map D_n(H) -> D_n(G'')."""
+    fmap = inclusion_chain_map(h, ctx.subdivided, ctx.n, ctx.ordered,
+                               target_complex=ctx.complex)
+    src = fmap.source
+    if ctx.i == 0:
+        kernel = [{j: 1} for j in range(src.rank(0))]
+    else:
+        res = snf(src.boundary(ctx.i), (src.rank(ctx.i - 1), src.rank(ctx.i)), track_v=True)
+        kernel = res.kernel_basis()
+    return cycle_image_subgroup(ctx.pres, [fmap.apply(ctx.i, vec) for vec in kernel])
 
 
 def build_ambient(
@@ -388,9 +438,36 @@ def _stage_subgraphs(ctx: AmbientContext, predicate) -> list[SimpleGraph]:
 
     ``predicate`` must be invariant under subdividing an edge (both stage
     predicates are: ``betti1 <= s``, and topological-minor containment of
-    the Robertson chain).  Only candidates are tested: on each ambient arc
-    of G'' a candidate takes no edges, or all edges but a set of gaps, any
-    two at least n+2 positions apart.  This is exact:
+    the Robertson chain).  Only the candidates of ``_stage_candidates``
+    are tested, largest first, and Abrams' test runs on their masks, so a
+    subgraph is built only for a candidate that passes it.
+    """
+    masks, sufficient = _stage_candidates(ctx)
+    passing: list[tuple[int, SimpleGraph]] = []
+    for mask in masks:
+        if any(mask & bigger == mask for bigger, _ in passing):
+            continue
+        if sufficient(mask):
+            h = _mask_subgraph(ctx.subdivided, mask)
+            if predicate(h):
+                passing.append((mask, h))
+    return [h for _, h in passing]
+
+
+def _mask_subgraph(g: SimpleGraph, mask: int) -> SimpleGraph:
+    """The edges of g whose bits are set: edge j is bit 1 << (|E|-1-j)."""
+    top = len(g.edges) - 1
+    return g.subgraph([e for j, e in enumerate(g.edges) if mask >> (top - j) & 1])
+
+
+def _stage_candidates(ctx: AmbientContext) -> tuple[list[int], Callable[[int], bool]]:
+    """The candidate edge masks of ``_stage_subgraphs`` in the order it tests
+    them, and Abrams' test on a candidate mask: whether the subgraph with
+    those edges ``is_sufficiently_subdivided`` for ``ctx.n``.
+
+    On each ambient arc of G'' a candidate takes no edges, or all edges but
+    a set of gaps, any two at least n+2 positions apart.  Testing only
+    these is exact:
 
     - Suppose a maximal passing H had two adjacent missing edges on an arc
       that still has some edge in H.  Then some leaf x of H sits on that
@@ -406,36 +483,115 @@ def _stage_subgraphs(ctx: AmbientContext, predicate) -> list[SimpleGraph]:
       cycle component the gaps are spaced as on a path, which only adds
       candidates.)
 
-    Edge j of G'' is bit ``1 << (|E''|-1-j)`` of a mask; within one size,
-    descending masks are the ``itertools.combinations`` order, so the
-    result comes in order of decreasing size, then lexicographic order.
+    Edge j of G'' is bit ``1 << (|E''|-1-j)`` of a mask; the masks come by
+    decreasing size, then decreasing mask, which within one size is the
+    ``itertools.combinations`` order.
+
+    Abrams' test asks that every arc of H, open or closed, and every cycle
+    component of H has >= n+1 edges.  On one ambient arc, a candidate's
+    edges fall into pieces: the whole arc, or the segments between its
+    gaps.  A piece that reaches an end of the ambient arc keeps that end,
+    a branch vertex of G'' (degree != 2); every other piece end is a leaf
+    of H.  The arcs of H are the pieces joined at branch vertices where
+    exactly two pieces meet:
+
+    - An interior vertex of an ambient arc has degree 2 in G'', so it has
+      degree 2 in H exactly when it lies inside a piece, and is a leaf of
+      H at a piece end next to a gap.
+    - A branch vertex b has one H edge per piece end at b, so it has
+      degree 2 in H exactly when two piece ends meet there.  Then b is
+      interior to an arc of H, which runs on through both pieces; at any
+      other degree the pieces end there.  So the arcs of H, and its cycle
+      components, are the classes of pieces under "meet at a branch
+      vertex of H-degree 2", and each has the summed length of its
+      pieces.
+    - A whole loop arc (both ends at one branch vertex, as in a
+      lollipop) meets itself there.  If no other piece reaches that
+      vertex, the loop is a cycle component of H with L edges, its own
+      class; else it is a closed arc of H with L edges.  A cycle component
+      of G'' has no branch vertex: taken whole it is a cycle component of
+      H, and with gaps its wrap-around segment and the segments between
+      gaps are paths with two leaf ends, each an arc of H by itself.
+
+    So each arc pattern is cut once into its pieces with a branch end,
+    the pieces with none are checked against n+1 there (a pattern with a
+    short one fails at once), and a union-find over a mask's pieces with
+    branch ends gives the edge count of each arc of H.  Short ambient arcs
+    need no special case: a whole arc shorter than n+1 is one piece.
     """
     amb = ctx.subdivided
+    need = ctx.n + 1
     edges = amb.edges
     bit = {e: 1 << (len(edges) - 1 - j) for j, e in enumerate(edges)}
     masks = [0]
+    # per ambient arc: its bits, and pattern -> pieces with a branch end as
+    # (edge count, branch ends), or None when a piece with no branch end is short
+    tables: list[tuple[int, dict]] = []
     for arc in ambient_arcs(amb):
         full = sum(bit[e] for e in arc)
-        patterns = {0} | {full - sum(bit[arc[k]] for k in gaps)
-                          for gaps in _gap_sets(len(arc), ctx.n + 2)}
-        masks = [m | p for m in masks for p in patterns]
-    by_size: dict[int, list[int]] = {}
-    for mask in masks:
-        if mask:
-            by_size.setdefault(mask.bit_count(), []).append(mask)
+        table = {0: ()}
+        for gaps in _gap_sets(len(arc), ctx.n + 2):
+            table[full - sum(bit[arc[k]] for k in gaps)] = _arc_pieces(amb, arc, gaps, need)
+        tables.append((full, table))
+        masks = [m | p for m in masks for p in table]
+    masks.remove(0)
+    masks.sort(key=lambda m: (m.bit_count(), m), reverse=True)
 
-    def subgraph(mask: int) -> SimpleGraph:
-        return amb.subgraph([e for e in edges if mask & bit[e]])
+    def sufficient(mask: int) -> bool:
+        lengths: list[int] = []
+        at: dict[int, list[int]] = {}  # branch vertex -> its pieces, once per end
+        for full, table in tables:
+            pieces = table[mask & full]
+            if pieces is None:
+                return False
+            for length, ends in pieces:
+                for v in ends:
+                    at.setdefault(v, []).append(len(lengths))
+                lengths.append(length)
+        root = list(range(len(lengths)))
 
-    passing: list[int] = []
-    for size in sorted(by_size, reverse=True):
-        for mask in sorted(by_size.pop(size), reverse=True):
-            if any(mask & bigger == mask for bigger in passing):
-                continue
-            h = subgraph(mask)
-            if is_sufficiently_subdivided(h, ctx.n) and predicate(h):
-                passing.append(mask)
-    return [subgraph(mask) for mask in passing]
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        for meeting in at.values():
+            if len(meeting) == 2:
+                a, b = find(meeting[0]), find(meeting[1])
+                if a != b:
+                    root[a] = b
+                    lengths[b] += lengths[a]
+        return all(lengths[x] >= need for x in range(len(lengths)) if root[x] == x)
+
+    return masks, sufficient
+
+
+def _arc_pieces(g: SimpleGraph, arc: list[tuple[int, int]], gaps: tuple[int, ...],
+                need: int) -> tuple | None:
+    """The pieces of ``arc`` minus the edges at positions ``gaps`` that end
+    at a branch vertex, as (edge count, branch ends); None when a piece
+    with no branch end has fewer than ``need`` edges."""
+    size = len(arc)
+    if size == 1:
+        first, last = arc[0]
+    else:
+        first = next(v for v in arc[0] if v not in arc[1])
+        last = next(v for v in arc[-1] if v not in arc[-2])
+    cuts = (-1, *gaps, size)
+    segments = [b - a - 1 for a, b in zip(cuts, cuts[1:])]
+    if g.degree(first) == 2:  # a cycle component: no branch vertex
+        floating = [size] if not gaps else [segments[0] + segments[-1], *segments[1:-1]]
+        pieces: tuple = ()
+    elif not gaps:
+        floating, pieces = [], ((size, (first, last)),)
+    else:
+        floating = segments[1:-1]
+        pieces = tuple((length, (end,)) for length, end in
+                       ((segments[0], first), (segments[-1], last)) if length)
+    if any(0 < length < need for length in floating):
+        return None
+    return pieces
 
 
 def _stage_span(ctx: AmbientContext, predicate) -> Subgroup:

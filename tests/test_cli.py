@@ -130,7 +130,7 @@ def test_generate_gens_and_stage(capsys, g6):
 
 @pytest.mark.parametrize("extra, message", [
     (["--stage", "bogus:1"], "unknown stage kind"),
-    (["--stage", "betti:one"], "invalid literal"),
+    (["--stage", "betti:one"], "stage level must be an integer"),
     ([], "needs --gens or --stage"),
     (["--stage", "betti:-1"], "stage must be >= 0"),
     (["--stage", "robertson:0"], "k must be >= 1"),
@@ -147,6 +147,27 @@ def test_generate_rejects_bad_arguments_before_building(extra, message, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("extra, err", [
+    (["--stage", "betti:1", "--gens", "c3.json"],
+     '{"error": "--gens cannot be combined with --stage"}\n'),
+    (["--stage", "betti:1", "--gens"],
+     '{"error": "--gens cannot be combined with --stage"}\n'),
+    (["--stage", "betti:1", "--format", "table"],
+     '{"error": "--stage has no table format"}\n'),
+    (["--stage", "betti:"],
+     '{"error": "stage level must be an integer", "kind": "BadParamsError"}\n'),
+    (["--stage", "betti:x"],
+     '{"error": "stage level must be an integer", "kind": "BadParamsError"}\n'),
+], ids=["stage-with-gens", "stage-with-empty-gens", "stage-with-table",
+        "empty-stage-level", "non-integer-stage-level"])
+def test_generate_stage_flags_that_would_do_nothing_exit_2(extra, err, capsys, tmp_path):
+    # the graph file does not exist: the flags are checked before it is read
+    missing = str(tmp_path / "missing.json")
+    assert main(["generate", "--graph", missing, "-n", "2", "-i", "1", *extra]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
 
 
 def test_generate_echoes_the_callers_parameters(capsys, g6):

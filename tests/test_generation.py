@@ -1,4 +1,5 @@
 import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -9,13 +10,16 @@ from graphconf.errors import BadParamsError
 from graphconf.generation import (
     GeneratorList,
     _arc_profile,
+    _mask_subgraph,
     _onto_count,
+    _stage_candidates,
     _stage_subgraphs,
     betti_stage,
     brute_force_span,
     build_ambient,
     generation_check,
     generator_images,
+    image_by_chain_map,
     robertson_stage,
     subgraph_homeomorphism_types,
 )
@@ -195,6 +199,99 @@ def test_stage_subgraphs_keep_gaps_exactly_n_plus_2_apart():
     assert got == _keys(all_subsets_stage_subgraphs(ctx, pred))
     assert ((0, 1, 2, 3, 4, 5, 6, 7, 8),
             ((0, 1), (0, 2), (3, 4), (3, 5), (6, 7), (7, 8))) in got
+
+
+def pendant_graph():
+    # the graph above: pendant arcs of length 1, shorter than n+1 for every n
+    return make_graph(range(9), [(0, 1), (0, 2), (3, 4), (3, 5),
+                                 (0, 6), (6, 7), (7, 8), (8, 3)])
+
+
+def _subdivided(g, n):
+    return subdivide_uniform(g, subdivision_pieces(n, 0))
+
+
+MASK_CASES = [("K4''", _subdivided(family("complete", 4), 1), 1)] + [
+    (name, sub, n)
+    for n in (1, 2, 3)
+    for name, sub in [
+        ("theta''", _subdivided(theta_graph(), n)),
+        ("C4''", _subdivided(family("cycle", 4), n)),
+        ("lollipop''", _subdivided(lollipop(), n)),
+        # as given: arcs and cycles shorter than n+1
+        ("theta", theta_graph()),
+        ("lollipop", lollipop()),
+        ("C4+P3", disjoint_union(family("cycle", 4), family("path", 3))),
+        ("pendant", pendant_graph()),
+    ]
+]
+
+
+@pytest.mark.parametrize("name,sub,n", MASK_CASES,
+                         ids=[f"{c[0]}-n{c[2]}" for c in MASK_CASES])
+def test_mask_test_is_abrams_test_on_every_candidate(name, sub, n):
+    masks, sufficient = _stage_candidates(SimpleNamespace(subdivided=sub, n=n))
+    assert len(masks) == len(set(masks)) > 1
+    verdicts = [sufficient(mask) for mask in masks]
+    assert verdicts == [is_sufficiently_subdivided(_mask_subgraph(sub, mask), n)
+                        for mask in masks]
+
+
+def test_stage_subgraphs_make_no_abrams_call(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_sufficiently_subdivided(*args, **kwargs)
+
+    monkeypatch.setattr(generation, "is_sufficiently_subdivided", counted)
+    ctx = build_ambient(theta_graph(), 1, 2, ordered=False)
+    pred = stage_predicate("betti:1")
+    got = _keys(_stage_subgraphs(ctx, pred))
+    assert got == _keys(all_subsets_stage_subgraphs(ctx, pred)) and got
+    assert calls == []
+
+
+# -- subgraph images against the chain-map oracle --------------------------------
+
+
+def _arc_unions(sub, rng, count):
+    """Random unions of ambient arcs, half of them with one edge dropped so
+    that some subgraphs have leaves."""
+    arcs = ambient_arcs(sub)
+    out = []
+    for k in range(count):
+        edges = [e for arc in rng.sample(arcs, rng.randint(1, len(arcs))) for e in arc]
+        if k % 2:
+            edges.remove(rng.choice(edges))
+        if edges:
+            out.append(sub.subgraph(edges))
+    return out
+
+
+IMAGE_ORACLE_CASES = [
+    # (name, graph, i, n, extra, ordered)
+    ("K4-ordered", family("complete", 4), 1, 2, 0, True),
+    ("K4-ordered", family("complete", 4), 2, 2, 0, True),
+    ("theta", theta_graph(), 0, 2, 0, False),
+    ("theta", theta_graph(), 2, 3, 0, False),
+    ("C4-ordered", family("cycle", 4), 1, 2, 1, True),
+    ("K33", family("complete_bipartite", 3, 3), 1, 2, 0, False),
+    # H_2 is 0 in the K4 and theta cases above; here it is Z and Z^3
+    ("K33-ordered", family("complete_bipartite", 3, 3), 2, 2, 0, True),
+    ("K4", family("complete", 4), 2, 3, 0, False),
+]
+
+
+@pytest.mark.parametrize("name,g,i,n,extra,ordered", IMAGE_ORACLE_CASES,
+                         ids=[f"{c[0]}-i{c[2]}-n{c[3]}-extra{c[4]}"
+                              for c in IMAGE_ORACLE_CASES])
+def test_image_of_subgraph_matches_the_chain_map(name, g, i, n, extra, ordered):
+    ctx = build_ambient(g, i, n, extra, ordered=ordered)
+    for h in _arc_unions(ctx.subdivided, random.Random(f"{name}-{i}"), 8):
+        assert ctx.image_of_subgraph(h) == image_by_chain_map(ctx, h), h.edges
+    whole = ctx.image_of_subgraph(ctx.subdivided)
+    assert whole.is_full() and whole == image_by_chain_map(ctx, ctx.subdivided)
 
 
 

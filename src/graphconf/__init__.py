@@ -65,7 +65,7 @@ from .snf import snf
 from .swiatkowski import (
     SwiatkowskiCell,
     enumerate_cells,
-    push_cells,
+    push_keys,
     support_vertices,
     verify_support_bound,
 )

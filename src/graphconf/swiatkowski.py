@@ -9,9 +9,12 @@ discretized model.
 The support G_λ of a cell is the subgraph induced on `support_vertices`, so
 its vertex set fixes it.  `verify_support_bound` therefore groups the cells
 by support vertex set and builds G_λ, its inclusion into G (validated once,
-by `push_cells`) and the cograph verdict once per group, not once per cell.
+by `push_keys`) and the cograph verdict once per group, not once per cell.
 For G = K5, K6, K3,3, K2,4 and K2,2,2 and i = 0..3, the 40,606 cells of
-A_{i,3}(G) have only 864 distinct supports between them.
+A_{i,3}(G) have only 864 distinct supports between them.  A cell and its
+restriction to G_λ share their key (weights, states), so the restriction
+and its push are checked on keys: each enumerated cell is validated once,
+by its constructor.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class SwiatkowskiCell:
     n: int
     i: int
     weights: tuple  # ((a, b), w) with w > 0, sorted
-    states: tuple  # (v, SELF) or (v, ("half", a, b)), sorted; empty states omitted
+    states: tuple  # (v, SELF) or (v, ("half", a, b)) with (a, b) an edge, sorted; empty states omitted
 
     def __post_init__(self):
         es = self.graph.edge_set
@@ -51,9 +54,8 @@ class SwiatkowskiCell:
             seen.add(v)
             if state == SELF:
                 mass += 1
-            elif isinstance(state, tuple) and state[0] == "half":
-                e = norm_edge(state[1], state[2])
-                if e not in es or v not in e:
+            elif isinstance(state, tuple) and len(state) == 3 and state[0] == "half":
+                if state[1:] not in es or v not in state[1:]:
                     raise BadParamsError(f"half-edge {state} not incident on {v}")
                 mass += 1
                 halves += 1
@@ -78,6 +80,14 @@ def enumerate_cells(g: SimpleGraph, i: int, n: int) -> list[SwiatkowskiCell]:
         raise BadParamsError("need 0 <= i <= n")
     verts = list(g.vertices)
     edges = list(g.edges)
+    # the positive-weight part of every weighting, per remaining mass
+    weightings = {
+        r: [
+            tuple((e, w) for e, w in zip(edges, dist) if w > 0)
+            for dist in _weight_distributions(r, len(edges))
+        ]
+        for r in range(n - i + 1)
+    }
     cells = []
     for half_verts in itertools.combinations(verts, i):
         half_choices = [
@@ -89,15 +99,12 @@ def enumerate_cells(g: SimpleGraph, i: int, n: int) -> list[SwiatkowskiCell]:
         rest = [v for v in verts if v not in half_verts]
         for halves in itertools.product(*half_choices):
             for s in range(0, min(n - i, len(rest)) + 1):
-                remaining = n - i - s
-                if remaining > 0 and not edges:
+                weights_left = weightings[n - i - s]
+                if not weights_left:
                     continue
                 for selves in itertools.combinations(rest, s):
                     states = tuple(sorted(halves + tuple((v, SELF) for v in selves)))
-                    for dist in _weight_distributions(remaining, len(edges)):
-                        weights = tuple(
-                            (e, w) for e, w in zip(edges, dist) if w > 0
-                        )
+                    for weights in weights_left:
                         cells.append(SwiatkowskiCell(g, n, i, weights, states))
     cells.sort(key=lambda c: c.key)
     return cells
@@ -119,33 +126,36 @@ def _weight_distributions(total: int, slots: int):
         yield tuple(out)
 
 
-def push_cells(cells, emb: TopMinorMorphism) -> list[SwiatkowskiCell]:
-    """Transport cells of emb.source along a simplicial embedding, extending
-    by 0 and empty.  The embedding is validated once for all of them."""
+def push_keys(keys, emb: TopMinorMorphism) -> list[tuple]:
+    """Transport cell keys (weights, states) of emb.source along a simplicial
+    embedding, extending by 0 and empty.  The embedding is validated once for
+    all of them.  Mass and i do not change along an embedding, so a key is
+    only checked to live on emb.source: each weighted edge, and each state
+    vertex with its half-edge, must be one of the source's."""
     rho_v = emb.rho_v
     if len(set(rho_v.values())) != len(rho_v) or not emb.is_simplicial():
-        raise NotAnEmbeddingError("push_cells needs an injective simplicial map")
+        raise NotAnEmbeddingError("push_keys needs an injective simplicial map")
     ok, _ = validate_tm(emb)
     if not ok:
         raise NotAnEmbeddingError("invalid morphism")
-    pushed = []
-    for cell in cells:
-        if cell.graph != emb.source:
-            raise NotAnEmbeddingError("embedding does not start at the cell's graph")
-        weights = tuple(
-            sorted((norm_edge(rho_v[a], rho_v[b]), w) for (a, b), w in cell.weights)
-        )
-        states = []
-        for v, state in cell.states:
-            if state == SELF:
-                states.append((rho_v[v], SELF))
-            else:
-                _, a, b = state
-                states.append((rho_v[v], ("half",) + norm_edge(rho_v[a], rho_v[b])))
-        pushed.append(
-            SwiatkowskiCell(emb.target, cell.n, cell.i, weights, tuple(sorted(states)))
-        )
-    return pushed
+    # the image of every edge, and of every vertex state, of the source
+    edge_img = {e: norm_edge(rho_v[e[0]], rho_v[e[1]]) for e in emb.source.edges}
+    state_img = {(v, SELF): (w, SELF) for v, w in rho_v.items()}
+    for e, img in edge_img.items():
+        for v in e:
+            state_img[v, ("half",) + e] = (rho_v[v], ("half",) + img)
+    try:
+        return [
+            (
+                tuple(sorted((edge_img[e], w) for e, w in weights)),
+                tuple(sorted(state_img[vs] for vs in states)),
+            )
+            for weights, states in keys
+        ]
+    except KeyError as missing:
+        raise NotAnEmbeddingError(
+            f"{missing.args[0]} is not on the embedding's source"
+        ) from None
 
 
 def support_vertices(cell: SwiatkowskiCell) -> frozenset[int]:
@@ -205,10 +215,10 @@ def verify_support_bound(g: SimpleGraph, i: int, n: int) -> SupportBoundReport:
         if not fits:
             continue
         supp = g.induced(sorted(verts))
-        restricted = [SwiatkowskiCell(supp, n, i, c.weights, c.states) for c in fits]
-        for cell, pushed in zip(fits, push_cells(restricted, inclusion_morphism(supp, g))):
-            if pushed != cell:
-                violations.append(("image", cell.key, size))
+        keys = [c.key for c in fits]
+        for key, pushed in zip(keys, push_keys(keys, inclusion_morphism(supp, g))):
+            if pushed != key:
+                violations.append(("image", key, size))
         if g_is_cograph and not is_cograph(supp):
             violations.extend(("cograph", c.key, size) for c in fits)
     # stable: a cell's "image" violation stays ahead of its "cograph" one

@@ -5,13 +5,13 @@ import pytest
 
 from graphconf import cographs, swiatkowski
 from graphconf.errors import BadParamsError, NotAnEmbeddingError
-from graphconf.graphs import family, make_graph
+from graphconf.graphs import family, make_graph, norm_edge
 from graphconf.morphisms import TopMinorMorphism, enumerate_tm, inclusion_morphism
 from graphconf.swiatkowski import (
     SELF,
     SwiatkowskiCell,
     enumerate_cells,
-    push_cells,
+    push_keys,
     support_vertices,
     verify_support_bound,
 )
@@ -46,6 +46,38 @@ def test_cell_validation():
         SwiatkowskiCell(k2, 1, 0, (), ((0, ("half", 0, 1)),))  # i mismatch
     with pytest.raises(BadParamsError):
         SwiatkowskiCell(k2, 1, 1, (), ((0, ("half", 1, 2)),))  # not incident
+    # a half-edge state is exactly ("half", a, b) with (a, b) a normalized edge
+    for state in [("half", 0), ("half", 0, 1, 5), ("half", 1, 0)]:
+        with pytest.raises(BadParamsError):
+            SwiatkowskiCell(k2, 1, 1, (), ((0, state),))
+
+
+def brute_force_keys(g, i, n):
+    """Every weight vector and every vertex-state map, kept when the mass is
+    n and exactly i states are half-edges; keys in sorted order."""
+    edges = list(g.edges)
+    weight_vectors = [ws for ws in itertools.product(range(n + 1), repeat=len(edges))
+                      if sum(ws) <= n]
+    options = [[None, SELF] + [("half",) + norm_edge(v, w) for w in g.adjacency[v]]
+               for v in g.vertices]
+    keys = []
+    for chosen in itertools.product(*options):
+        states = tuple((v, st) for v, st in zip(g.vertices, chosen) if st is not None)
+        if sum(st != SELF for _, st in states) != i:
+            continue
+        for ws in weight_vectors:
+            if sum(ws) + len(states) == n:
+                weights = tuple(sorted((e, w) for e, w in zip(edges, ws) if w > 0))
+                keys.append((weights, tuple(sorted(states))))
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("name", ["K4", "C4", "S3", "K23"])
+def test_enumeration_matches_brute_force(name):
+    g = ORACLE_GRAPHS[name]
+    for n in (1, 2, 3):
+        for i in range(n + 1):
+            assert [c.key for c in enumerate_cells(g, i, n)] == brute_force_keys(g, i, n)
 
 
 def test_tree_top_cells_count_half_edge_choices():
@@ -63,12 +95,12 @@ def test_tree_top_cells_count_half_edge_choices():
 def test_push_identity_and_injectivity():
     g = family("path", 3)
     ident = inclusion_morphism(g, g)
-    cells = enumerate_cells(g, 1, 2)
-    assert push_cells(cells, ident) == cells
+    keys = [c.key for c in enumerate_cells(g, 1, 2)]
+    assert push_keys(keys, ident) == keys
     k2 = family("complete", 2)
     embs = enumerate_tm(k2, g, kind="simplicial", limit=100)
     for emb in embs:
-        imgs = push_cells(enumerate_cells(k2, 0, 2), emb)
+        imgs = push_keys([c.key for c in enumerate_cells(k2, 0, 2)], emb)
         assert len(set(imgs)) == len(imgs)
 
 
@@ -79,10 +111,9 @@ def test_push_extends_by_zero():
 
     emb = TopMinorMorphism(k2, p3, ((0, 0), (1, 1)), (((0, 1), Path((0, 1))),))
     heavy = SwiatkowskiCell(k2, 2, 0, (((0, 1), 2),), ())
-    (out,) = push_cells([heavy], emb)
-    assert out.graph == p3
-    assert out.weights == (((0, 1), 2),)
-    assert out.states == ()
+    (out,) = push_keys([heavy.key], emb)
+    assert out == ((((0, 1), 2),), ())
+    assert SwiatkowskiCell(p3, 2, 0, *out).key == out
 
 
 def test_push_rejects_non_embeddings():
@@ -100,18 +131,24 @@ def test_push_rejects_non_embeddings():
             ((1, 2), Path((2, 3, 4))),
         ),
     )
-    cell = enumerate_cells(c3, 0, 1)[0]
+    key = enumerate_cells(c3, 0, 1)[0].key
     with pytest.raises(NotAnEmbeddingError):
-        push_cells([cell], subdiv)
+        push_keys([key], subdiv)
 
 
-def test_push_rejects_a_cell_of_another_graph():
+@pytest.mark.parametrize("i, stray", [
+    pytest.param(0, ((((2, 3), 1),), ()), id="edge"),
+    pytest.param(0, ((), ((3, SELF),)), id="vertex"),
+    pytest.param(1, ((), ((0, ("half", 0, 3)),)), id="half-edge"),
+])
+def test_push_rejects_a_key_off_the_source(i, stray):
     c3 = family("cycle", 3)
-    k2 = family("complete", 2)
-    emb = inclusion_morphism(c3, family("complete", 4))
-    ok, stray = enumerate_cells(c3, 0, 1)[0], enumerate_cells(k2, 0, 1)[0]
+    k4 = family("complete", 4)
+    assert SwiatkowskiCell(k4, 1, i, *stray).key == stray  # a cell of the target
+    emb = inclusion_morphism(c3, k4)
+    ok = enumerate_cells(c3, 0, 1)[0].key
     with pytest.raises(NotAnEmbeddingError):
-        push_cells([ok, stray], emb)
+        push_keys([ok, stray], emb)
 
 
 def test_support_examples():
@@ -136,10 +173,21 @@ def test_support_bound_reports():
 
 
 
+def push_cell(cell, emb):
+    """Test-local push of a whole cell along emb, validated by the constructor."""
+    r = emb.rho_v
+    weights = tuple(sorted((norm_edge(r[a], r[b]), w) for (a, b), w in cell.weights))
+    states = tuple(sorted(
+        (r[v], st if st == SELF else ("half",) + norm_edge(r[st[1]], r[st[2]]))
+        for v, st in cell.states
+    ))
+    return SwiatkowskiCell(emb.target, cell.n, cell.i, weights, states)
+
+
 def per_cell_support_bound(g, i, n):
-    """Oracle: the per-cell loop, building G_λ, its inclusion and the
-    cograph verdict anew for every cell; returns (cell_count, max_support,
-    violations)."""
+    """Oracle: the per-cell loop, building G_λ, its inclusion, the restricted
+    cell, its push and the cograph verdict anew for every cell; returns
+    (cell_count, max_support, violations)."""
     g_is_cograph = cographs.is_cograph(g)
     violations = []
     max_support = 0
@@ -155,7 +203,7 @@ def per_cell_support_bound(g, i, n):
             violations.append(("size", cell.key, size))
             continue
         restricted = SwiatkowskiCell(supp, n, i, cell.weights, cell.states)
-        if push_cells([restricted], swiatkowski.inclusion_morphism(supp, g)) != [cell]:
+        if push_cell(restricted, swiatkowski.inclusion_morphism(supp, g)) != cell:
             violations.append(("image", cell.key, size))
         if g_is_cograph and not cographs.is_cograph(supp):
             violations.append(("cograph", cell.key, size))
@@ -225,6 +273,18 @@ def test_validate_tm_runs_once_per_distinct_support(monkeypatch):
         supports = {support_vertices(c) for c in enumerate_cells(g, i, 2)}
         assert len(calls) == len(supports)
         assert {frozenset(emb.source.vertices) for emb in calls} == supports
+
+
+def test_each_cell_is_validated_once(monkeypatch):
+    calls = []
+    real = SwiatkowskiCell.__post_init__
+    monkeypatch.setattr(SwiatkowskiCell, "__post_init__",
+                        lambda cell: calls.append(cell) or real(cell))
+    g = family("complete", 4)
+    for i in range(3):
+        calls.clear()
+        rep = verify_support_bound(g, i, 2)
+        assert rep.ok and len(calls) == rep.cell_count > 0
 
 
 def test_support_bound_rejects_negative_n():

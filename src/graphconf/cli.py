@@ -27,17 +27,13 @@ from .gio import from_json, load_graph, to_graph6, to_json
 from .graphs import (SimpleGraph, betti1, complement, disjoint_union, family,
                      subdivide_uniform, subdivision_pieces)
 from .homology import homology
-from .morphisms import enumerate_tm, gtm_k_member
+from .morphisms import KINDS, enumerate_tm, gtm_k_member
 from .swiatkowski import verify_support_bound
 
 
 def _fail(code: int, message: str, **extra) -> int:
     print(json.dumps({"error": message, **extra}), file=sys.stderr)
     return code
-
-
-def _read_graph(path: str) -> SimpleGraph:
-    return load_graph(path)
 
 
 def _emit_graph(g: SimpleGraph, fmt: str):
@@ -63,15 +59,15 @@ def cmd_graph(args) -> int:
     elif args.subcommand == "union":
         if len(rest) != 2:
             return _fail(2, "union needs two graph files")
-        g = disjoint_union(_read_graph(rest[0]), _read_graph(rest[1]))
+        g = disjoint_union(load_graph(rest[0]), load_graph(rest[1]))
     elif not rest:
         return _fail(2, f"{args.subcommand} needs a graph file")
     elif args.subcommand == "complement":
-        g = complement(_read_graph(rest[0]))
+        g = complement(load_graph(rest[0]))
     elif args.subcommand == "subdivide":
-        g = subdivide_uniform(_read_graph(rest[0]), args.pieces)
+        g = subdivide_uniform(load_graph(rest[0]), args.pieces)
     else:  # betti1
-        print(betti1(_read_graph(rest[0])))
+        print(betti1(load_graph(rest[0])))
         return 0
     _emit_graph(g, args.format)
     return 0
@@ -82,7 +78,7 @@ def cmd_homology(args) -> int:
         return _fail(2, "--dump-complex needs --format json")
     if args.no_subdivision and args.extra_subdivision:
         return _fail(2, "--extra-subdivision cannot be combined with --no-subdivision")
-    g = _read_graph(args.graph)
+    g = load_graph(args.graph)
     if args.no_subdivision:
         sub = g
         level = "none"
@@ -117,14 +113,14 @@ def cmd_minor(args) -> int:
     if args.gtm_k is not None:
         if args.graph is None:
             return _fail(2, "--gtm-k needs --graph")
-        g = _read_graph(args.graph)
+        g = load_graph(args.graph)
         member = gtm_k_member(g, args.gtm_k)
         print(json.dumps({"k": args.gtm_k, "member": member}))
         return 0
     if args.pattern is None or args.host is None:
         return _fail(2, "minor needs --pattern and --host, or --gtm-k with --graph")
-    pattern = _read_graph(args.pattern)
-    host = _read_graph(args.host)
+    pattern = load_graph(args.pattern)
+    host = load_graph(args.host)
     found = enumerate_tm(pattern, host, kind=args.kind, limit=args.limit)
     print(json.dumps({
         "exists": bool(found),
@@ -137,10 +133,10 @@ def cmd_minor(args) -> int:
 
 def cmd_cograph(args) -> int:
     if args.subcommand == "recognize":
-        print(json.dumps({"is_cograph": is_cograph(_read_graph(args.input))}))
+        print(json.dumps({"is_cograph": is_cograph(load_graph(args.input))}))
         return 0
     if args.subcommand == "cotree":
-        print(json.dumps(cotree_to_json_obj(cotree_of(_read_graph(args.input)))))
+        print(json.dumps(cotree_to_json_obj(cotree_of(load_graph(args.input)))))
         return 0
     if args.subcommand == "reconstruct":
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -148,7 +144,7 @@ def cmd_cograph(args) -> int:
         _emit_graph(cograph_of(t), args.format)
         return 0
     # support-report
-    g = _read_graph(args.input)
+    g = load_graph(args.input)
     rows = []
     # a negative n still reaches verify_support_bound, which rejects it
     for i in range(max(args.n, 0) + 1):
@@ -181,10 +177,10 @@ def cmd_generate(args) -> int:
             raise BadParamsError("stage level must be an integer") from None
         check_stage_level(kind, level)
     elif args.gens:
-        gens = GeneratorList.of(*[_read_graph(p) for p in args.gens])
+        gens = GeneratorList.of(*[load_graph(p) for p in args.gens])
     else:
         return _fail(2, "generate needs --gens or --stage")
-    g = _read_graph(args.graph)
+    g = load_graph(args.graph)
     ctx = build_ambient(g, args.i, args.n, args.extra_subdivision, ordered=not args.unordered)
     print(
         f"subdivision: {subdivision_pieces(args.n, args.extra_subdivision)} pieces per edge",
@@ -247,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = subs.add_parser("minor")
     pm.add_argument("--pattern")
     pm.add_argument("--host")
-    pm.add_argument("--kind", choices=["simplicial", "full", "tm", "subdivision"], default="tm")
+    pm.add_argument("--kind", choices=KINDS, default="tm")
     pm.add_argument("--limit", type=int, default=1)
     pm.add_argument("--gtm-k", type=int, default=None)
     pm.add_argument("--graph", help="graph for --gtm-k membership")

@@ -96,17 +96,25 @@ def validate_cotree(t: Cotree) -> tuple[bool, list[str]]:
     return not violations, violations
 
 
+def _split(g: SimpleGraph):
+    """The top of g's cotree, for g with two or more vertices: its label and
+    the induced subgraphs below it.  "0" splits g into its components, "1"
+    into the components of its complement; None means both are connected,
+    so g is not a cograph."""
+    comps = g.components
+    if len(comps) > 1:
+        return "0", [g.induced(c) for c in comps]
+    co_comps = complement(g).components
+    if len(co_comps) == 1:
+        return None
+    return "1", [g.induced(c) for c in co_comps]
+
+
 def is_cograph(g: SimpleGraph) -> bool:
     if len(g.vertices) <= 1:
         return True
-    comps = g.components
-    if len(comps) > 1:
-        return all(is_cograph(g.induced(c)) for c in comps)
-    co = complement(g)
-    co_comps = co.components
-    if len(co_comps) == 1:
-        return False
-    return all(is_cograph(g.induced(c)) for c in co_comps)
+    split = _split(g)
+    return split is not None and all(is_cograph(p) for p in split[1])
 
 
 def cotree_of(g: SimpleGraph) -> Cotree:
@@ -122,32 +130,19 @@ def cotree_of(g: SimpleGraph) -> Cotree:
             labels.append((nid, "L"))
             leaf_map.append((nid, sub.vertices[0]))
             return nid, ("L", ())
-        comps = sub.components
-        if len(comps) > 1:
-            lab = "0"
-            parts = [sub.induced(c) for c in comps]
-        else:
-            co_comps = complement(sub).components
-            if len(co_comps) == 1:
-                raise NotACographError(
-                    f"graph on {sub.vertices} and its complement are both connected"
-                )
-            lab = "1"
-            parts = [sub.induced(c) for c in co_comps]
+        split = _split(sub)
+        if split is None:
+            raise NotACographError(
+                f"graph on {sub.vertices} and its complement are both connected"
+            )
+        lab, parts = split
         labels.append((nid, lab))
         kids = sorted(
-            (build(p) for p in parts),
-            key=lambda pair: (pair[1], min_vertex_under(pair[0])),
+            (build(p) + (min(p.vertices),) for p in parts),
+            key=lambda kid: kid[1:],
         )
-        children.append((nid, tuple(k for k, _ in kids)))
-        return nid, (lab, tuple(sorted(f for _, f in kids)))
-
-    def min_vertex_under(nid: int) -> int:
-        lm = dict(leaf_map)
-        if nid in lm:
-            return lm[nid]
-        ch = dict(children)
-        return min(min_vertex_under(k) for k in ch[nid])
+        children.append((nid, tuple(k for k, _, _ in kids)))
+        return nid, (lab, tuple(f for _, f, _ in kids))
 
     root, _ = build(g)
     return Cotree(tuple(sorted(labels)), tuple(sorted(children)), root, tuple(sorted(leaf_map)))

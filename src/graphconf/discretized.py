@@ -160,13 +160,12 @@ def inclusion_chain_map(
     g: SimpleGraph,
     n: int,
     ordered: bool = True,
-    source_complex: CubicalComplex | None = None,
     target_complex: CubicalComplex | None = None,
 ) -> ChainMap:
     """The degreewise 0/1 map sending each cell of D_n(H) to itself in D_n(G)."""
     if not h.is_subgraph_of(g):
         raise NotASubgraphError("H is not a subgraph of G")
-    src = source_complex or build_discretized(h, n, ordered)
+    src = build_discretized(h, n, ordered)
     tgt = target_complex or build_discretized(g, n, ordered)
     mats: list[Sparse] = []
     for d in range(n + 1):

@@ -14,7 +14,7 @@ from .graphs import SimpleGraph, make_graph
 GRAPH6_HEADER = ">>graph6<<"
 
 
-def to_graph6(g: SimpleGraph, header: bool = False) -> str:
+def to_graph6(g: SimpleGraph) -> str:
     rg = g.relabeled()
     n = len(rg.vertices)
     bits = []
@@ -29,8 +29,7 @@ def to_graph6(g: SimpleGraph, header: bool = False) -> str:
         for b in bits[k : k + 6]:
             val = (val << 1) | b
         chars.append(chr(val + 63))
-    body = _encode_n(n) + "".join(chars)
-    return (GRAPH6_HEADER + body) if header else body
+    return _encode_n(n) + "".join(chars)
 
 
 def _encode_n(n: int) -> str:

@@ -106,10 +106,11 @@ def homology(c: IntegerChainComplex) -> HomologySummary:
 class HomologyPresentation:
     """H_d(C) presented in normal coordinates.
 
-    ``kernel`` is the SNF of the boundary out of degree d (tracking V and
-    V^-1), so its kernel basis spans the cycles Z_d.  ``relation_snf`` is
-    the SNF (with U) of the boundaries from degree d+1 written in kernel
-    coordinates, so U * (kernel coords) is a cycle's class in
+    ``kernel`` is the SNF of the boundary out of degree d, tracking only
+    V^-1: ``kernel_coords`` writes a cycle in the basis of Z_d given by the
+    columns of V past the rank, and V itself is never built.
+    ``relation_snf`` is the SNF (with U) of the boundaries from degree d+1
+    written in kernel coordinates, so U * (kernel coords) is a cycle's class in
     ⊕ Z/diag[j] ⊕ Z^(cycle_rank - rank).
 
     The ``units`` relations equal to 1 come first (divisibility order),
@@ -164,7 +165,7 @@ class HomologyPresentation:
 def presentation(c: IntegerChainComplex, d: int) -> HomologyPresentation:
     """Compute the homology presentation of C at degree d."""
     bd = c.boundary(d)
-    kernel = snf(bd, (c.rank(d - 1), c.rank(d)), track_v=True, track_vinv=True)
+    kernel = snf(bd, (c.rank(d - 1), c.rank(d)), track_vinv=True)
     rel_cols: dict[tuple[int, int], int] = {}
     bd1 = c.boundary(d + 1)
     cols: dict[int, dict[int, int]] = {}

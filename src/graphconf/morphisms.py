@@ -5,6 +5,9 @@ to four conditions; embeddings and subdivisions are the special cases
 where the paths are single edges, resp. where the image exhausts the
 target.  Enumeration is exhaustive backtracking, deterministic, and
 deliberately exponential: desk scale only.
+
+Every kind of ``iter_tm`` and the isomorphism test run one vertex-map
+search, ``_vertex_maps``; they differ only in the test each step makes.
 """
 
 from __future__ import annotations
@@ -156,57 +159,24 @@ def enumerate_tm(source: SimpleGraph, target: SimpleGraph, kind: str = "tm",
 def iter_tm(source: SimpleGraph, target: SimpleGraph, kind: str = "tm"):
     """Generator behind enumerate_tm."""
     if kind in ("simplicial", "full"):
-        yield from _iter_simplicial(source, target, reflect=(kind == "full"))
+        reflect = kind == "full"
+
+        def adjacent(v: int, w: int, assign: dict[int, int]) -> bool:
+            for u, x in assign.items():
+                adj_s = source.has_edge(u, v)
+                adj_t = target.has_edge(x, w)
+                if adj_s and not adj_t:
+                    return False
+                if reflect and adj_t and not adj_s:
+                    return False
+            return True
+
+        for assign in _vertex_maps(source, target, adjacent):
+            rho_e = tuple((e, Path((assign[e[0]], assign[e[1]]))) for e in source.edges)
+            yield TopMinorMorphism(source, target, tuple(sorted(assign.items())), rho_e)
         return
-    for rho in _iter_tm_general(source, target):
-        if kind == "subdivision" and not is_subdivision(rho):
-            continue
-        yield rho
 
-
-def _iter_simplicial(source: SimpleGraph, target: SimpleGraph, reflect: bool):
-    svs = sorted(source.vertices, key=lambda v: (-source.degree(v), v))
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-
-    def ok(v: int, w: int) -> bool:
-        for u, x in assign.items():
-            adj_s = source.has_edge(u, v)
-            adj_t = target.has_edge(x, w)
-            if adj_s and not adj_t:
-                return False
-            if reflect and adj_t and not adj_s:
-                return False
-        return True
-
-    def rec(k: int):
-        if k == len(svs):
-            rho_v = tuple(sorted(assign.items()))
-            rho_e = tuple(
-                (e, Path((assign[e[0]], assign[e[1]]))) for e in source.edges
-            )
-            yield TopMinorMorphism(source, target, rho_v, rho_e)
-            return
-        v = svs[k]
-        for w in target.vertices:
-            if w in used or target.degree(w) < source.degree(v):
-                continue
-            if ok(v, w):
-                assign[v] = w
-                used.add(w)
-                yield from rec(k + 1)
-                used.discard(w)
-                del assign[v]
-
-    yield from rec(0)
-
-
-def _iter_tm_general(source: SimpleGraph, target: SimpleGraph):
-    svs = sorted(source.vertices, key=lambda v: (-source.degree(v), v))
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-
-    def feasible(v: int, w: int) -> bool:
+    def feasible(v: int, w: int, assign: dict[int, int]) -> bool:
         # necessary condition: every already-assigned neighbor must still be
         # reachable through vertices that are not images of other vertices
         images = set(assign.values()) | {w}
@@ -219,16 +189,35 @@ def _iter_tm_general(source: SimpleGraph, target: SimpleGraph):
                 return False
         return True
 
+    for assign in _vertex_maps(source, target, feasible):
+        for rho in _assign_paths(source, target, dict(assign)):
+            if kind == "subdivision" and not is_subdivision(rho):
+                continue
+            yield rho
+
+
+def _vertex_maps(source: SimpleGraph, target: SimpleGraph, fits):
+    """The one vertex-map search: injective maps source -> target by
+    backtracking, in a fixed order.
+
+    Source vertices are placed by (-degree, id); each tries the target
+    vertices in order, skipping a used one and one of smaller degree, and
+    ``fits(v, w, assign)`` decides the rest.  Yields the live ``assign``
+    dict, so a caller copies what it keeps.
+    """
+    svs = sorted(source.vertices, key=lambda v: (-source.degree(v), v))
+    assign: dict[int, int] = {}
+    used: set[int] = set()
+
     def rec(k: int):
         if k == len(svs):
-            yield from _assign_paths(source, target, dict(assign))
+            yield assign
             return
-
         v = svs[k]
         for w in target.vertices:
             if w in used or target.degree(w) < source.degree(v):
                 continue
-            if feasible(v, w):
+            if fits(v, w, assign):
                 assign[v] = w
                 used.add(w)
                 yield from rec(k + 1)
@@ -309,7 +298,7 @@ def _assign_paths(source: SimpleGraph, target: SimpleGraph, rho_v: dict[int, int
 
 
 def has_topological_minor(pattern: SimpleGraph, host: SimpleGraph) -> bool:
-    return bool(enumerate_tm(pattern, host, "tm", limit=1))
+    return next(iter_tm(pattern, host), None) is not None
 
 
 def gtm_k_member(g: SimpleGraph, k: int) -> bool:
@@ -351,29 +340,13 @@ def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
         return False
     if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
         return False
-    gvs = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    assign: dict[int, int] = {}
-    used: set[int] = set()
 
-    def rec(k: int) -> bool:
-        if k == len(gvs):
-            return True
-        v = gvs[k]
-        for w in h.vertices:
-            if w in used or h.degree(w) != g.degree(v):
-                continue
-            if all(
-                g.has_edge(u, v) == h.has_edge(x, w) for u, x in assign.items()
-            ):
-                assign[v] = w
-                used.add(w)
-                if rec(k + 1):
-                    return True
-                used.discard(w)
-                del assign[v]
-        return False
+    def fits(v: int, w: int, assign: dict[int, int]) -> bool:
+        return h.degree(w) == g.degree(v) and all(
+            g.has_edge(u, v) == h.has_edge(x, w) for u, x in assign.items()
+        )
 
-    return rec(0)
+    return next(_vertex_maps(g, h, fits), None) is not None
 
 
 def is_homeomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:

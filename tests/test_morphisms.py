@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from graphconf.acceptance import _atlas_graphs
 from graphconf.errors import BadParamsError, InvalidMorphismError
-from graphconf.graphs import Path, family, make_graph, subdivide_uniform
+from graphconf.graphs import Path, family, make_graph, subdivide_uniform, theta_graph
 from graphconf.morphisms import (
     TopMinorMorphism,
     enumerate_tm,
@@ -137,13 +138,7 @@ def test_minor_relation():
     assert has_topological_minor(family("cycle", 3), family("complete", 4))
     assert has_topological_minor(family("cycle", 3), family("cycle", 9))
     assert not has_topological_minor(family("cycle", 9), family("cycle", 3))
-    assert not has_topological_minor(family("complete", 4), theta())
-
-
-def theta():
-    from graphconf.graphs import theta_graph
-
-    return theta_graph()
+    assert not has_topological_minor(family("complete", 4), theta_graph())
 
 
 def test_gtm_membership():
@@ -177,3 +172,131 @@ def test_antichain_small():
     # each one maps to itself
     for k in (1, 2):
         assert has_topological_minor(reps[k], reps[k])
+
+
+def test_isomorphism_matches_permutation_oracle():
+    """Every pair of atlas graphs with at most 5 vertices and equal |V|; the
+    second is relabeled v -> |V| - 1 - v, so an isomorphism is rarely the
+    identity map."""
+    atlas = _atlas_graphs(5)
+    found = 0
+    for g, h in itertools.product(atlas, repeat=2):
+        k = len(g.vertices)
+        if len(h.vertices) != k:
+            continue
+        h = make_graph(h.vertices, [(k - 1 - a, k - 1 - b) for a, b in h.edges])
+        want = any(
+            all(g.has_edge(u, v) == h.has_edge(image[u], image[v])
+                for u, v in itertools.combinations(g.vertices, 2))
+            for image in itertools.permutations(h.vertices)
+        )
+        assert is_isomorphic(g, h) == want, (g, h)
+        found += want
+    # the atlas lists each isomorphism class once
+    assert found == len(atlas)
+
+
+# The first 20 morphisms of each kind, in the order iter_tm yields them;
+# generation witnesses and `minor` output depend on that order.  Each one
+# reads "rho_V images | rho_E paths", source vertices and edges ascending.
+TM_PAIRS = {
+    "C3,K4": (family("cycle", 3), family("complete", 4)),
+    "C3,K4sub3": (family("cycle", 3), subdivide_uniform(family("complete", 4), 3)),
+    "star3,theta": (family("star", 3), theta_graph()),
+    "C3,C6": (family("cycle", 3), family("cycle", 6)),
+}
+
+FIRST_20 = {
+    ("simplicial", "C3,K4"): (
+        '0 1 2 | 0-1 0-2 1-2', '0 1 3 | 0-1 0-3 1-3', '0 2 1 | 0-2 0-1 1-2',
+        '0 2 3 | 0-2 0-3 2-3', '0 3 1 | 0-3 0-1 1-3', '0 3 2 | 0-3 0-2 2-3',
+        '1 0 2 | 0-1 1-2 0-2', '1 0 3 | 0-1 1-3 0-3', '1 2 0 | 1-2 0-1 0-2',
+        '1 2 3 | 1-2 1-3 2-3', '1 3 0 | 1-3 0-1 0-3', '1 3 2 | 1-3 1-2 2-3',
+        '2 0 1 | 0-2 1-2 0-1', '2 0 3 | 0-2 2-3 0-3', '2 1 0 | 1-2 0-2 0-1',
+        '2 1 3 | 1-2 2-3 1-3', '2 3 0 | 2-3 0-2 0-3', '2 3 1 | 2-3 1-2 1-3',
+        '3 0 1 | 0-3 1-3 0-1', '3 0 2 | 0-3 2-3 0-2',
+    ),
+    ("simplicial", "C3,K4sub3"): (),
+    ("simplicial", "star3,theta"): (
+        '0 1 2 3 | 0-1 0-2 0-3', '0 1 3 2 | 0-1 0-3 0-2', '0 2 1 3 | 0-2 0-1 0-3',
+        '0 2 3 1 | 0-2 0-3 0-1', '0 3 1 2 | 0-3 0-1 0-2', '0 3 2 1 | 0-3 0-2 0-1',
+        '1 0 2 3 | 0-1 1-2 1-3', '1 0 3 2 | 0-1 1-3 1-2', '1 2 0 3 | 1-2 0-1 1-3',
+        '1 2 3 0 | 1-2 1-3 0-1', '1 3 0 2 | 1-3 0-1 1-2', '1 3 2 0 | 1-3 1-2 0-1',
+    ),
+    ("simplicial", "C3,C6"): (),
+    ("full", "C3,K4"): (
+        '0 1 2 | 0-1 0-2 1-2', '0 1 3 | 0-1 0-3 1-3', '0 2 1 | 0-2 0-1 1-2',
+        '0 2 3 | 0-2 0-3 2-3', '0 3 1 | 0-3 0-1 1-3', '0 3 2 | 0-3 0-2 2-3',
+        '1 0 2 | 0-1 1-2 0-2', '1 0 3 | 0-1 1-3 0-3', '1 2 0 | 1-2 0-1 0-2',
+        '1 2 3 | 1-2 1-3 2-3', '1 3 0 | 1-3 0-1 0-3', '1 3 2 | 1-3 1-2 2-3',
+        '2 0 1 | 0-2 1-2 0-1', '2 0 3 | 0-2 2-3 0-3', '2 1 0 | 1-2 0-2 0-1',
+        '2 1 3 | 1-2 2-3 1-3', '2 3 0 | 2-3 0-2 0-3', '2 3 1 | 2-3 1-2 1-3',
+        '3 0 1 | 0-3 1-3 0-1', '3 0 2 | 0-3 2-3 0-2',
+    ),
+    ("full", "C3,K4sub3"): (),
+    ("full", "star3,theta"): (),
+    ("full", "C3,C6"): (),
+    ("tm", "C3,K4"): (
+        '0 1 2 | 0-1 0-2 1-2', '0 1 2 | 0-1 0-2 1-3-2', '0 1 2 | 0-1 0-3-2 1-2',
+        '0 1 2 | 0-3-1 0-2 1-2', '0 1 3 | 0-1 0-3 1-3', '0 1 3 | 0-1 0-3 1-2-3',
+        '0 1 3 | 0-1 0-2-3 1-3', '0 1 3 | 0-2-1 0-3 1-3', '0 2 1 | 0-2 0-1 1-2',
+        '0 2 1 | 0-2 0-1 1-3-2', '0 2 1 | 0-2 0-3-1 1-2', '0 2 1 | 0-3-2 0-1 1-2',
+        '0 2 3 | 0-2 0-3 2-3', '0 2 3 | 0-2 0-3 2-1-3', '0 2 3 | 0-2 0-1-3 2-3',
+        '0 2 3 | 0-1-2 0-3 2-3', '0 3 1 | 0-3 0-1 1-3', '0 3 1 | 0-3 0-1 1-2-3',
+        '0 3 1 | 0-3 0-2-1 1-3', '0 3 1 | 0-2-3 0-1 1-3',
+    ),
+    ("tm", "C3,K4sub3"): (
+        '0 1 2 | 0-4-5-1 0-6-7-2 1-10-11-2', '0 1 2 | 0-4-5-1 0-6-7-2 1-12-13-3-15-14-2',
+        '0 1 2 | 0-4-5-1 0-8-9-3-15-14-2 1-10-11-2',
+        '0 1 2 | 0-8-9-3-13-12-1 0-6-7-2 1-10-11-2', '0 1 3 | 0-4-5-1 0-8-9-3 1-12-13-3',
+        '0 1 3 | 0-4-5-1 0-8-9-3 1-10-11-2-14-15-3',
+        '0 1 3 | 0-4-5-1 0-6-7-2-14-15-3 1-12-13-3',
+        '0 1 3 | 0-6-7-2-11-10-1 0-8-9-3 1-12-13-3', '0 1 4 | 0-6-7-2-11-10-1 0-4 1-5-4',
+        '0 1 4 | 0-8-9-3-13-12-1 0-4 1-5-4', '0 1 4 | 0-6-7-2-14-15-3-13-12-1 0-4 1-5-4',
+        '0 1 4 | 0-8-9-3-15-14-2-11-10-1 0-4 1-5-4', '0 1 5 | 0-6-7-2-11-10-1 0-4-5 1-5',
+        '0 1 5 | 0-8-9-3-13-12-1 0-4-5 1-5', '0 1 5 | 0-6-7-2-14-15-3-13-12-1 0-4-5 1-5',
+        '0 1 5 | 0-8-9-3-15-14-2-11-10-1 0-4-5 1-5', '0 1 6 | 0-4-5-1 0-6 1-10-11-2-7-6',
+        '0 1 6 | 0-4-5-1 0-6 1-12-13-3-15-14-2-7-6',
+        '0 1 6 | 0-8-9-3-13-12-1 0-6 1-10-11-2-7-6', '0 1 7 | 0-4-5-1 0-6-7 1-10-11-2-7',
+    ),
+    ("tm", "star3,theta"): (
+        '0 1 2 3 | 0-1 0-2 0-3', '0 1 3 2 | 0-1 0-3 0-2', '0 2 1 3 | 0-2 0-1 0-3',
+        '0 2 3 1 | 0-2 0-3 0-1', '0 3 1 2 | 0-3 0-1 0-2', '0 3 2 1 | 0-3 0-2 0-1',
+        '1 0 2 3 | 0-1 1-2 1-3', '1 0 3 2 | 0-1 1-3 1-2', '1 2 0 3 | 1-2 0-1 1-3',
+        '1 2 3 0 | 1-2 1-3 0-1', '1 3 0 2 | 1-3 0-1 1-2', '1 3 2 0 | 1-3 1-2 0-1',
+    ),
+    ("tm", "C3,C6"): (
+        '0 1 2 | 0-1 0-5-4-3-2 1-2', '0 1 3 | 0-1 0-5-4-3 1-2-3', '0 1 4 | 0-1 0-5-4 1-2-3-4',
+        '0 1 5 | 0-1 0-5 1-2-3-4-5', '0 2 1 | 0-5-4-3-2 0-1 1-2', '0 2 3 | 0-1-2 0-5-4-3 2-3',
+        '0 2 4 | 0-1-2 0-5-4 2-3-4', '0 2 5 | 0-1-2 0-5 2-3-4-5', '0 3 1 | 0-5-4-3 0-1 1-2-3',
+        '0 3 2 | 0-5-4-3 0-1-2 2-3', '0 3 4 | 0-1-2-3 0-5-4 3-4', '0 3 5 | 0-1-2-3 0-5 3-4-5',
+        '0 4 1 | 0-5-4 0-1 1-2-3-4', '0 4 2 | 0-5-4 0-1-2 2-3-4', '0 4 3 | 0-5-4 0-1-2-3 3-4',
+        '0 4 5 | 0-1-2-3-4 0-5 4-5', '0 5 1 | 0-5 0-1 1-2-3-4-5', '0 5 2 | 0-5 0-1-2 2-3-4-5',
+        '0 5 3 | 0-5 0-1-2-3 3-4-5', '0 5 4 | 0-5 0-1-2-3-4 4-5',
+    ),
+    ("subdivision", "C3,K4"): (),
+    ("subdivision", "C3,K4sub3"): (),
+    ("subdivision", "star3,theta"): (),
+    ("subdivision", "C3,C6"): (
+        '0 1 2 | 0-1 0-5-4-3-2 1-2', '0 1 3 | 0-1 0-5-4-3 1-2-3', '0 1 4 | 0-1 0-5-4 1-2-3-4',
+        '0 1 5 | 0-1 0-5 1-2-3-4-5', '0 2 1 | 0-5-4-3-2 0-1 1-2', '0 2 3 | 0-1-2 0-5-4-3 2-3',
+        '0 2 4 | 0-1-2 0-5-4 2-3-4', '0 2 5 | 0-1-2 0-5 2-3-4-5', '0 3 1 | 0-5-4-3 0-1 1-2-3',
+        '0 3 2 | 0-5-4-3 0-1-2 2-3', '0 3 4 | 0-1-2-3 0-5-4 3-4', '0 3 5 | 0-1-2-3 0-5 3-4-5',
+        '0 4 1 | 0-5-4 0-1 1-2-3-4', '0 4 2 | 0-5-4 0-1-2 2-3-4', '0 4 3 | 0-5-4 0-1-2-3 3-4',
+        '0 4 5 | 0-1-2-3-4 0-5 4-5', '0 5 1 | 0-5 0-1 1-2-3-4-5', '0 5 2 | 0-5 0-1-2 2-3-4-5',
+        '0 5 3 | 0-5 0-1-2-3 3-4-5', '0 5 4 | 0-5 0-1-2-3-4 4-5',
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, pair", list(FIRST_20))
+def test_iter_tm_order_is_frozen(kind, pair):
+    source, target = TM_PAIRS[pair]
+    got = []
+    for rho in itertools.islice(iter_tm(source, target, kind), 20):
+        assert [v for v, _ in rho.rho_v_items] == list(source.vertices)
+        assert [e for e, _ in rho.rho_e_items] == sorted(source.edges)
+        images = " ".join(str(w) for _, w in rho.rho_v_items)
+        paths = " ".join("-".join(map(str, p.vertices)) for _, p in rho.rho_e_items)
+        got.append(f"{images} | {paths}")
+    assert got == list(FIRST_20[kind, pair])

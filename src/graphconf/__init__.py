@@ -57,7 +57,6 @@ from .morphisms import (
     inclusion_morphism,
     is_homeomorphic,
     is_isomorphic,
-    is_subdivision,
     smooth,
     validate_tm,
 )

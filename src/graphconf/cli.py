@@ -111,17 +111,23 @@ def cmd_homology(args) -> int:
 
 def cmd_minor(args) -> int:
     if args.gtm_k is not None:
+        dead = [f"--{name}" for name in ("pattern", "host", "kind", "limit")
+                if getattr(args, name) is not None]
+        if dead:
+            return _fail(2, f"{', '.join(dead)} cannot be combined with --gtm-k")
         if args.graph is None:
             return _fail(2, "--gtm-k needs --graph")
         g = load_graph(args.graph)
         member = gtm_k_member(g, args.gtm_k)
         print(json.dumps({"k": args.gtm_k, "member": member}))
         return 0
+    if args.graph is not None:
+        return _fail(2, "--graph needs --gtm-k")
     if args.pattern is None or args.host is None:
         return _fail(2, "minor needs --pattern and --host, or --gtm-k with --graph")
     pattern = load_graph(args.pattern)
     host = load_graph(args.host)
-    found = enumerate_tm(pattern, host, kind=args.kind, limit=args.limit)
+    found = enumerate_tm(pattern, host, args.kind or "tm", 1 if args.limit is None else args.limit)
     print(json.dumps({
         "exists": bool(found),
         "count": len(found),
@@ -243,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm = subs.add_parser("minor")
     pm.add_argument("--pattern")
     pm.add_argument("--host")
-    pm.add_argument("--kind", choices=KINDS, default="tm")
-    pm.add_argument("--limit", type=int, default=1)
+    pm.add_argument("--kind", choices=KINDS, help="default: tm")
+    pm.add_argument("--limit", type=int, help="default: 1")
     pm.add_argument("--gtm-k", type=int, default=None)
     pm.add_argument("--graph", help="graph for --gtm-k membership")
     pm.set_defaults(fn=cmd_minor)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidCotreeError, NotACographError
+from .errors import BadParamsError, InvalidCotreeError, NotACographError
 from .graphs import SimpleGraph, complement, make_graph
 
 
@@ -119,6 +119,8 @@ def is_cograph(g: SimpleGraph) -> bool:
 
 def cotree_of(g: SimpleGraph) -> Cotree:
     """The unique cotree of a cograph; leaves carry the graph's vertices."""
+    if not g.vertices:
+        raise BadParamsError("the empty graph has no cotree")
     labels: list = []
     children: list = []
     leaf_map: list = []
@@ -222,16 +224,23 @@ def cotree_to_json_obj(t: Cotree) -> dict:
     }
 
 
-def cotree_from_json_obj(obj: dict) -> Cotree:
+def cotree_from_json_obj(obj) -> Cotree:
+    """Cotree from a parsed JSON object; a malformed one is InvalidCotreeError."""
     try:
-        labels = tuple(sorted((n["id"], n["label"]) for n in obj["nodes"]))
-        children = tuple(
-            sorted((n["id"], tuple(n["children"])) for n in obj["nodes"] if n["children"])
-        )
-        leaf_map = tuple(sorted((int(k), v) for k, v in obj["leaf_map"].items()))
-        t = Cotree(labels, children, obj["root"], leaf_map)
+        nodes = [(n["id"], n["label"], n["children"]) for n in obj["nodes"]]
+        root, leaf_map = obj["root"], obj["leaf_map"]
+        if not (all(type(nid) is int and type(lab) is str and type(kids) is list
+                    and all(type(k) is int for k in kids) for nid, lab, kids in nodes)
+                and type(root) is int and type(leaf_map) is dict
+                and all(type(v) is int for v in leaf_map.values())):
+            raise InvalidCotreeError("cotree JSON needs int ids, str labels, lists of int "
+                                     "children, an int root and int leaf_map values")
+        leaves = tuple(sorted((int(k), v) for k, v in leaf_map.items()))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidCotreeError(f"malformed cotree JSON: {exc}") from exc
+    labels = tuple(sorted((nid, lab) for nid, lab, _ in nodes))
+    children = tuple(sorted((nid, tuple(kids)) for nid, _, kids in nodes if kids))
+    t = Cotree(labels, children, root, leaves)
     ok, violations = validate_cotree(t)
     if not ok:
         raise InvalidCotreeError("; ".join(violations))

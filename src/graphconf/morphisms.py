@@ -8,6 +8,8 @@ deliberately exponential: desk scale only.
 
 Every kind of ``iter_tm`` and the isomorphism test run one vertex-map
 search, ``_vertex_maps``; they differ only in the test each step makes.
+``iter_tm`` alone checks the kind, and it trusts the morphisms it builds:
+no kind revalidates what ``_assign_paths`` yields.
 """
 
 from __future__ import annotations
@@ -120,20 +122,6 @@ def validate_tm(rho: TopMinorMorphism) -> tuple[bool, list[tuple[int, str]]]:
     return (not violations, violations)
 
 
-def is_subdivision(rho: TopMinorMorphism) -> bool:
-    """True iff the image exhausts the target (a homeomorphism on realizations)."""
-    ok, violations = validate_tm(rho)
-    if not ok:
-        raise InvalidMorphismError(f"not a morphism: {violations}")
-    if rho.image_vertices != rho.target.vertex_set:
-        return False
-    counts: dict[Edge, int] = {}
-    for p in rho.rho_e.values():
-        for e in p.edges:
-            counts[e] = counts.get(e, 0) + 1
-    return set(counts) == set(rho.target.edges) and all(c == 1 for c in counts.values())
-
-
 class MorphismList(list):
     """Result list for enumerate_tm; ``truncated`` flags a reached limit."""
 
@@ -143,8 +131,6 @@ class MorphismList(list):
 def enumerate_tm(source: SimpleGraph, target: SimpleGraph, kind: str = "tm",
                  limit: int | None = None) -> MorphismList:
     """All morphisms of the requested kind, in deterministic order."""
-    if kind not in KINDS:
-        raise InvalidMorphismError(f"unknown kind {kind!r}")
     if limit is not None and limit < 1:
         raise BadParamsError(f"limit must be >= 1, got {limit}")
     out = MorphismList()
@@ -157,7 +143,9 @@ def enumerate_tm(source: SimpleGraph, target: SimpleGraph, kind: str = "tm",
 
 
 def iter_tm(source: SimpleGraph, target: SimpleGraph, kind: str = "tm"):
-    """Generator behind enumerate_tm."""
+    """Generator behind enumerate_tm; an unknown kind raises at the first next."""
+    if kind not in KINDS:
+        raise InvalidMorphismError(f"unknown kind {kind!r}")
     if kind in ("simplicial", "full"):
         reflect = kind == "full"
 
@@ -189,11 +177,12 @@ def iter_tm(source: SimpleGraph, target: SimpleGraph, kind: str = "tm"):
                 return False
         return True
 
+    # paths are edge-disjoint by construction, so a subdivision is a whole image
+    whole = (target.vertex_set, target.edge_set)
     for assign in _vertex_maps(source, target, feasible):
         for rho in _assign_paths(source, target, dict(assign)):
-            if kind == "subdivision" and not is_subdivision(rho):
-                continue
-            yield rho
+            if kind != "subdivision" or (rho.image_vertices, rho.image_edges) == whole:
+                yield rho
 
 
 def _vertex_maps(source: SimpleGraph, target: SimpleGraph, fits):
@@ -248,17 +237,12 @@ def _assign_paths(source: SimpleGraph, target: SimpleGraph, rho_v: dict[int, int
 
     Interiors of chosen paths must avoid every vertex image and every
     vertex already covered by another path; endpoints shared between
-    source edges coincide automatically at the shared image.
+    source edges coincide automatically at the shared image.  ``used``
+    holds the images and the interiors of the chosen paths.
     """
-    images = set(rho_v.values())
+    used = set(rho_v.values())
     edges = sorted(source.edges)
     chosen: list[tuple[Edge, Path]] = []
-
-    def used_vertices() -> set[int]:
-        out = set()
-        for _, p in chosen:
-            out.update(p.vertices)
-        return out
 
     def rec(k: int):
         if k == len(edges):
@@ -268,18 +252,16 @@ def _assign_paths(source: SimpleGraph, target: SimpleGraph, rho_v: dict[int, int
             return
         e = edges[k]
         a, b = rho_v[e[0]], rho_v[e[1]]
-        if a == b:
-            return
-        forbidden = (images | used_vertices()) - {a, b}
         paths: list[tuple[int, ...]] = []
 
+        # a and b are in ``used``: b is tested first, and a is in ``seen``
         def dfs(seq: list[int], seen: set[int]):
             last = seq[-1]
-            for w in sorted(target.adjacency[last]):
+            for w in target.adjacency[last]:  # a sorted tuple
                 if w == b:
                     paths.append(tuple(seq) + (b,))
                     continue
-                if w in seen or w in forbidden:
+                if w in seen or w in used:
                     continue
                 seq.append(w)
                 seen.add(w)
@@ -290,9 +272,12 @@ def _assign_paths(source: SimpleGraph, target: SimpleGraph, rho_v: dict[int, int
         dfs([a], {a})
         paths.sort(key=lambda p: (len(p), p))
         for seq in paths:
+            interior = seq[1:-1]
+            used.update(interior)
             chosen.append((e, Path(seq)))
             yield from rec(k + 1)
             chosen.pop()
+            used.difference_update(interior)
 
     yield from rec(0)
 
@@ -313,25 +298,25 @@ def gtm_k_member(g: SimpleGraph, k: int) -> bool:
 
 def smooth(g: SimpleGraph) -> SimpleGraph:
     """Minimal simplicial representative: suppress degree-2 vertices while
-    no loop or parallel edge would be created."""
-    cur = g
-    while True:
-        pick = None
-        for v in cur.vertices:
-            nb = cur.adjacency[v]
-            if len(nb) == 2:
-                u, w = nb
-                if u != w and not cur.has_edge(u, w):
-                    pick = (v, u, w)
-                    break
-        if pick is None:
-            return cur
-        v, u, w = pick
-        verts = tuple(x for x in cur.vertices if x != v)
-        edges = tuple(sorted(
-            [e for e in cur.edges if v not in e] + [norm_edge(u, w)]
-        ))
-        cur = SimpleGraph(verts, edges)
+    no loop or parallel edge would be created; g itself if there are none.
+
+    One pass in vertex order matches rescanning after each suppression:
+    suppressing v keeps every other degree and only adds the edge between
+    v's neighbours, so a vertex the pass skipped (degree not 2, or adjacent
+    neighbours) never becomes suppressible.
+    """
+    adj = {v: set(g.adjacency[v]) for v in g.vertices}
+    for v in g.vertices:
+        if len(adj[v]) == 2:
+            u, w = adj[v]
+            if w not in adj[u]:
+                del adj[v]
+                adj[u] ^= {v, w}  # v out, w in
+                adj[w] ^= {v, u}
+    if len(adj) == len(g.vertices):
+        return g
+    edges = sorted(norm_edge(a, b) for a, nbrs in adj.items() for b in nbrs if a < b)
+    return SimpleGraph(tuple(v for v in g.vertices if v in adj), tuple(edges))
 
 
 def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:

@@ -13,7 +13,7 @@ from graphconf.cli import main
 from graphconf.errors import InvariantError
 from graphconf.homology import IntegerChainComplex
 from graphconf.gio import load_graph, to_json
-from graphconf.graphs import family
+from graphconf.graphs import family, make_graph
 
 
 @pytest.fixture
@@ -109,6 +109,53 @@ def test_cograph_commands(tmp_path, capsys, g6):
     # P_4 is not a cograph, so cotree extraction is an input error
     assert main(["cograph", "cotree", p4]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cograph_cotree_of_the_empty_graph_exits_2(capsys, g6):
+    empty = g6("empty.json", make_graph([], []))
+    assert main(["cograph", "cotree", empty]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "the empty graph has no cotree",
+                                        "kind": "BadParamsError"}
+
+
+# a valid cotree of K2 (one 1-node over two leaves), then one malformed field each
+K2_COTREE = {
+    "nodes": [{"id": 0, "label": "1", "children": [1, 2]},
+              {"id": 1, "label": "L", "children": []},
+              {"id": 2, "label": "L", "children": []}],
+    "root": 0,
+    "leaf_map": {"1": 0, "2": 1},
+}
+MALFORMED_COTREES = {
+    # one node, so no sort compares the list id with an int
+    "node-id-a-list": {"nodes": [{"id": [0], "label": "L", "children": []}],
+                       "root": 0, "leaf_map": {"0": 0}},
+    "child-a-list": {**K2_COTREE, "nodes": [
+        {"id": 0, "label": "1", "children": [[1], 2]}, *K2_COTREE["nodes"][1:]]},
+    "root-a-list": {**K2_COTREE, "root": [0]},
+    "leaf-map-a-list": {**K2_COTREE, "leaf_map": [[1, 0], [2, 1]]},
+    "leaf-vertex-a-string": {**K2_COTREE, "leaf_map": {"1": "x", "2": 1}},
+    "leaf-vertex-a-float": {**K2_COTREE, "leaf_map": {"1": 1.5, "2": 1}},
+}
+
+
+def test_cograph_reconstruct_accepts_the_valid_cotree(tmp_path, capsys):
+    path = tmp_path / "cotree.json"
+    path.write_text(json.dumps(K2_COTREE))
+    assert main(["cograph", "reconstruct", str(path)]) == 0
+    assert capsys.readouterr().out == "A_\n"
+
+
+@pytest.mark.parametrize("obj", MALFORMED_COTREES.values(), ids=MALFORMED_COTREES.keys())
+def test_cograph_reconstruct_rejects_malformed_cotree_json(obj, tmp_path, capsys):
+    path = tmp_path / "cotree.json"
+    path.write_text(json.dumps(obj))
+    assert main(["cograph", "reconstruct", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "InvalidCotreeError"
 
 
 def test_generate_gens_and_stage(capsys, g6):
@@ -292,6 +339,22 @@ def test_minor_bad_input_exits_2(argv, capsys, g6):
 def test_homology_rejects_a_flag_that_would_do_nothing(argv, message, capsys, g6):
     k4 = g6("k4.json", family("complete", 4))
     assert main(["homology", "--graph", k4, "-n", "2", "--unordered", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": message}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--gtm-k", "2", "--graph", "{g}", "--limit", "0"], "--limit cannot be combined with --gtm-k"),
+    (["--gtm-k", "2", "--graph", "{g}", "--kind", "tm"], "--kind cannot be combined with --gtm-k"),
+    (["--gtm-k", "2", "--graph", "{g}", "--pattern", "{g}", "--host", "{g}"],
+     "--pattern, --host cannot be combined with --gtm-k"),
+    (["--pattern", "{g}", "--host", "{g}", "--graph", "{g}"], "--graph needs --gtm-k"),
+], ids=["limit-with-gtm-k", "kind-with-gtm-k", "pattern-host-with-gtm-k", "graph-without-gtm-k"])
+def test_minor_rejects_a_flag_that_would_do_nothing(argv, message, capsys, tmp_path):
+    # the graph file does not exist: the flags are checked before it is read
+    missing = str(tmp_path / "missing.json")
+    assert main(["minor", *[a.format(g=missing) for a in argv]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": message}

@@ -16,7 +16,7 @@ from graphconf.cographs import (
     lca_adjacency_graph,
     validate_cotree,
 )
-from graphconf.errors import InvalidCotreeError, NotACographError
+from graphconf.errors import BadParamsError, InvalidCotreeError, NotACographError
 from graphconf.graphs import SimpleGraph, family, make_graph
 from graphconf.morphisms import enumerate_tm, is_isomorphic
 
@@ -168,3 +168,10 @@ def test_json_round_trip():
     assert back == t
     with pytest.raises(InvalidCotreeError):
         cotree_from_json_obj({"nodes": [], "root": 0})
+
+
+def test_the_empty_graph_is_a_cograph_without_a_cotree():
+    empty = make_graph([], [])
+    assert is_cograph(empty)
+    with pytest.raises(BadParamsError, match="the empty graph has no cotree"):
+        cotree_of(empty)

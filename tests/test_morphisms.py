@@ -1,10 +1,20 @@
 import itertools
+import random
 
 import pytest
 
 from graphconf.acceptance import _atlas_graphs
 from graphconf.errors import BadParamsError, InvalidMorphismError
-from graphconf.graphs import Path, family, make_graph, subdivide_uniform, theta_graph
+from graphconf.graphs import (
+    Path,
+    SimpleGraph,
+    disjoint_union,
+    family,
+    make_graph,
+    norm_edge,
+    subdivide_uniform,
+    theta_graph,
+)
 from graphconf.morphisms import (
     TopMinorMorphism,
     enumerate_tm,
@@ -13,18 +23,55 @@ from graphconf.morphisms import (
     inclusion_morphism,
     is_homeomorphic,
     is_isomorphic,
-    is_subdivision,
     iter_tm,
     smooth,
     validate_tm,
 )
 
 
+def is_subdivision_oracle(rho: TopMinorMorphism) -> bool:
+    """Oracle for the ``subdivision`` kind: rho validates, its image covers
+    every target vertex, and its paths use every target edge exactly once."""
+    ok, violations = validate_tm(rho)
+    if not ok:
+        raise InvalidMorphismError(f"not a morphism: {violations}")
+    if rho.image_vertices != rho.target.vertex_set:
+        return False
+    counts: dict = {}
+    for p in rho.rho_e.values():
+        for e in p.edges:
+            counts[e] = counts.get(e, 0) + 1
+    return set(counts) == set(rho.target.edges) and all(c == 1 for c in counts.values())
+
+
+def smooth_by_rescan(g: SimpleGraph) -> SimpleGraph:
+    """Oracle for ``smooth``: suppress the first suppressible vertex, then
+    rescan the rebuilt graph from its first vertex, until none is left."""
+    cur = g
+    while True:
+        pick = None
+        for v in cur.vertices:
+            nb = cur.adjacency[v]
+            if len(nb) == 2:
+                u, w = nb
+                if u != w and not cur.has_edge(u, w):
+                    pick = (v, u, w)
+                    break
+        if pick is None:
+            return cur
+        v, u, w = pick
+        verts = tuple(x for x in cur.vertices if x != v)
+        edges = tuple(sorted(
+            [e for e in cur.edges if v not in e] + [norm_edge(u, w)]
+        ))
+        cur = SimpleGraph(verts, edges)
+
+
 def test_identity_validates():
     for g in [family("cycle", 3), family("complete", 4), family("star", 3)]:
         ok, violations = validate_tm(inclusion_morphism(g, g))
         assert ok, violations
-        assert is_subdivision(inclusion_morphism(g, g))
+        assert is_subdivision_oracle(inclusion_morphism(g, g))
 
 
 def test_vertex_injectivity_enforced():
@@ -95,7 +142,7 @@ def test_subdivision_morphism_recognized():
     (rho,) = enumerate_tm(c3, c9, kind="subdivision", limit=1)
     ok, violations = validate_tm(rho)
     assert ok, violations
-    assert is_subdivision(rho)
+    assert is_subdivision_oracle(rho)
     assert rho.image_subgraph() == c9
     assert sorted(p.edge_count for p in rho.rho_e.values()) == [3, 3, 3]
 
@@ -106,10 +153,64 @@ def test_enumeration_counts():
     assert len(enumerate_tm(c3, c3, kind="simplicial")) == 6
     assert len(enumerate_tm(k1, k2, limit=100)) == 2
     c6 = family("cycle", 6)
-    subs = [m for m in iter_tm(c3, c6) if is_subdivision(m)]
+    subs = [m for m in iter_tm(c3, c6) if is_subdivision_oracle(m)]
     assert len(subs) == 120
     # no morphism from a cycle into a tree
     assert not enumerate_tm(c3, family("star", 5), limit=1)
+
+
+def test_unknown_kind_raises_at_the_first_next():
+    rhos = iter_tm(family("cycle", 3), family("complete", 4), "subdivison")
+    with pytest.raises(InvalidMorphismError, match="unknown kind 'subdivison'"):
+        next(rhos)
+
+
+K2_K1 = disjoint_union(family("complete", 2), family("complete", 1))
+P3_K1 = disjoint_union(family("path", 3), family("complete", 1))
+# source, target, and how many of the tm morphisms are subdivisions; an
+# isolated target vertex is covered only by an isolated source vertex
+SUBDIVISION_PAIRS = {
+    "C3,C6": (family("cycle", 3), family("cycle", 6), 120),
+    "theta,theta2": (theta_graph(), subdivide_uniform(theta_graph(), 2), 60),
+    "star3,star3x3": (family("star", 3), subdivide_uniform(family("star", 3), 3), 6),
+    "K4,K4x2": (family("complete", 4), subdivide_uniform(family("complete", 4), 2), 24),
+    "K2+K1,P3+K1": (K2_K1, P3_K1, 2),
+    "K2,P3+K1": (family("complete", 2), P3_K1, 0),
+}
+
+
+@pytest.mark.parametrize("pair", SUBDIVISION_PAIRS)
+def test_subdivision_kind_matches_the_oracle_filter_of_tm(pair):
+    source, target, count = SUBDIVISION_PAIRS[pair]
+    want = [m for m in iter_tm(source, target, "tm") if is_subdivision_oracle(m)]
+    assert len(want) == count
+    assert list(iter_tm(source, target, "subdivision")) == want
+
+
+def _shuffled_edge_subsets(g: SimpleGraph, rng: random.Random, count: int):
+    for _ in range(count):
+        edges = [e for e in g.edges if rng.random() < 0.8]
+        vertices = list(g.vertices)
+        rng.shuffle(vertices)
+        yield make_graph(vertices, edges)
+
+
+def test_smooth_matches_the_rescan_oracle():
+    rng = random.Random(15)
+    graphs = list(_atlas_graphs(6))
+    for base in (subdivide_uniform(family("complete", 4), 3),
+                 subdivide_uniform(theta_graph(), 2)):
+        graphs += _shuffled_edge_subsets(base, rng, 200)
+    graphs.append(make_graph([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)],
+                             {0: "a", 1: "b", 2: "c", 3: "d"}))
+    graphs.append(make_graph([0, 1, 2], [(0, 1), (1, 2), (0, 2)], {0: "a", 2: "c"}))
+    for g in graphs:
+        got, want = smooth(g), smooth_by_rescan(g)
+        assert (got.vertices, got.edges, got.labels) == (want.vertices, want.edges,
+                                                         want.labels), g
+    # a graph with nothing to suppress comes back as itself, labels and all
+    triangle = graphs[-1]
+    assert smooth(triangle) is triangle
 
 
 def test_full_vs_simplicial():

@@ -62,6 +62,10 @@ def validate_cotree(t: Cotree) -> tuple[bool, list[str]]:
     labels = t.label_of
     if t.root not in labels:
         return False, ["root is not a node"]
+    if len(labels) != len(t.labels):
+        violations.append("a node id is listed twice")
+    if len(t.vertex_of_leaf) != len(t.leaf_map):
+        violations.append("leaf_map names a node twice")
     if set(labels.values()) - {"0", "1", "L"}:
         violations.append("labels must be 0, 1, or L")
     # reachability / tree-ness

@@ -1,17 +1,22 @@
 """Integer homology of finite chain complexes, chain maps, and subgroups.
 
 A chain complex is ranks per degree plus sparse boundary matrices.  All
-homology data is derived from exact Smith normal forms; subgroups of a
-homology group are canonicalized by Hermite normal form so that equality
-and containment are plain lattice comparisons.
+homology data is exact over Z: ``homology`` deletes cell pairs with
+incidence ±1 and takes Smith normal forms of what is left, and
+``presentation`` takes them of the whole complex, since it needs chain
+coordinates.  Subgroups of a homology group are canonicalized by Hermite
+normal form so that equality and containment are plain lattice
+comparisons.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
-from .errors import AmbientMismatchError, NotAComplexError
+from .errors import AmbientMismatchError, InvariantError, NotAComplexError
 from .snf import SNFResult, hermite_columns, hnf_contains, snf, sparse_matmul
 
 Sparse = dict[tuple[int, int], int]
@@ -67,39 +72,185 @@ class HomologySummary:
 def homology(c: IntegerChainComplex) -> HomologySummary:
     """Betti numbers and torsion coefficients in every degree.
 
-    The boundaries are reduced from the top degree down, with clearing:
-    before the SNF of d_k, the columns B of d_k are dropped, where B is
-    the set of k-cells that ``snf`` reports as ``clean_unit_rows`` of
-    d_{k+1}.  This keeps the rank and every invariant factor of d_k, so
-    the answer is exact over Z:
+    Three steps, each exact over Z, and each resting on d^2 = 0, which is
+    checked first:
 
-    d_{k+1}[B, :] maps onto Z^B, so for every b in B there is a chain x
-    with d_{k+1} x = e_b + y, where y avoids B.  Since d_k d_{k+1} = 0,
-    d_k e_b = -d_k y lies in d_k(Z^{B^c}).  Hence im d_k = d_k(Z^{B^c}) as
-    a lattice.  The rank and the invariant factors of d_k are read off its
-    cokernel, so they depend on that lattice alone and do not change.
+    1. Base vertices: when d_1 is a graph's incidence matrix, one 0-cell
+       per component is quotiented out and adds 1 to H_0.
+    2. Unit pairs: collapses and coreductions with incidence ±1 are
+       deleted.  Steps 1 and 2 are ``_reduce``; its docstring has the
+       proofs.
+    3. Clearing SNF on the residual complex, from the top degree down:
+       before the SNF of d_k, the columns B of d_k are dropped, where B is
+       the set of k-cells that ``snf`` reports as ``clean_unit_rows`` of
+       d_{k+1}.  This keeps the rank and every invariant factor of d_k:
 
-    The proof rests on d^2 = 0, so that is checked first.
+       d_{k+1}[B, :] maps onto Z^B, so for every b in B there is a chain x
+       with d_{k+1} x = e_b + y, where y avoids B.  Since d_k d_{k+1} = 0,
+       d_k e_b = -d_k y lies in d_k(Z^{B^c}).  Hence im d_k = d_k(Z^{B^c})
+       as a lattice.  The rank and the invariant factors of d_k are read
+       off its cokernel, so they depend on that lattice alone and do not
+       change.
     """
     if not c.check_boundary_squares_to_zero():
         raise NotAComplexError("boundary does not square to zero")
-    top = c.top_degree
+    r, base_vertices = _reduce(c)
+    top = r.top_degree
     snfs: dict[int, SNFResult] = {}
     cleared: frozenset[int] = frozenset()
     for d in range(top, 0, -1):
-        bd = c.boundaries[d]
+        bd = r.boundaries[d]
         if cleared:
             bd = {key: v for key, v in bd.items() if key[1] not in cleared}
-        snfs[d] = snf(bd, (c.ranks[d - 1], c.ranks[d]))
+        snfs[d] = snf(bd, (r.ranks[d - 1], r.ranks[d]))
         cleared = snfs[d].clean_unit_rows
     betti = []
     torsion = []
     for d in range(top + 1):
         rank_d = snfs[d].rank if d >= 1 else 0
         rank_d1 = snfs[d + 1].rank if d + 1 <= top else 0
-        betti.append(c.ranks[d] - rank_d - rank_d1)
+        betti.append(r.ranks[d] - rank_d - rank_d1)
         torsion.append(tuple(snfs[d + 1].torsion) if d + 1 <= top else ())
+    betti[0] += base_vertices
     return HomologySummary(tuple(betti), tuple(torsion))
+
+
+def _reduce(c: IntegerChainComplex) -> tuple[IntegerChainComplex, int]:
+    """A smaller complex with the homology of c, and the number of base
+    vertices to add back to H_0.  The residual is c restricted to the
+    cells left live, renumbered in order.
+
+    Base vertices.  When every nonzero column of d_1 is {+1, -1}, H_0(C)
+    is free on the components of that graph, and any 0-cell generates its
+    component's summand.  Let B hold one 0-cell per component.  Z^B is a
+    subcomplex, and H_0(Z^B) -> H_0(C) is an isomorphism, so the long
+    exact sequence of C/Z^B gives H_k(C/Z^B) = H_k(C) for k >= 1 and
+    H_0(C/Z^B) = 0; C/Z^B is c with the rows B of d_1 deleted.  Without
+    the guard the step is skipped, since H_0 need not be free:
+    d_1 = [[3, -2]] has H_0 = 0.
+
+    Unit pairs.  Let tau be a k-cell and sigma a (k-1)-cell of the live
+    complex with e = <d tau, sigma> = ±1.  As d d tau = 0, tau and d tau
+    span a subcomplex A, and A has zero homology since d maps Z tau onto
+    Z d tau.  The coefficient e makes C_{k-1} = Z d tau ⊕ Z^{cells other
+    than sigma}, so H(C/A) = H(C), C/A has the other cells as basis, and
+    in it sigma = -e * sum over s != sigma of <d tau, s> s.  Hence C/A
+    keeps d_{k+1} without row tau, d_{k-1} without column sigma, and maps
+    a k-cell rho != tau to
+        sum over s != sigma of (<d rho, s> - e <d rho, sigma> <d tau, s>) s.
+    The correction term is zero when tau is sigma's only live coface
+    (a collapse) or sigma is tau's only live face (a coreduction), and
+    then d_k just loses row sigma and column tau.  So each removal is a
+    deletion, and the live cells carry a quotient complex of c (so d^2 = 0
+    still holds there) with the homology of c.
+
+    Each cell has static lists of its faces and cofaces and live counts
+    of both; when a count is 1 the list is scanned for the live one.  The
+    queue is first in, first out, so coreductions spread out from the base
+    vertices breadth first.  That leaves far smaller residuals than last
+    in, first out: 3 cells against 1,621 for unordered D_3 of the theta
+    graph subdivided for n = 3.
+    """
+    top = c.top_degree
+    ranks = c.ranks
+    faces: list[list] = [[()] * ranks[0]]
+    cofaces: list[list] = []
+    for k in range(1, top + 1):
+        m, n = ranks[k - 1], ranks[k]
+        down: list[list[int]] = [[] for _ in range(n)]
+        up: list[list[int]] = [[] for _ in range(m)]
+        for key, v in c.boundaries[k].items():
+            if v:
+                i, j = key
+                if not (0 <= i < m and 0 <= j < n):
+                    raise InvariantError(f"entry {key} of d_{k} outside shape {(m, n)}")
+                down[j].append(i)
+                up[i].append(j)
+        faces.append(down)
+        cofaces.append(up)
+    cofaces.append([()] * ranks[top])
+    nface = [list(map(len, f)) for f in faces]
+    ncoface = [list(map(len, u)) for u in cofaces]
+    alive = [bytearray(b"\x01") * r for r in ranks]
+    queue: deque[tuple[int, int]] = deque()
+
+    def kill(k: int, x: int) -> None:
+        alive[k][x] = 0
+        if k:
+            live, count = alive[k - 1], ncoface[k - 1]
+            for s in faces[k][x]:
+                if live[s]:
+                    count[s] -= 1
+                    if count[s] == 1:
+                        queue.append((k - 1, s))
+        if k < top:
+            live, count = alive[k + 1], nface[k + 1]
+            for t in cofaces[k][x]:
+                if live[t]:
+                    count[t] -= 1
+                    if count[t] == 1:
+                        queue.append((k + 1, t))
+
+    base_vertices = 0
+    if top and _is_incidence(c.boundaries[1], faces[1]):
+        parent = list(range(ranks[0]))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for f in faces[1]:
+            if f:
+                parent[find(f[0])] = find(f[1])
+        for v in range(ranks[0]):
+            if parent[v] == v:
+                kill(0, v)
+                base_vertices += 1
+    for k in range(top + 1):
+        live, nf, nc = alive[k], nface[k], ncoface[k]
+        queue.extend((k, x) for x in range(ranks[k])
+                     if live[x] and (nf[x] == 1 or nc[x] == 1))
+    while queue:
+        k, x = queue.popleft()
+        if not alive[k][x]:
+            continue
+        if ncoface[k][x] == 1:
+            live = alive[k + 1]
+            for t in cofaces[k][x]:
+                if live[t]:
+                    break
+            if c.boundaries[k + 1][x, t] in (1, -1):
+                kill(k, x)
+                kill(k + 1, t)
+                continue
+        if nface[k][x] == 1:
+            live = alive[k - 1]
+            for s in faces[k][x]:
+                if live[s]:
+                    break
+            if c.boundaries[k][s, x] in (1, -1):
+                kill(k - 1, s)
+                kill(k, x)
+
+    index = [{x: new for new, x in enumerate(compress(range(r), live))}
+             for r, live in zip(ranks, alive)]
+    boundaries: list[Sparse] = [{}]
+    for k in range(1, top + 1):
+        bd, rows, out = c.boundaries[k], index[k - 1], {}
+        for j, jj in index[k].items():
+            for i in faces[k][j]:
+                ii = rows.get(i)
+                if ii is not None:
+                    out[ii, jj] = bd[i, j]
+        boundaries.append(out)
+    return IntegerChainComplex(tuple(map(len, index)), tuple(boundaries)), base_vertices
+
+
+def _is_incidence(d1: Sparse, faces1: list[list[int]]) -> bool:
+    """Whether every nonzero column of d_1 is exactly {+1, -1}."""
+    return all(not f or (len(f) == 2 and {d1[f[0], j], d1[f[1], j]} == {1, -1})
+               for j, f in enumerate(faces1))
 
 
 @dataclass

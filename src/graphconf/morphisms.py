@@ -299,6 +299,7 @@ def gtm_k_member(g: SimpleGraph, k: int) -> bool:
 def smooth(g: SimpleGraph) -> SimpleGraph:
     """Minimal simplicial representative: suppress degree-2 vertices while
     no loop or parallel edge would be created; g itself if there are none.
+    The kept vertices keep their labels.
 
     One pass in vertex order matches rescanning after each suppression:
     suppressing v keeps every other degree and only adds the edge between
@@ -316,7 +317,8 @@ def smooth(g: SimpleGraph) -> SimpleGraph:
     if len(adj) == len(g.vertices):
         return g
     edges = sorted(norm_edge(a, b) for a, nbrs in adj.items() for b in nbrs if a < b)
-    return SimpleGraph(tuple(v for v in g.vertices if v in adj), tuple(edges))
+    labels = tuple((v, l) for v, l in g.labels if v in adj)
+    return SimpleGraph(tuple(v for v in g.vertices if v in adj), tuple(edges), labels)
 
 
 def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:

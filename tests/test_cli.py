@@ -13,7 +13,7 @@ from graphconf.cli import main
 from graphconf.errors import InvariantError
 from graphconf.homology import IntegerChainComplex
 from graphconf.gio import load_graph, to_json
-from graphconf.graphs import family, make_graph
+from graphconf.graphs import family, make_graph, theta_graph
 
 
 @pytest.fixture
@@ -67,6 +67,39 @@ def test_homology_json_and_table(capsys, g6):
                  "--format", "table"]) == 0
     out = capsys.readouterr().out
     assert "betti" in out and "torsion" in out
+
+
+# (graph, n, extra subdivision, ordered, cells, betti, torsion) of the
+# benchmark's homology jobs at identity labels
+HOMOLOGY_PINS = [
+    ("theta", 3, 0, False, [969, 2720, 2505, 756], [1, 3, 0, 0], [[], [], [], []]),
+    ("theta", 3, 1, False, [2024, 5775, 5440, 1691], [1, 3, 0, 0], [[], [], [], []]),
+    ("K4", 3, 0, False, [1540, 4560, 4428, 1408], [1, 4, 3, 0], [[], [], [], []]),
+    ("K5", 2, 1, False, [595, 1320, 720], [1, 6, 0], [[], [2], []]),
+    ("K5", 2, 2, False, [990, 2150, 1155], [1, 6, 0], [[], [2], []]),
+    ("K33", 2, 1, False, [528, 1116, 585], [1, 4, 0], [[], [2], []]),
+    ("K33", 2, 2, False, [861, 1800, 936], [1, 4, 0], [[], [2], []]),
+    ("K4", 2, 1, True, [462, 960, 492], [1, 7, 0], [[], [], []]),
+    ("K4", 2, 2, True, [756, 1560, 798], [1, 7, 0], [[], [], []]),
+]
+PIN_GRAPHS = {"theta": theta_graph, "K4": lambda: family("complete", 4),
+              "K5": lambda: family("complete", 5),
+              "K33": lambda: family("complete_bipartite", 3, 3)}
+
+
+@pytest.mark.parametrize("graph,n,extra,ordered,cells,betti,torsion", HOMOLOGY_PINS,
+                         ids=[f"{g}-n{n}-e{e}-{'ordered' if o else 'unordered'}"
+                              for g, n, e, o, *_ in HOMOLOGY_PINS])
+def test_homology_output_is_pinned(graph, n, extra, ordered, cells, betti, torsion,
+                                   capsys, g6):
+    path = g6(f"{graph}.json", PIN_GRAPHS[graph]())
+    model = "--ordered" if ordered else "--unordered"
+    assert main(["homology", "--graph", path, "-n", str(n), model,
+                 "--extra-subdivision", str(extra)]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    euler = sum((-1) ** d * c for d, c in enumerate(cells))
+    assert (obj["cells"], obj["euler"], obj["betti"], obj["torsion"]) == (
+        cells, euler, betti, torsion)
 
 
 def test_minor_search_and_gtm(capsys, g6):
@@ -138,6 +171,9 @@ MALFORMED_COTREES = {
     "leaf-map-a-list": {**K2_COTREE, "leaf_map": [[1, 0], [2, 1]]},
     "leaf-vertex-a-string": {**K2_COTREE, "leaf_map": {"1": "x", "2": 1}},
     "leaf-vertex-a-float": {**K2_COTREE, "leaf_map": {"1": 1.5, "2": 1}},
+    "node-id-twice": {**K2_COTREE, "nodes": [
+        *K2_COTREE["nodes"], {"id": 2, "label": "L", "children": []}]},
+    "leaf-map-key-twice": {**K2_COTREE, "leaf_map": {"1": 0, "2": 1, "01": 2}},
 }
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphconf.acceptance import _atlas_graphs
 from graphconf.discretized import build_discretized
@@ -12,6 +13,7 @@ from graphconf.homology import (
     HomologySummary,
     IntegerChainComplex,
     Subgroup,
+    _reduce,
     cycle_image_subgroup,
     homology,
     presentation,
@@ -73,7 +75,22 @@ def clearing_corpus():
             sub = subdivide_uniform(g, subdivision_pieces(n, 0))
             corpus.append(build_discretized(sub, n, ordered=False).chain)
     corpus.append(projective_plane_complex())
+    corpus.extend(disconnected_ordered_complexes())
     return corpus
+
+
+def disconnected_ordered_complexes():
+    """Ordered D_2(K_2): two points that cannot swap; ordered D_3 of C_3
+    cut into 6 edges: two cyclic orders, each a circle."""
+    return [build_discretized(family("complete", 2), 2, ordered=True).chain,
+            build_discretized(subdivide_uniform(family("cycle", 3), 2), 3,
+                              ordered=True).chain]
+
+
+def test_disconnected_ordered_complexes():
+    k2, c3 = (homology(c) for c in disconnected_ordered_complexes())
+    assert k2.betti == (2, 0, 0)
+    assert c3.betti == (2, 2, 0, 0)
 
 
 def test_homology_matches_oracle_without_clearing(clearing_corpus):
@@ -95,6 +112,117 @@ def test_clearing_respects_dirty_rows():
     h = homology(c)
     assert h == homology_without_clearing(c)
     assert h.betti == (0, 0, 0) and h.torsion == ((), (), ())
+
+
+def test_residual_is_a_complex_with_the_same_homology(clearing_corpus):
+    cells = residual_cells = 0
+    for c in clearing_corpus:
+        r, base_vertices = _reduce(c)
+        assert r.check_boundary_squares_to_zero()
+        assert r.euler_characteristic() + base_vertices == c.euler_characteristic()
+        h, hr = homology_without_clearing(c), homology_without_clearing(r)
+        assert (hr.betti[0] + base_vertices, *hr.betti[1:]) == h.betti
+        assert hr.torsion == h.torsion
+        cells += sum(c.ranks)
+        residual_cells += sum(r.ranks)
+    assert residual_cells < cells // 10
+
+
+@pytest.mark.parametrize("ranks,boundaries", [
+    ((1, 1), ({}, {(1, 0): 1})),
+    ((1, 1), ({}, {(0, -1): 1})),
+    ((2, 1), ({}, {(-1, 0): 1, (1, 0): -1})),
+    ((1, 1, 1), ({}, {}, {(0, 3): 2})),
+])
+def test_entry_outside_the_ranks_raises_invariant_error(ranks, boundaries):
+    c = IntegerChainComplex(ranks, boundaries)
+    with pytest.raises(InvariantError, match="outside shape"):
+        homology(c)
+
+
+def invariant_factors(orders):
+    """Invariant factors of the sum of Z/m over the orders, in divisibility
+    order: the i-th largest takes the i-th largest power of each prime."""
+    powers: dict[int, list[int]] = {}
+    for m in orders:
+        p = 2
+        while m > 1:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                powers.setdefault(p, []).append(p ** e)
+            p += 1
+    length = max(map(len, powers.values()), default=0)
+    factors = [1] * length
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs)):
+            factors[length - len(qs) + i] *= q
+    return tuple(factors)
+
+
+def test_invariant_factors():
+    assert invariant_factors([2, 3]) == (6,)
+    assert invariant_factors([2, 4, 6, 1]) == (2, 2, 12)
+    assert invariant_factors([]) == ()
+
+
+@st.composite
+def known_complexes(draw):
+    """A complex with known homology and the Betti numbers and torsion it
+    has: lone cells and blocks Z -> Z (times m) summed, then hidden by a
+    random unimodular change of basis in every degree."""
+    top = draw(st.integers(1, 3))
+    lone = draw(st.lists(st.integers(0, 2), min_size=top + 1, max_size=top + 1))
+    blocks = draw(st.lists(st.tuples(st.integers(1, top), st.integers(1, 6)), max_size=6))
+    rng = draw(st.randoms(use_true_random=False))
+    ranks = list(lone)
+    d = [[[0] * ranks[k] for _ in range(ranks[k - 1])] if k else [] for k in range(top + 1)]
+    for k, m in blocks:
+        # a new (k-1)-cell a and k-cell b with d b = m a
+        for row in d[k]:
+            row.append(0)
+        d[k].append([0] * ranks[k] + [m])
+        if k + 1 <= top:
+            d[k + 1].append([0] * ranks[k + 1])
+        if k - 1 >= 1:
+            for row in d[k - 1]:
+                row.append(0)
+        ranks[k - 1] += 1
+        ranks[k] += 1
+    for k in range(top + 1):
+        for _ in range(rng.randint(0, 3 * ranks[k])):
+            a, b = rng.randrange(ranks[k]), rng.randrange(ranks[k])
+            if a != b:
+                t = rng.choice([-2, -1, 1, 2])
+                # basis change E = I + t e_ab of C_k: row a of d_{k+1} gains
+                # t * row b, column b of d_k loses t * column a
+                if k + 1 <= top:
+                    d[k + 1][a] = [x + t * y for x, y in zip(d[k + 1][a], d[k + 1][b])]
+                if k >= 1:
+                    for row in d[k]:
+                        row[b] -= t * row[a]
+            elif rng.random() < 0.5:
+                # the sign of cell a
+                if k + 1 <= top:
+                    d[k + 1][a] = [-x for x in d[k + 1][a]]
+                if k >= 1:
+                    for row in d[k]:
+                        row[a] = -row[a]
+    boundaries = [{}] + [{(i, j): v for i, row in enumerate(d[k]) for j, v in enumerate(row)
+                          if v} for k in range(1, top + 1)]
+    c = IntegerChainComplex(tuple(ranks), tuple(boundaries))
+    torsion = [invariant_factors(m for kk, m in blocks if kk - 1 == k) for k in range(top + 1)]
+    return c, HomologySummary(tuple(lone), tuple(torsion))
+
+
+@settings(max_examples=150, deadline=None)
+@given(known_complexes())
+def test_homology_of_known_complexes(known):
+    c, expect = known
+    assert c.check_boundary_squares_to_zero()
+    assert homology(c) == expect == homology_without_clearing(c)
 
 
 def test_clean_unit_rows_map_onto(clearing_corpus):

@@ -64,7 +64,8 @@ def smooth_by_rescan(g: SimpleGraph) -> SimpleGraph:
         edges = tuple(sorted(
             [e for e in cur.edges if v not in e] + [norm_edge(u, w)]
         ))
-        cur = SimpleGraph(verts, edges)
+        labels = tuple((x, l) for x, l in cur.labels if x != v)
+        cur = SimpleGraph(verts, edges, labels)
 
 
 def test_identity_validates():
@@ -211,6 +212,10 @@ def test_smooth_matches_the_rescan_oracle():
     # a graph with nothing to suppress comes back as itself, labels and all
     triangle = graphs[-1]
     assert smooth(triangle) is triangle
+    # the kept vertices keep their labels
+    path = smooth(make_graph([0, 1, 2], [(0, 1), (1, 2)], {0: "a", 1: "b", 2: "c"}))
+    assert (path.vertices, path.edges, path.labels) == ((0, 2), ((0, 2),),
+                                                        ((0, "a"), (2, "c")))
 
 
 def test_full_vs_simplicial():

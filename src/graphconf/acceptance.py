@@ -126,8 +126,8 @@ def criterion_2() -> CriterionResult:
         if len(complexes) < 50:
             return False, f"corpus too small: {len(complexes)}"
         for cx in complexes:
-            # homology() checks d^2 = 0 first: the unit-pair reduction and
-            # clearing both rely on it
+            # homology() checks d^2 = 0 first: the unit-pair reduction
+            # relies on it
             try:
                 h = homology(cx.chain)
             except NotAComplexError:

@@ -72,38 +72,24 @@ class HomologySummary:
 def homology(c: IntegerChainComplex) -> HomologySummary:
     """Betti numbers and torsion coefficients in every degree.
 
-    Three steps, each exact over Z, and each resting on d^2 = 0, which is
+    Two steps, each exact over Z, and each resting on d^2 = 0, which is
     checked first:
 
-    1. Base vertices: when d_1 is a graph's incidence matrix, one 0-cell
-       per component is quotiented out and adds 1 to H_0.
-    2. Unit pairs: collapses and coreductions with incidence ±1 are
-       deleted.  Steps 1 and 2 are ``_reduce``; its docstring has the
-       proofs.
-    3. Clearing SNF on the residual complex, from the top degree down:
-       before the SNF of d_k, the columns B of d_k are dropped, where B is
-       the set of k-cells that ``snf`` reports as ``clean_unit_rows`` of
-       d_{k+1}.  This keeps the rank and every invariant factor of d_k:
-
-       d_{k+1}[B, :] maps onto Z^B, so for every b in B there is a chain x
-       with d_{k+1} x = e_b + y, where y avoids B.  Since d_k d_{k+1} = 0,
-       d_k e_b = -d_k y lies in d_k(Z^{B^c}).  Hence im d_k = d_k(Z^{B^c})
-       as a lattice.  The rank and the invariant factors of d_k are read
-       off its cokernel, so they depend on that lattice alone and do not
-       change.
+    1. ``_reduce`` quotients out one base vertex per component when d_1
+       is a graph's incidence matrix, and adds them back to H_0; then it
+       deletes collapses and coreductions with incidence ±1.  Its
+       docstring has the proofs that the residual has the homology of c.
+    2. One Smith normal form per degree of the residual.  As im d_{k+1}
+       lies in the saturated lattice ker d_k, H_k has free rank
+       ranks[k] - rank d_k - rank d_{k+1}, and its torsion is the
+       invariant factors of d_{k+1} above 1.
     """
     if not c.check_boundary_squares_to_zero():
         raise NotAComplexError("boundary does not square to zero")
     r, base_vertices = _reduce(c)
     top = r.top_degree
-    snfs: dict[int, SNFResult] = {}
-    cleared: frozenset[int] = frozenset()
-    for d in range(top, 0, -1):
-        bd = r.boundaries[d]
-        if cleared:
-            bd = {key: v for key, v in bd.items() if key[1] not in cleared}
-        snfs[d] = snf(bd, (r.ranks[d - 1], r.ranks[d]))
-        cleared = snfs[d].clean_unit_rows
+    snfs = {d: snf(r.boundaries[d], (r.ranks[d - 1], r.ranks[d]))
+            for d in range(1, top + 1)}
     betti = []
     torsion = []
     for d in range(top + 1):

@@ -15,20 +15,6 @@ matrices met here.  Every change to M is a tracked row or column
 operation, so U, V and V^-1 stay consistent with it; ``snf`` numbers the
 pivot rows and columns first at the end, which puts the diagonal on
 (k, k).
-
-The engine also reports which rows of M its unit pivots pair, for the
-clearing in ``homology.homology``.  A row turns dirty when it is a pivot
-whose entry is not a unit, or when a multiple of a dirty row is added to
-it.  A row operation always adds a multiple of the current pivot row,
-and a clean pivot row has a unit entry, so its step leaves no remainder
-and it stays the pivot row of its pair.  Normalization only negates and
-reorders unit pivots; its repairs touch non-unit, hence dirty, rows.
-Let B be the clean pivot rows (their diagonal entries are 1).  By
-induction in pivot order, the row of U for b in B is ±(e_b plus
-multiples of e_b' for earlier b' in B): up to sign, U is unitriangular
-on those rows and columns B and zero off B.  Those rows of U*M*V are
-unit vectors, hence M[B, :] maps onto Z^B.
-``SNFResult.clean_unit_rows`` reports B.
 """
 
 from __future__ import annotations
@@ -57,8 +43,6 @@ class SNFResult:
     u_cols: dict | None = None  # U such that U*M*V = D, columns as dicts
     v_cols: dict | None = None  # V, columns as dicts
     vinv_cols: dict | None = None  # V^-1, columns as dicts
-    # rows B of M with M[B, :] onto Z^B (see the module docstring)
-    clean_unit_rows: frozenset[int] = frozenset()
 
     @property
     def torsion(self) -> list[int]:
@@ -112,7 +96,6 @@ def snf(entries, shape, *, track_u=False, track_v=False, track_vinv=False) -> SN
         _transpose_draining(eng.u, row_pos) if track_u else None,
         {col_pos[j]: col for j, col in eng.vcols.items()} if track_v else None,
         _transpose_draining(eng.vinv, col_pos) if track_vinv else None,
-        eng.clean_unit_rows(),
     )
 
 
@@ -146,8 +129,7 @@ class _Engine:
         self.m, self.n = m, n
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
-        items = entries.items() if hasattr(entries, "items") else entries
-        for key, v in items:
+        for key, v in entries.items():
             if not v:
                 continue
             i, j = key
@@ -163,14 +145,11 @@ class _Engine:
         self.rank = 0
         self.diag: list[int] = []
         self.touched: set[int] = set()  # columns whose support changed
-        self.dirty: set[int] = set()  # rows ruled out of clean_unit_rows
 
     # -- elementary operations (applied to M and companions) ---------------
 
     def _row_axpy(self, i, t, q):
         # row_i -= q * row_t
-        if t in self.dirty:
-            self.dirty.add(i)
         ri = self.rows.setdefault(i, {})
         for j, v in list(self.rows.get(t, {}).items()):
             self.touched.add(j)
@@ -253,10 +232,6 @@ class _Engine:
         self.rank = len(self.pivots)
         self._normalize()
 
-    def clean_unit_rows(self) -> frozenset[int]:
-        return frozenset(r for (r, _), d in zip(self.pivots, self.diag)
-                         if d == 1 and r not in self.dirty)
-
     def _select_pivot(self, heap, done):
         while heap:
             nnz, j = heapq.heappop(heap)
@@ -286,8 +261,6 @@ class _Engine:
         self.touched.add(c)
         while True:
             pivot = self.rows[r][c]
-            if abs(pivot) != 1:
-                self.dirty.add(r)
             # clear column c with row operations
             for i in [i for i in self.cols.get(c, set()) if i != r]:
                 v = self.rows[i].get(c)

@@ -4,10 +4,28 @@ Cells are n-slot tuples of vertices and edges with pairwise disjoint
 closures; the dimension is the number of edge slots.  Both the ordered
 variant (all tuples) and the unordered one (sorted orbit representatives
 of the free symmetric-group action) are supported.
+
+Slot codes.  ``build_discretized`` numbers the slots once, in sorted slot
+order: the edges ascending, then the vertices ascending.  It works on
+these integer codes only.  A closure is a bitmask of vertex codes, a cell
+is a tuple of codes, and ``CubicalComplex.cells`` decodes the codes into
+slot tuples on first use.  Codes and slots sort alike, so both forms of a
+layer are in the same sorted order.
+
+No boundary entries cancel.  The face of a k-cell for its edge slot e and
+an endpoint x of e replaces e by the vertex slot x (and, for unordered
+cells, sorts x into place).  The 2k faces of one cell are pairwise
+distinct.  Two faces for different edge slots e and e' differ, since the
+face for e' still holds e and the face for e does not (the slots of a
+cell are distinct, and x is a vertex).  The two faces for one edge differ
+in its endpoint, and neither endpoint is already a slot of the cell, as
+the closures are disjoint.  So each column of d_k has 2k entries, each
+±1, on pairwise distinct rows, and each entry is written once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,106 +45,95 @@ def vertex_slot(v: int) -> Slot:
     return ("v", v)
 
 
-def slot_closure(slot: Slot) -> tuple[int, ...]:
-    return slot[1:] if slot[0] == "e" else (slot[1],)
-
-
 @dataclass(frozen=True)
 class CubicalComplex:
     graph: SimpleGraph
     n: int
     ordered: bool
-    cells: tuple[tuple[tuple[Slot, ...], ...], ...]  # per dimension, sorted
+    slots: tuple[Slot, ...]  # slot code k stands for slots[k]; sorted
+    cell_codes: tuple[tuple[tuple[int, ...], ...], ...]  # per dimension, sorted
     chain: IntegerChainComplex
 
     @cached_property
-    def cell_index(self) -> dict[tuple[Slot, ...], tuple[int, int]]:
-        out = {}
-        for d, layer in enumerate(self.cells):
-            for idx, key in enumerate(layer):
-                out[key] = (d, idx)
-        return out
+    def cells(self) -> tuple[tuple[tuple[Slot, ...], ...], ...]:
+        """The cells as slot tuples, per dimension, sorted."""
+        slots = self.slots
+        return tuple(tuple(tuple(slots[c] for c in cell) for cell in layer)
+                     for layer in self.cell_codes)
+
+    @cached_property
+    def code_index(self) -> dict[tuple[int, ...], tuple[int, int]]:
+        """Cell codes -> (dimension, index in that dimension)."""
+        return {cell: (d, idx) for d, layer in enumerate(self.cell_codes)
+                for idx, cell in enumerate(layer)}
 
     def cell_counts(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.cells)
+        return tuple(len(layer) for layer in self.cell_codes)
 
     def euler_characteristic(self) -> int:
         return self.chain.euler_characteristic()
 
 
 def build_discretized(g: SimpleGraph, n: int, ordered: bool = True) -> CubicalComplex:
-    """Enumerate cells and assemble boundary matrices for D_n(G)."""
+    """Enumerate cells and assemble boundary matrices for D_n(G).
+
+    Per column, the entries are written edge slot by edge slot in cell
+    order, the larger endpoint (sign (-1)^r for the r-th edge slot) before
+    the smaller one (the opposite sign).  ``homology._reduce`` visits faces
+    in this order, and the size of its residual depends on it."""
     if n < 1:
         raise BadParamsError("n must be >= 1")
-    slots = [edge_slot(a, b) for a, b in g.edges] + [vertex_slot(v) for v in g.vertices]
-    slots.sort()
+    slots = sorted([edge_slot(a, b) for a, b in g.edges] + [vertex_slot(v) for v in g.vertices])
+    n_edges = len(g.edges)
+    code = {s[1]: k for k, s in enumerate(slots) if s[0] == "v"}
+    ends = [(code[s[1]], code[s[2]]) for s in slots[:n_edges]]
+    closure = [(1 << a) | (1 << b) for a, b in ends] + [1 << k for k in range(n_edges, len(slots))]
 
-    per_dim: list[list[tuple[Slot, ...]]] = [[] for _ in range(n + 1)]
+    per_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
 
-    chosen: list[Slot] = []
-    used: set[int] = set()
-
-    def rec(start: int):
+    def extend(cell: tuple[int, ...], used: int, dim: int, start: int) -> None:
         # ordered cells restart every slot at 0; unordered ones continue
-        # after the previous slot, which allows pruning short tails
-        if len(chosen) == n:
-            key = tuple(chosen)
-            per_dim[sum(1 for s in key if s[0] == "e")].append(key)
-            return
-        if not ordered and n - len(chosen) > len(slots) - start:
-            return
-        for idx in range(start, len(slots)):
-            s = slots[idx]
-            cl = slot_closure(s)
-            if any(v in used for v in cl):
+        # after the previous slot and leave room for the slots still to
+        # come.  The last slot appends the cell directly, saving one call
+        # per cell.
+        last = len(cell) == n - 1
+        stop = len(slots) if ordered else len(slots) - (n - 1 - len(cell))
+        for c in range(start, stop):
+            if closure[c] & used:
                 continue
-            chosen.append(s)
-            used.update(cl)
-            rec(0 if ordered else idx + 1)
-            used.difference_update(cl)
-            chosen.pop()
+            if last:
+                per_dim[dim + (c < n_edges)].append(cell + (c,))
+            else:
+                extend(cell + (c,), used | closure[c], dim + (c < n_edges),
+                       0 if ordered else c + 1)
 
-    rec(0)
+    # depth first in ascending codes, so every layer comes out sorted
+    extend((), 0, 0, 0)
 
-    for layer in per_dim:
-        layer.sort()
-    index = [
-        {key: i for i, key in enumerate(layer)} for layer in per_dim
-    ]
-
-    boundaries: list[Sparse] = [dict() for _ in range(n + 1)]
+    boundaries: list[Sparse] = [{}]
     for d in range(1, n + 1):
+        rows = {cell: i for i, cell in enumerate(per_dim[d - 1])}
         bd: Sparse = {}
-        for col, key in enumerate(per_dim[d]):
-            edge_rank = 0
-            for pos, s in enumerate(key):
-                if s[0] != "e":
+        for col, cell in enumerate(per_dim[d]):
+            sign = 1
+            for p, c in enumerate(cell):
+                if c >= n_edges:
                     continue
-                _, a, b = s
-                sign = -1 if edge_rank % 2 else 1
-                for endpoint, coeff in ((b, sign), (a, -sign)):
-                    face = _face_key(key, pos, endpoint, ordered)
-                    row = index[d - 1][face]
-                    cur = bd.get((row, col), 0) + coeff
-                    if cur:
-                        bd[(row, col)] = cur
+                head, tail = cell[:p], cell[p + 1:]
+                a, b = ends[c]
+                for x, coeff in ((b, sign), (a, -sign)):
+                    if ordered:
+                        face = head + (x,) + tail
                     else:
-                        bd.pop((row, col), None)
-                edge_rank += 1
-        boundaries[d] = bd
+                        # the head holds edges only, and x sorts after them
+                        k = bisect_left(tail, x)
+                        face = head + tail[:k] + (x,) + tail[k:]
+                    bd[rows[face], col] = coeff
+                sign = -sign
+        boundaries.append(bd)
 
-    chain = IntegerChainComplex(
-        tuple(len(layer) for layer in per_dim), tuple(boundaries)
-    )
-    return CubicalComplex(g, n, ordered, tuple(tuple(l) for l in per_dim), chain)
-
-
-def _face_key(key: tuple[Slot, ...], pos: int, endpoint: int, ordered: bool):
-    repl = list(key)
-    repl[pos] = vertex_slot(endpoint)
-    if not ordered:
-        repl.sort()
-    return tuple(repl)
+    chain = IntegerChainComplex(tuple(map(len, per_dim)), tuple(boundaries))
+    return CubicalComplex(g, n, ordered, tuple(slots), tuple(map(tuple, per_dim)), chain)
 
 
 # -- sufficiency of subdivision ----------------------------------------------
@@ -167,13 +174,16 @@ def inclusion_chain_map(
         raise NotASubgraphError("H is not a subgraph of G")
     src = build_discretized(h, n, ordered)
     tgt = target_complex or build_discretized(g, n, ordered)
+    # both numberings follow the sorted slot order, so sorted cells map to sorted cells
+    tgt_code = {s: k for k, s in enumerate(tgt.slots)}
+    to_tgt = [tgt_code[s] for s in src.slots]
     mats: list[Sparse] = []
     for d in range(n + 1):
         mat: Sparse = {}
-        for col, key in enumerate(src.cells[d]):
-            dd, row = tgt.cell_index[key]
+        for col, cell in enumerate(src.cell_codes[d]):
+            dd, row = tgt.code_index[tuple(to_tgt[c] for c in cell)]
             if dd != d:
-                raise InvariantError(f"cell {key} has dimension {d} in H, {dd} in G")
+                raise InvariantError(f"cell {src.cells[d][col]} has dimension {d} in H, {dd} in G")
             mat[(row, col)] = 1
         mats.append(mat)
     return ChainMap(src.chain, tgt.chain, tuple(mats))

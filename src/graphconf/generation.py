@@ -101,8 +101,9 @@ class AmbientContext:
         if self.i == 0:
             cycles = [{j: 1} for j in inside]
         else:
-            cols = self._columns
-            entries = {(r, c): v for c, j in enumerate(inside) for r, v in cols[j].items()}
+            rows, coeffs = self.complex.chain.columns(self.i)
+            entries = {(r, c): v for c, j in enumerate(inside)
+                       for r, v in zip(rows[j], coeffs[j])}
             res = snf(entries, (self.complex.chain.rank(self.i - 1), len(inside)),
                       track_v=True)
             cycles = [{inside[c]: v for c, v in vec.items()} for vec in res.kernel_basis()]
@@ -112,24 +113,14 @@ class AmbientContext:
 
     @cached_property
     def _slot_bits(self) -> dict:
-        """One bit per slot of D_n(G''): each edge and each vertex of G''."""
-        g = self.subdivided
-        slots = [edge_slot(a, b) for a, b in g.edges] + [vertex_slot(v) for v in g.vertices]
-        return {s: 1 << k for k, s in enumerate(slots)}
+        """One bit per slot of D_n(G''), bit k for slot code k."""
+        return {s: 1 << k for k, s in enumerate(self.complex.slots)}
 
     @cached_property
     def _cell_bits(self) -> list[int]:
         """The slots of each i-cell of D_n(G''), as bits of ``_slot_bits``."""
-        cells = self.complex.cells[self.i] if self.i <= self.n else ()
-        return [sum(self._slot_bits[s] for s in cell) for cell in cells]
-
-    @cached_property
-    def _columns(self) -> dict[int, dict[int, int]]:
-        """The ambient d_i by column."""
-        cols: dict[int, dict[int, int]] = {}
-        for (r, c), v in self.complex.chain.boundary(self.i).items():
-            cols.setdefault(c, {})[r] = v
-        return cols
+        cells = self.complex.cell_codes[self.i] if self.i <= self.n else ()
+        return [sum(1 << c for c in cell) for cell in cells]
 
 
 def image_by_chain_map(ctx: AmbientContext, h: SimpleGraph) -> Subgroup:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -100,6 +101,21 @@ def test_homology_output_is_pinned(graph, n, extra, ordered, cells, betti, torsi
     euler = sum((-1) ** d * c for d, c in enumerate(cells))
     assert (obj["cells"], obj["euler"], obj["betti"], obj["torsion"]) == (
         cells, euler, betti, torsion)
+
+
+# sha256 of `homology --dump-complex` stdout at identity labels, taken
+# before cells were decoded lazily from slot codes
+DUMP_PINS = [
+    ("theta", "--unordered", "3e6663d2fd031e20635bb90b3a2773e24398f31cf8bcfefaed91a9147a8df981"),
+    ("K4", "--ordered", "dc36ef89efa105b06e287115a0568b6077caf87fb1d5ecbb881a8230d3b353dd"),
+]
+
+
+@pytest.mark.parametrize("graph,model,sha", DUMP_PINS, ids=[g for g, *_ in DUMP_PINS])
+def test_dump_complex_output_is_pinned(graph, model, sha, capsys, g6):
+    path = g6(f"{graph}.json", PIN_GRAPHS[graph]())
+    assert main(["homology", "--graph", path, "-n", "2", model, "--dump-complex"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
 
 
 def test_minor_search_and_gtm(capsys, g6):

@@ -12,13 +12,12 @@ from graphconf.discretized import (
     edge_slot,
     inclusion_chain_map,
     is_sufficiently_subdivided,
-    slot_closure,
     vertex_slot,
 )
 from graphconf.errors import NotASubgraphError
 from graphconf.graphs import (disjoint_union, family, make_graph, subdivide,
                               subdivide_uniform, subdivision_pieces, theta_graph)
-from graphconf.homology import homology, presentation
+from graphconf.homology import IntegerChainComplex, _reduce, homology, presentation
 
 
 def test_k2_two_points():
@@ -122,6 +121,10 @@ def test_presentation_matches_summary():
 # -- cell enumeration against a brute-force oracle -------------------------------
 
 
+def slot_closure(slot):
+    return slot[1:] if slot[0] == "e" else (slot[1],)
+
+
 def brute_force_cells(g, n, ordered):
     """Reference for build_discretized's cells: every n-tuple of slots (in
     sorted slot order when unordered) whose closures are pairwise disjoint."""
@@ -149,6 +152,120 @@ def test_cells_match_brute_force(name, g):
         for ordered in (True, False):
             assert build_discretized(g, n, ordered).cells == brute_force_cells(
                 g, n, ordered), (n, ordered)
+
+
+# -- assembly on slot codes against assembly on slot tuples ---------------------
+
+
+def build_discretized_by_slots(g, n, ordered):
+    """Reference for build_discretized: cells as tuples of slot tuples, a
+    set for the used vertices, and boundary entries summed into a dict
+    (an entry that sums to 0 is dropped).  Returns (cells, chain)."""
+    slots = sorted([edge_slot(a, b) for a, b in g.edges] + [vertex_slot(v) for v in g.vertices])
+    per_dim = [[] for _ in range(n + 1)]
+    chosen, used = [], set()
+
+    def rec(start):
+        if len(chosen) == n:
+            key = tuple(chosen)
+            per_dim[sum(1 for s in key if s[0] == "e")].append(key)
+            return
+        if not ordered and n - len(chosen) > len(slots) - start:
+            return
+        for idx in range(start, len(slots)):
+            s = slots[idx]
+            cl = slot_closure(s)
+            if any(v in used for v in cl):
+                continue
+            chosen.append(s)
+            used.update(cl)
+            rec(0 if ordered else idx + 1)
+            used.difference_update(cl)
+            chosen.pop()
+
+    rec(0)
+    for layer in per_dim:
+        layer.sort()
+    index = [{key: i for i, key in enumerate(layer)} for layer in per_dim]
+    boundaries = [{} for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        bd = boundaries[d]
+        for col, key in enumerate(per_dim[d]):
+            edge_rank = 0
+            for pos, s in enumerate(key):
+                if s[0] != "e":
+                    continue
+                _, a, b = s
+                sign = -1 if edge_rank % 2 else 1
+                for endpoint, coeff in ((b, sign), (a, -sign)):
+                    face = list(key)
+                    face[pos] = vertex_slot(endpoint)
+                    if not ordered:
+                        face.sort()
+                    row = index[d - 1][tuple(face)]
+                    cur = bd.get((row, col), 0) + coeff
+                    if cur:
+                        bd[(row, col)] = cur
+                    else:
+                        bd.pop((row, col), None)
+                edge_rank += 1
+    chain = IntegerChainComplex(tuple(map(len, per_dim)), tuple(boundaries))
+    return tuple(map(tuple, per_dim)), chain
+
+
+def assembly_cases():
+    """Every atlas graph with <= 5 vertices at n = 1, 2, 3, and theta and
+    K4 subdivided for n = 3, in both models."""
+    graphs = [(g, n) for g in _atlas_graphs(5) for n in (1, 2, 3)]
+    graphs += [(subdivide_uniform(theta_graph(), 4), 3),
+               (subdivide_uniform(family("complete", 4), 4), 3)]
+    return [(g, n, ordered) for g, n in graphs for ordered in (True, False)]
+
+
+def test_assembly_matches_the_slot_tuple_oracle():
+    for g, n, ordered in assembly_cases():
+        cx = build_discretized(g, n, ordered)
+        cells, chain = build_discretized_by_slots(g, n, ordered)
+        assert cx.cells == cells, (g.edges, n, ordered)
+        assert cx.chain == chain, (g.edges, n, ordered)
+        # _reduce visits faces in insertion order, so that is pinned too
+        for got, want in zip(cx.chain.boundaries, chain.boundaries):
+            assert list(got.items()) == list(want.items()), (g.edges, n, ordered)
+
+
+def test_every_column_has_2k_unit_entries_on_distinct_rows():
+    for g, n, ordered in assembly_cases():
+        chain = build_discretized(g, n, ordered).chain
+        for k in range(n + 1):
+            for rows, coeffs in zip(*chain.columns(k)):
+                assert len(set(rows)) == len(rows) == 2 * k, (g.edges, n, ordered, k)
+                assert all(v in (1, -1) for v in coeffs), (g.edges, n, ordered, k)
+
+
+# (graph, n, extra subdivision, ordered, residual ranks) of the benchmark's
+# homology jobs at identity labels; a face order that grows the residual
+# shows here
+RESIDUAL_PINS = [
+    (theta_graph(), 3, 0, False, (0, 3, 0, 0)),
+    (theta_graph(), 3, 1, False, (0, 3, 0, 0)),
+    (family("complete", 4), 3, 0, False, (0, 159, 158, 0)),
+    (family("complete", 5), 2, 1, False, (0, 63, 57)),
+    (family("complete", 5), 2, 2, False, (0, 78, 72)),
+    (family("complete_bipartite", 3, 3), 2, 1, False, (0, 68, 64)),
+    (family("complete_bipartite", 3, 3), 2, 2, False, (0, 85, 81)),
+    (family("complete", 4), 2, 1, True, (0, 7, 0)),
+    (family("complete", 4), 2, 2, True, (0, 7, 0)),
+]
+
+
+def test_residual_ranks_of_the_bench_shapes_are_pinned():
+    total = 0
+    for g, n, extra, ordered, ranks in RESIDUAL_PINS:
+        sub = subdivide_uniform(g, subdivision_pieces(n, extra))
+        r, base_vertices = _reduce(build_discretized(sub, n, ordered).chain)
+        assert (r.ranks, base_vertices) == (ranks, 1), (g.edges, n, extra, ordered)
+        total += sum(r.ranks)
+    assert total == 905
 
 
 # -- Abrams' test against the arc-and-girth oracle --------------------------------

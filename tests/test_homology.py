@@ -19,7 +19,7 @@ from graphconf.homology import (
     presentation,
 )
 from graphconf.graphs import family, subdivide_uniform, subdivision_pieces, theta_graph
-from graphconf.snf import hermite_columns, hnf_contains, snf
+from graphconf.snf import hermite_columns, hnf_contains, snf, sparse_matmul
 
 
 def circle_complex():
@@ -130,16 +130,32 @@ def test_residual_is_a_complex_with_the_same_homology(full_snf_corpus):
     assert residual_cells < cells // 10
 
 
-@pytest.mark.parametrize("ranks,boundaries", [
+# each complex has one broken boundary, the only nonempty one
+OUTSIDE_THE_RANKS = [
     ((1, 1), ({}, {(1, 0): 1})),
     ((1, 1), ({}, {(0, -1): 1})),
     ((2, 1), ({}, {(-1, 0): 1, (1, 0): -1})),
     ((1, 1, 1), ({}, {}, {(0, 3): 2})),
-])
+    ((2, 1), ({}, {(1, 0): 2, (5, 0): 1})),
+    ((1, 1), ({(0, 0): 5}, {})),  # d_0 is the zero map into C_{-1} = 0
+]
+
+
+@pytest.mark.parametrize("ranks,boundaries", OUTSIDE_THE_RANKS)
 def test_entry_outside_the_ranks_raises_invariant_error(ranks, boundaries):
     c = IntegerChainComplex(ranks, boundaries)
     with pytest.raises(InvariantError, match="outside shape"):
         homology(c)
+
+
+@pytest.mark.parametrize("ranks,boundaries", OUTSIDE_THE_RANKS)
+def test_presentation_rejects_an_entry_outside_the_ranks(ranks, boundaries):
+    # presentation(c, d) reads d_d and d_{d+1}
+    broken = next(k for k, bd in enumerate(boundaries) if bd)
+    c = IntegerChainComplex(ranks, boundaries)
+    for d in {broken - 1, broken} - {-1}:
+        with pytest.raises(InvariantError, match="outside shape"):
+            presentation(c, d)
 
 
 def invariant_factors(orders):
@@ -231,6 +247,25 @@ def test_euler_characteristic():
     c = circle_complex()
     assert c.euler_characteristic() == 0
     assert projective_plane_complex().euler_characteristic() == 1
+
+
+@st.composite
+def small_complexes(draw):
+    """Ranks up to 3 in degrees 0..3 and entries in -1..1, sparse enough
+    that d_{k-1} d_k is zero, or cancels in some rows only, often."""
+    ranks = tuple(draw(st.integers(0, 3)) for _ in range(4))
+    entry = st.sampled_from([0, 0, 0, 1, -1])
+    boundaries = [{}] + [
+        {(i, j): draw(entry) for i in range(ranks[k - 1]) for j in range(ranks[k])}
+        for k in range(1, 4)]
+    return IntegerChainComplex(ranks, tuple(boundaries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_complexes())
+def test_boundary_check_matches_sparse_matmul(c):
+    expect = not any(sparse_matmul(c.boundaries[k - 1], c.boundaries[k]) for k in range(2, 4))
+    assert c.check_boundary_squares_to_zero() == expect
 
 
 def test_boundary_squares_validation():

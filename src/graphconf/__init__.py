@@ -62,7 +62,6 @@ from .morphisms import (
 )
 from .snf import snf
 from .swiatkowski import (
-    SwiatkowskiCell,
     enumerate_cells,
     push_keys,
     support_vertices,

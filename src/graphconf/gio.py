@@ -53,17 +53,14 @@ def from_graph6(s: str) -> SimpleGraph:
     data = [ord(c) - 63 for c in s]
     if any(d < 0 or d > 63 for d in data):
         raise BadParamsError(f"invalid graph6 character in {s!r}")
-    if data[0] == 63:  # '~'
-        if len(data) > 1 and data[1] == 63:
-            n = 0
-            for d in data[2:8]:
-                n = (n << 6) | d
-            data = data[8:]
-        else:
-            n = 0
-            for d in data[1:4]:
-                n = (n << 6) | d
-            data = data[4:]
+    if data[0] == 63:  # '~': the size is the next 3 characters, or 6 after '~~'
+        start, end = (2, 8) if len(data) > 1 and data[1] == 63 else (1, 4)
+        if len(data) < end:
+            raise BadParamsError(f"graph6 size header cut off in {s!r}")
+        n = 0
+        for d in data[start:end]:
+            n = (n << 6) | d
+        data = data[end:]
     else:
         n = data[0]
         data = data[1:]
@@ -114,11 +111,18 @@ def from_json_obj(obj) -> SimpleGraph:
     labels = obj.get("labels", {})
     if not isinstance(labels, dict):
         raise BadParamsError("graph JSON 'labels' must be an object")
-    try:
-        labels = {int(k): v for k, v in labels.items()}
-    except ValueError:
-        raise BadParamsError("graph JSON label keys must be vertex ids") from None
-    return make_graph(obj["vertices"], [tuple(e) for e in obj["edges"]], labels)
+    by_id = {}
+    for k, label in labels.items():
+        try:
+            v = int(k)
+        except ValueError:
+            raise BadParamsError("graph JSON label keys must be vertex ids") from None
+        if v in by_id:
+            raise BadParamsError(f"graph JSON labels name vertex {v} twice")
+        if not isinstance(label, str):
+            raise BadParamsError(f"graph JSON label of vertex {v} must be a string")
+        by_id[v] = label
+    return make_graph(obj["vertices"], [tuple(e) for e in obj["edges"]], by_id)
 
 
 def from_json(s: str) -> SimpleGraph:

@@ -2,19 +2,21 @@
 
 A cell assigns a nonnegative weight to every edge and a state to every
 vertex (empty, the vertex itself, or one of its half-edges), with total
-mass n and exactly i half-edges.  Only the set of cells is modelled; no
+mass n and exactly i half-edges.  A cell is its key (weights, states):
+the positive weights as sorted ((a, b), w) pairs and the nonempty states
+as sorted (v, state) pairs.  Only the set of cells is modelled; no
 differential is defined on them, and homology always goes through the
 discretized model.
 
 The support G_λ of a cell is the subgraph induced on `support_vertices`, so
-its vertex set fixes it.  `verify_support_bound` therefore groups the cells
+its vertex set fixes it.  `verify_support_bound` therefore groups the keys
 by support vertex set and builds G_λ, its inclusion into G (validated once,
 by `push_keys`) and the cograph verdict once per group, not once per cell.
 For G = K5, K6, K3,3, K2,4 and K2,2,2 and i = 0..3, the 40,606 cells of
 A_{i,3}(G) have only 864 distinct supports between them.  A cell and its
-restriction to G_λ share their key (weights, states), so the restriction
-and its push are checked on keys: each enumerated cell is validated once,
-by its constructor.
+restriction to G_λ share their key, so the restriction and its push are
+checked on keys.  `enumerate_cells` builds every key itself, so no key is
+validated again.
 """
 
 from __future__ import annotations
@@ -31,83 +33,47 @@ from .morphisms import TopMinorMorphism, inclusion_morphism, validate_tm
 SELF = ("self",)
 
 
-@dataclass(frozen=True)
-class SwiatkowskiCell:
-    graph: SimpleGraph
-    n: int
-    i: int
-    weights: tuple  # ((a, b), w) with w > 0, sorted
-    states: tuple  # (v, SELF) or (v, ("half", a, b)) with (a, b) an edge, sorted; empty states omitted
+def enumerate_cells(g: SimpleGraph, i: int, n: int) -> list[tuple]:
+    """The keys (weights, states) of all cells of A_{i,n}(G), in key order.
 
-    def __post_init__(self):
-        es = self.graph.edge_set
-        mass = 0
-        halves = 0
-        for e, w in self.weights:
-            if e not in es or w <= 0:
-                raise BadParamsError(f"bad edge weight {e}: {w}")
-            mass += w
-        seen = set()
-        for v, state in self.states:
-            if v in seen or v not in self.graph.adjacency:
-                raise BadParamsError(f"bad state vertex {v}")
-            seen.add(v)
-            if state == SELF:
-                mass += 1
-            elif isinstance(state, tuple) and len(state) == 3 and state[0] == "half":
-                if state[1:] not in es or v not in state[1:]:
-                    raise BadParamsError(f"half-edge {state} not incident on {v}")
-                mass += 1
-                halves += 1
-            else:
-                raise BadParamsError(f"unknown state {state!r}")
-        if mass != self.n:
-            raise BadParamsError(f"total mass {mass} != n = {self.n}")
-        if halves != self.i:
-            raise BadParamsError(f"{halves} half-edges but i = {self.i}")
+    A cell is a weighting of some mass m ≤ n − i together with a state
+    tuple of i half-edges and s = n − i − m self-marks, and every such pair
+    is a cell of mass n.  So the keys are the weightings, each paired with
+    the state tuples whose self-mark count is n − i minus its mass.
 
-    @property
-    def key(self) -> tuple:
-        return (self.weights, self.states)
-
-    def edge_mass(self) -> int:
-        return sum(w for _, w in self.weights)
-
-
-def enumerate_cells(g: SimpleGraph, i: int, n: int) -> list[SwiatkowskiCell]:
-    """All cells of A_{i,n}(G), in a deterministic (key-sorted) order."""
+    Both lists are sorted once, and the pairs come weighting-major.  That
+    is key order: keys compare by weights first, and no weighting occurs
+    twice (it is the positive part of one weight vector), so two keys with
+    different weightings compare as their weightings do; two keys with the
+    same weighting compare as their state tuples do, which are sorted too.
+    """
     if not 0 <= i <= n:
         raise BadParamsError("need 0 <= i <= n")
-    verts = list(g.vertices)
-    edges = list(g.edges)
-    # the positive-weight part of every weighting, per remaining mass
-    weightings = {
-        r: [
-            tuple((e, w) for e, w in zip(edges, dist) if w > 0)
-            for dist in _weight_distributions(r, len(edges))
-        ]
-        for r in range(n - i + 1)
-    }
-    cells = []
-    for half_verts in itertools.combinations(verts, i):
+    edges = g.edges
+    weightings = sorted(
+        tuple((e, w) for e, w in zip(edges, dist) if w > 0)
+        for mass in range(n - i + 1)
+        for dist in _weight_distributions(mass, len(edges))
+    )
+    # the state tuples, by self-mark count
+    states: list[list[tuple]] = [[] for _ in range(n - i + 1)]
+    for half_verts in itertools.combinations(g.vertices, i):
         half_choices = [
             [(v, ("half",) + norm_edge(v, w)) for w in g.adjacency[v]]
             for v in half_verts
         ]
-        if any(not c for c in half_choices):
-            continue
-        rest = [v for v in verts if v not in half_verts]
+        rest = [v for v in g.vertices if v not in half_verts]
         for halves in itertools.product(*half_choices):
-            for s in range(0, min(n - i, len(rest)) + 1):
-                weights_left = weightings[n - i - s]
-                if not weights_left:
-                    continue
+            for s in range(min(n - i, len(rest)) + 1):
                 for selves in itertools.combinations(rest, s):
-                    states = tuple(sorted(halves + tuple((v, SELF) for v in selves)))
-                    for weights in weights_left:
-                        cells.append(SwiatkowskiCell(g, n, i, weights, states))
-    cells.sort(key=lambda c: c.key)
-    return cells
+                    states[s].append(tuple(sorted(halves + tuple((v, SELF) for v in selves))))
+    for group in states:
+        group.sort()
+    return [
+        (weights, st)
+        for weights in weightings
+        for st in states[n - i - sum(w for _, w in weights)]
+    ]
 
 
 def _weight_distributions(total: int, slots: int):
@@ -158,17 +124,19 @@ def push_keys(keys, emb: TopMinorMorphism) -> list[tuple]:
         ) from None
 
 
-def support_vertices(cell: SwiatkowskiCell) -> frozenset[int]:
-    """Vertices of the support G_λ: self-marked vertices and the endpoints of
-    edges that carry a half-edge mark or positive weight.  G_λ is the
-    subgraph of cell.graph induced on them."""
+def support_vertices(key: tuple) -> frozenset[int]:
+    """Vertices of the support G_λ of the cell with this key: self-marked
+    vertices and the endpoints of edges that carry a half-edge mark or
+    positive weight.  G_λ is the subgraph of the cell's graph induced on
+    them."""
+    weights, states = key
     verts: set[int] = set()
-    for v, state in cell.states:
+    for v, state in states:
         if state == SELF:
             verts.add(v)
         else:
             verts.update(state[1:])
-    for (a, b), _ in cell.weights:
+    for (a, b), _ in weights:
         verts.update((a, b))
     return frozenset(verts)
 
@@ -196,31 +164,30 @@ def verify_support_bound(g: SimpleGraph, i: int, n: int) -> SupportBoundReport:
     if n < 0:
         raise BadParamsError("need n >= 0")
     g_is_cograph = is_cograph(g)
-    cells = enumerate_cells(g, i, n)
-    by_support: dict[frozenset[int], list[SwiatkowskiCell]] = {}
-    for cell in cells:
-        by_support.setdefault(support_vertices(cell), []).append(cell)
+    keys = enumerate_cells(g, i, n)
+    by_support: dict[frozenset[int], list[tuple]] = {}
+    for key in keys:
+        by_support.setdefault(support_vertices(key), []).append(key)
     violations = []
     max_support = 0
     for verts, group in by_support.items():
         size = len(verts)
         max_support = max(max_support, size)
         fits = []
-        for cell in group:
-            mass = n + i + cell.edge_mass()
+        for key in group:
+            mass = n + i + sum(w for _, w in key[0])
             if size > mass or mass > 2 * n:
-                violations.append(("size", cell.key, size))
+                violations.append(("size", key, size))
             else:
-                fits.append(cell)
+                fits.append(key)
         if not fits:
             continue
         supp = g.induced(sorted(verts))
-        keys = [c.key for c in fits]
-        for key, pushed in zip(keys, push_keys(keys, inclusion_morphism(supp, g))):
+        for key, pushed in zip(fits, push_keys(fits, inclusion_morphism(supp, g))):
             if pushed != key:
                 violations.append(("image", key, size))
         if g_is_cograph and not is_cograph(supp):
-            violations.extend(("cograph", c.key, size) for c in fits)
+            violations.extend(("cograph", key, size) for key in fits)
     # stable: a cell's "image" violation stays ahead of its "cograph" one
     violations.sort(key=lambda v: v[1])
-    return SupportBoundReport(g, i, n, len(cells), max_support, tuple(violations))
+    return SupportBoundReport(g, i, n, len(keys), max_support, tuple(violations))

@@ -14,7 +14,7 @@ from graphconf.cli import main
 from graphconf.errors import InvariantError
 from graphconf.homology import IntegerChainComplex
 from graphconf.gio import load_graph, to_json
-from graphconf.graphs import family, make_graph, theta_graph
+from graphconf.graphs import complement, disjoint_union, family, make_graph, theta_graph
 
 
 @pytest.fixture
@@ -116,6 +116,29 @@ def test_dump_complex_output_is_pinned(graph, model, sha, capsys, g6):
     path = g6(f"{graph}.json", PIN_GRAPHS[graph]())
     assert main(["homology", "--graph", path, "-n", "2", model, "--dump-complex"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+_EDGE = family("path", 2)
+# (graph, cells per i = 0..3, max support) of `cograph support-report -n 3`
+# on the benchmark's `cells` graphs at identity labels
+SUPPORT_PINS = [
+    ("K5", family("complete", 5), [605, 2020, 2080, 640], 5),
+    ("K33", family("complete_bipartite", 3, 3), [590, 1800, 1755, 540], 6),
+    ("K222", complement(disjoint_union(disjoint_union(_EDGE, _EDGE), _EDGE)),
+     [1032, 3552, 3840, 1280], 6),
+    ("K6", family("complete", 6), [1645, 6150, 7125, 2500], 6),
+    ("K24", family("complete_bipartite", 2, 4), [476, 1376, 1248, 352], 5),
+]
+
+
+@pytest.mark.parametrize("name,graph,cells,max_support", SUPPORT_PINS,
+                         ids=[name for name, *_ in SUPPORT_PINS])
+def test_support_report_output_is_pinned(name, graph, cells, max_support, capsys, g6):
+    path = g6(f"{name}.json", graph)
+    assert main(["cograph", "support-report", path, "-n", "3"]) == 0
+    rows = ", ".join(f'{{"i": {i}, "n": 3, "cells": {c}, "max_support": {max_support}, '
+                     f'"violations": 0}}' for i, c in enumerate(cells))
+    assert capsys.readouterr().out == f'{{"rows": [{rows}], "bound": 6}}\n'
 
 
 def test_minor_search_and_gtm(capsys, g6):
@@ -310,7 +333,10 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["graph", "make", str(bad)]) == 2
-    capsys.readouterr()
+    cut_off = tmp_path / "cut_off.g6"
+    cut_off.write_text("~?\n")  # a '~' size header needs 3 more characters
+    assert main(["graph", "betti1", str(cut_off)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 MALFORMED_GRAPHS = {
@@ -327,6 +353,8 @@ MALFORMED_GRAPHS = {
     "edge-of-three-ids": {"vertices": [0, 1], "edges": [[0, 1, 1]]},
     "edge-of-one-id": {"vertices": [0, 1], "edges": [[0]]},
     "label-key-not-an-int": {"vertices": [0, 1], "edges": [[0, 1]], "labels": {"x": "a"}},
+    "label-key-twice": {"vertices": [0, 1], "edges": [[0, 1]], "labels": {"0": "a", "00": "b"}},
+    "label-not-a-string": {"vertices": [0, 1], "edges": [[0, 1]], "labels": {"1": 7}},
 }
 
 

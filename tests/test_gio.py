@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+from graphconf.errors import BadParamsError
 from graphconf.gio import from_graph6, from_json, to_graph6, to_json
 from graphconf.graphs import complement, family, make_graph
 
@@ -42,6 +43,13 @@ def test_graph6_long_form():
     # 70 vertices forces the multi-byte size encoding
     g = family("cycle", 70)
     assert from_graph6(to_graph6(g)) == g.relabeled()
+
+
+@pytest.mark.parametrize("s", ["~", "~~", "~?", "~??", "~~?", "~~?????"])
+def test_graph6_cut_off_size_header_is_rejected(s):
+    # '~' takes 3 size characters and '~~' takes 6
+    with pytest.raises(BadParamsError, match="size header cut off"):
+        from_graph6(s)
 
 
 def test_json_round_trip_and_canonical_labels():

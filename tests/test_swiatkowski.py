@@ -5,11 +5,10 @@ import pytest
 
 from graphconf import cographs, swiatkowski
 from graphconf.errors import BadParamsError, NotAnEmbeddingError
-from graphconf.graphs import family, make_graph, norm_edge
+from graphconf.graphs import complement, disjoint_union, family, norm_edge
 from graphconf.morphisms import TopMinorMorphism, enumerate_tm, inclusion_morphism
 from graphconf.swiatkowski import (
     SELF,
-    SwiatkowskiCell,
     enumerate_cells,
     push_keys,
     support_vertices,
@@ -17,12 +16,49 @@ from graphconf.swiatkowski import (
 )
 
 
+def validated_key(graph, n, i, weights, states):
+    """Oracle: the key (weights, states) of a cell of A_{i,n}(graph), after
+    checking that it is one; a malformed cell raises BadParamsError.
+    weights are ((a, b), w) with w > 0, states are (v, SELF) or
+    (v, ("half", a, b)) with (a, b) an edge at v; empty states are omitted."""
+    es = graph.edge_set
+    mass = 0
+    halves = 0
+    for e, w in weights:
+        if e not in es or w <= 0:
+            raise BadParamsError(f"bad edge weight {e}: {w}")
+        mass += w
+    seen = set()
+    for v, state in states:
+        if v in seen or v not in graph.adjacency:
+            raise BadParamsError(f"bad state vertex {v}")
+        seen.add(v)
+        if state == SELF:
+            mass += 1
+        elif isinstance(state, tuple) and len(state) == 3 and state[0] == "half":
+            if state[1:] not in es or v not in state[1:]:
+                raise BadParamsError(f"half-edge {state} not incident on {v}")
+            mass += 1
+            halves += 1
+        else:
+            raise BadParamsError(f"unknown state {state!r}")
+    if mass != n:
+        raise BadParamsError(f"total mass {mass} != n = {n}")
+    if halves != i:
+        raise BadParamsError(f"{halves} half-edges but i = {i}")
+    return (weights, states)
+
+
+def edge_mass(key):
+    return sum(w for _, w in key[0])
+
+
 def test_cell_counts_from_construction():
     assert len(enumerate_cells(family("complete", 1), 0, 1)) == 1
     assert len(enumerate_cells(family("complete", 2), 1, 1)) == 2
     cells = enumerate_cells(family("complete", 2), 0, 2)
     assert len(cells) == 4
-    keys = {c.key for c in cells}
+    keys = set(cells)
     assert ((((0, 1), 2),), ()) in keys  # all mass on the edge
     assert ((), ((0, SELF), (1, SELF))) in keys
 
@@ -30,26 +66,27 @@ def test_cell_counts_from_construction():
 def test_cell_invariants():
     g = family("complete_bipartite", 2, 2)
     for i in range(3):
-        for c in enumerate_cells(g, i, 2):
-            halves = sum(1 for _, s in c.states if s != SELF)
-            selves = sum(1 for _, s in c.states if s == SELF)
+        for key in enumerate_cells(g, i, 2):
+            states = key[1]
+            halves = sum(1 for _, s in states if s != SELF)
+            selves = sum(1 for _, s in states if s == SELF)
             assert halves == i
-            assert c.edge_mass() + selves + halves == 2
-            assert c.edge_mass() <= 2 - i
+            assert edge_mass(key) + selves + halves == 2
+            assert edge_mass(key) <= 2 - i
 
 
 def test_cell_validation():
     k2 = family("complete", 2)
     with pytest.raises(BadParamsError):
-        SwiatkowskiCell(k2, 1, 0, (((0, 1), 2),), ())  # mass 2 != 1
+        validated_key(k2, 1, 0, (((0, 1), 2),), ())  # mass 2 != 1
     with pytest.raises(BadParamsError):
-        SwiatkowskiCell(k2, 1, 0, (), ((0, ("half", 0, 1)),))  # i mismatch
+        validated_key(k2, 1, 0, (), ((0, ("half", 0, 1)),))  # i mismatch
     with pytest.raises(BadParamsError):
-        SwiatkowskiCell(k2, 1, 1, (), ((0, ("half", 1, 2)),))  # not incident
+        validated_key(k2, 1, 1, (), ((0, ("half", 1, 2)),))  # not incident
     # a half-edge state is exactly ("half", a, b) with (a, b) a normalized edge
     for state in [("half", 0), ("half", 0, 1, 5), ("half", 1, 0)]:
         with pytest.raises(BadParamsError):
-            SwiatkowskiCell(k2, 1, 1, (), ((0, state),))
+            validated_key(k2, 1, 1, (), ((0, state),))
 
 
 def brute_force_keys(g, i, n):
@@ -77,7 +114,7 @@ def test_enumeration_matches_brute_force(name):
     g = ORACLE_GRAPHS[name]
     for n in (1, 2, 3):
         for i in range(n + 1):
-            assert [c.key for c in enumerate_cells(g, i, n)] == brute_force_keys(g, i, n)
+            assert enumerate_cells(g, i, n) == brute_force_keys(g, i, n)
 
 
 def test_tree_top_cells_count_half_edge_choices():
@@ -95,12 +132,12 @@ def test_tree_top_cells_count_half_edge_choices():
 def test_push_identity_and_injectivity():
     g = family("path", 3)
     ident = inclusion_morphism(g, g)
-    keys = [c.key for c in enumerate_cells(g, 1, 2)]
+    keys = enumerate_cells(g, 1, 2)
     assert push_keys(keys, ident) == keys
     k2 = family("complete", 2)
     embs = enumerate_tm(k2, g, kind="simplicial", limit=100)
     for emb in embs:
-        imgs = push_keys([c.key for c in enumerate_cells(k2, 0, 2)], emb)
+        imgs = push_keys(enumerate_cells(k2, 0, 2), emb)
         assert len(set(imgs)) == len(imgs)
 
 
@@ -110,10 +147,10 @@ def test_push_extends_by_zero():
     from graphconf.graphs import Path
 
     emb = TopMinorMorphism(k2, p3, ((0, 0), (1, 1)), (((0, 1), Path((0, 1))),))
-    heavy = SwiatkowskiCell(k2, 2, 0, (((0, 1), 2),), ())
-    (out,) = push_keys([heavy.key], emb)
+    heavy = validated_key(k2, 2, 0, (((0, 1), 2),), ())
+    (out,) = push_keys([heavy], emb)
     assert out == ((((0, 1), 2),), ())
-    assert SwiatkowskiCell(p3, 2, 0, *out).key == out
+    assert validated_key(p3, 2, 0, *out) == out
 
 
 def test_push_rejects_non_embeddings():
@@ -131,7 +168,7 @@ def test_push_rejects_non_embeddings():
             ((1, 2), Path((2, 3, 4))),
         ),
     )
-    key = enumerate_cells(c3, 0, 1)[0].key
+    key = enumerate_cells(c3, 0, 1)[0]
     with pytest.raises(NotAnEmbeddingError):
         push_keys([key], subdiv)
 
@@ -144,22 +181,22 @@ def test_push_rejects_non_embeddings():
 def test_push_rejects_a_key_off_the_source(i, stray):
     c3 = family("cycle", 3)
     k4 = family("complete", 4)
-    assert SwiatkowskiCell(k4, 1, i, *stray).key == stray  # a cell of the target
+    assert validated_key(k4, 1, i, *stray) == stray  # a cell of the target
     emb = inclusion_morphism(c3, k4)
-    ok = enumerate_cells(c3, 0, 1)[0].key
+    ok = enumerate_cells(c3, 0, 1)[0]
     with pytest.raises(NotAnEmbeddingError):
         push_keys([ok, stray], emb)
 
 
 def test_support_examples():
     k2 = family("complete", 2)
-    heavy = SwiatkowskiCell(k2, 2, 0, (((0, 1), 2),), ())
+    heavy = validated_key(k2, 2, 0, (((0, 1), 2),), ())
     assert support_vertices(heavy) == {0, 1}
     k3 = family("complete", 3)
-    single = SwiatkowskiCell(k3, 1, 0, (), ((0, SELF),))
+    single = validated_key(k3, 1, 0, (), ((0, SELF),))
     assert support_vertices(single) == {0}
     c4 = family("cycle", 4)
-    mixed = SwiatkowskiCell(c4, 2, 1, (), ((0, ("half", 0, 1)), (2, SELF)))
+    mixed = validated_key(c4, 2, 1, (), ((0, ("half", 0, 1)), (2, SELF)))
     assert support_vertices(mixed) == {0, 1, 2}
 
 
@@ -173,15 +210,17 @@ def test_support_bound_reports():
 
 
 
-def push_cell(cell, emb):
-    """Test-local push of a whole cell along emb, validated by the constructor."""
+def push_cell(key, n, i, emb):
+    """Test-local push of one cell key of A_{i,n}(emb.source) along emb,
+    validated as a cell of emb.target."""
     r = emb.rho_v
-    weights = tuple(sorted((norm_edge(r[a], r[b]), w) for (a, b), w in cell.weights))
+    weights, states = key
+    weights = tuple(sorted((norm_edge(r[a], r[b]), w) for (a, b), w in weights))
     states = tuple(sorted(
         (r[v], st if st == SELF else ("half",) + norm_edge(r[st[1]], r[st[2]]))
-        for v, st in cell.states
+        for v, st in states
     ))
-    return SwiatkowskiCell(emb.target, cell.n, cell.i, weights, states)
+    return validated_key(emb.target, n, i, weights, states)
 
 
 def per_cell_support_bound(g, i, n):
@@ -191,23 +230,24 @@ def per_cell_support_bound(g, i, n):
     g_is_cograph = cographs.is_cograph(g)
     violations = []
     max_support = 0
-    cells = enumerate_cells(g, i, n)
-    for cell in cells:
-        verts = {v for v, s in cell.states if s == SELF}
-        verts.update(x for _, s in cell.states if s != SELF for x in s[1:])
-        verts.update(x for e, _ in cell.weights for x in e)
+    keys = enumerate_cells(g, i, n)
+    for key in keys:
+        weights, states = key
+        verts = {v for v, s in states if s == SELF}
+        verts.update(x for _, s in states if s != SELF for x in s[1:])
+        verts.update(x for e, _ in weights for x in e)
         supp = g.induced(sorted(verts))
         size = len(supp.vertices)
         max_support = max(max_support, size)
-        if size > n + i + cell.edge_mass() or n + i + cell.edge_mass() > 2 * n:
-            violations.append(("size", cell.key, size))
+        if size > n + i + edge_mass(key) or n + i + edge_mass(key) > 2 * n:
+            violations.append(("size", key, size))
             continue
-        restricted = SwiatkowskiCell(supp, n, i, cell.weights, cell.states)
-        if push_cell(restricted, swiatkowski.inclusion_morphism(supp, g)) != cell:
-            violations.append(("image", cell.key, size))
+        restricted = validated_key(supp, n, i, weights, states)
+        if push_cell(restricted, n, i, swiatkowski.inclusion_morphism(supp, g)) != key:
+            violations.append(("image", key, size))
         if g_is_cograph and not cographs.is_cograph(supp):
-            violations.append(("cograph", cell.key, size))
-    return len(cells), max_support, tuple(violations)
+            violations.append(("cograph", key, size))
+    return len(keys), max_support, tuple(violations)
 
 
 ORACLE_GRAPHS = {
@@ -237,8 +277,8 @@ def test_a_lying_cograph_verdict_reaches_every_cell_of_its_support(monkeypatch):
         expected = per_cell_support_bound(g, i, 2)[2]
         assert rep.violations == expected
         flagged = {key for kind, key, _ in rep.violations if kind == "cograph"}
-        assert flagged == {c.key for c in enumerate_cells(g, i, 2)
-                           if len(support_vertices(c)) == 3}
+        assert flagged == {key for key in enumerate_cells(g, i, 2)
+                           if len(support_vertices(key)) == 3}
         assert flagged
 
 
@@ -270,21 +310,31 @@ def test_validate_tm_runs_once_per_distinct_support(monkeypatch):
     for i in range(3):
         calls.clear()
         assert verify_support_bound(g, i, 2).ok
-        supports = {support_vertices(c) for c in enumerate_cells(g, i, 2)}
+        supports = {support_vertices(key) for key in enumerate_cells(g, i, 2)}
         assert len(calls) == len(supports)
         assert {frozenset(emb.source.vertices) for emb in calls} == supports
 
 
-def test_each_cell_is_validated_once(monkeypatch):
-    calls = []
-    real = SwiatkowskiCell.__post_init__
-    monkeypatch.setattr(SwiatkowskiCell, "__post_init__",
-                        lambda cell: calls.append(cell) or real(cell))
-    g = family("complete", 4)
-    for i in range(3):
-        calls.clear()
-        rep = verify_support_bound(g, i, 2)
-        assert rep.ok and len(calls) == rep.cell_count > 0
+_EDGE = family("path", 2)
+# the graphs of the benchmark's `cells` workload
+CELLS_GRAPHS = {
+    "K5": family("complete", 5),
+    "K33": family("complete_bipartite", 3, 3),
+    "K222": complement(disjoint_union(disjoint_union(_EDGE, _EDGE), _EDGE)),
+    "K6": family("complete", 6),
+    "K24": family("complete_bipartite", 2, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS) + sorted(CELLS_GRAPHS))
+def test_every_enumerated_key_is_a_valid_cell(name):
+    g = {**ORACLE_GRAPHS, **CELLS_GRAPHS}[name]
+    for n in range(4):
+        for i in range(n + 1):
+            keys = enumerate_cells(g, i, n)
+            assert keys == sorted(set(keys))
+            for key in keys:
+                assert validated_key(g, n, i, *key) == key
 
 
 def test_support_bound_rejects_negative_n():

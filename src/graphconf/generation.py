@@ -31,6 +31,7 @@ from .homology import (
     HomologyPresentation,
     Subgroup,
     cycle_image_subgroup,
+    forest_cycles,
     presentation,
 )
 from .morphisms import (
@@ -86,8 +87,12 @@ class AmbientContext:
         lie in H too, with the same boundary entries and signs.  So Z_i(H)
         is the kernel of the ambient d_i restricted to those columns, with
         the ambient rows, and the inclusion sends each of its vectors to
-        itself.  ``image_by_chain_map`` builds D_n(H) instead; it is the
-        oracle for this method."""
+        itself.  The image is spanned by any Z-basis of Z_i(H): every
+        i-cell of H in degree 0, the fundamental cycles of a spanning
+        forest in degree 1 (``forest_cycles``), and the kernel columns of
+        a V-tracked SNF in higher degrees.  ``Subgroup`` is canonical, so
+        the basis chosen does not change the result.  ``image_by_chain_map``
+        builds D_n(H) instead; it is the oracle for this method."""
         key = (h.vertices, h.edges)
         cached = self._image_cache.get(key)
         if cached is not None:
@@ -100,6 +105,8 @@ class AmbientContext:
         inside = [j for j, cell in enumerate(self._cell_bits) if not cell & outside]
         if self.i == 0:
             cycles = [{j: 1} for j in inside]
+        elif self.i == 1:
+            cycles = forest_cycles(self.complex.chain.columns(1), inside)
         else:
             rows, coeffs = self.complex.chain.columns(self.i)
             entries = {(r, c): v for c, j in enumerate(inside)
@@ -179,6 +186,21 @@ def generator_images(
     union is filtered or grouped first, and unions that fail Abrams' test
     count too.  ``iter_tm`` runs only for the witness, and stops at it.
 
+    When G'' passes Abrams' test, so does every union of its arcs, and no
+    union is tested.  Every G'' of ``build_ambient`` passes, since each of
+    its arcs holds a whole edge of G cut into n+1+extra pieces; a graph
+    with a shorter arc, passed in as G'', has each image tested.
+
+    - Abrams' test asks that every arc of H, open or closed, and every
+      cycle component of H has >= n+1 edges, and G'' passes it iff every
+      ambient arc has >= n+1 edges.
+    - A union H of whole ambient arcs keeps the interior vertices of its
+      arcs at degree 2, so each arc or cycle component of H runs through
+      whole ambient arcs, joined at branch vertices of G'' that have
+      degree 2 in H.  It has at least as many edges as any one of them.
+    - So every image passes, and the witness is the first morphism that
+      ``iter_tm`` yields.
+
     Any other generator (a leaf, an isolated vertex, or no edge) takes
     every morphism from ``iter_tm``, keyed by its image sets, so each
     distinct image is built and tested once."""
@@ -187,6 +209,7 @@ def generator_images(
     amb = ctx.subdivided
     arcs = ambient_arcs(amb)
     profile = _arc_profile(gen)
+    ambient_passes = is_sufficiently_subdivided(amb, ctx.n)  # then every union does
     passing: dict = {}  # (vertex set, edge set) -> image that passes
     count = 0
     for size in range(1, len(arcs) + 1):
@@ -194,7 +217,7 @@ def generator_images(
             h = amb.subgraph([e for arc in combo for e in arc])
             onto = _onto_count(profile, h)
             count += onto
-            if onto and is_sufficiently_subdivided(h, ctx.n):
+            if onto and (ambient_passes or is_sufficiently_subdivided(h, ctx.n)):
                 passing[(h.vertex_set, h.edge_set)] = h
     witness = None
     if passing:

@@ -6,9 +6,10 @@ one column view per degree, which checks it against the shape.  All
 homology data is exact over Z: ``homology`` deletes cell pairs with
 incidence ±1 and takes Smith normal forms of what is left, and
 ``presentation`` takes them of the whole complex, since it needs chain
-coordinates.  Subgroups of a homology group are canonicalized by Hermite
-normal form so that equality and containment are plain lattice
-comparisons.
+coordinates.  When d_1 is a graph's incidence matrix, ``forest_cycles``
+reads a Z-basis of the 1-cycles off a spanning forest, with no SNF.
+Subgroups of a homology group are canonicalized by Hermite normal form
+so that equality and containment are plain lattice comparisons.
 """
 
 from __future__ import annotations
@@ -269,6 +270,84 @@ def _reduce(c: IntegerChainComplex) -> tuple[IntegerChainComplex, int]:
 def _is_incidence(coeffs1: list[list[int]]) -> bool:
     """Whether every nonzero column of d_1 is exactly {+1, -1}."""
     return all(not col or sorted(col) == [-1, 1] for col in coeffs1)
+
+
+def forest_cycles(d1: Columns, inside: list[int]) -> list[dict[int, int]]:
+    """A Z-basis of the 1-cycles on the 1-cells ``inside``, where d1 is
+    d_1 by column: the fundamental cycles of a breadth-first spanning
+    forest.  Raises InvariantError unless each column is {+1, -1} or empty.
+
+    Read d_1 as the incidence matrix of a graph, whose vertices are the
+    0-cells and whose edges are the 1-cells (the ``discretized`` module
+    docstring shows each column of D_n(G'')'s d_1 has one +1 and one -1).
+    Each 1-cell j not in the forest has the cycle e_j plus the signed
+    forest path from its +1 end to its -1 end, listed with j first, and a
+    cell with an empty column is a cycle by itself.  These are a Z-basis
+    of Z_1:
+
+    - Each fundamental cycle holds exactly one cell outside the forest,
+      its own, with coefficient 1.
+    - Let z be a cycle.  Then z minus the sum, over the cells j outside
+      the forest, of z_j times the cycle of j is a cycle supported on the
+      forest.  The support of a nonzero chain on a forest is a forest
+      with an edge, so some vertex lies on exactly one of its edges, and
+      the boundary is not 0 there.  So the difference is 0, and the
+      cycles span Z_1 over Z.
+    - They are independent, since each holds its own cell outside the
+      forest and no other.
+
+    Breadth-first trees are shallow, which keeps the paths short."""
+    rows, coeffs = d1
+    if not _is_incidence([coeffs[j] for j in inside]):
+        raise InvariantError("d_1 is not the incidence matrix of a graph")
+    plus: dict[int, int] = {}  # 1-cell -> its +1 end
+    links: dict[int, list[int]] = {}  # 0-cell -> the 1-cells at it
+    cycles = []
+    for j in inside:
+        r = rows[j]
+        if not r:
+            cycles.append({j: 1})
+            continue
+        plus[j] = r[0] if coeffs[j][0] == 1 else r[1]
+        links.setdefault(r[0], []).append(j)
+        links.setdefault(r[1], []).append(j)
+    up: dict[int, int] = {}  # 0-cell -> the forest cell to its parent
+    parent: dict[int, int] = {}
+    depth: dict[int, int] = {}
+    for root in links:
+        if root in depth:
+            continue
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for j in links[v]:
+                a, w = rows[j]
+                if w == v:
+                    w = a
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    up[w], parent[w] = j, v
+                    queue.append(w)
+    forest = set(up.values())
+    for j, a in plus.items():
+        if j in forest:
+            continue
+        # e_j has boundary a - b.  Walk a and b up to where they meet.  A
+        # step x -> p along forest cell t adds p - x on a's side, which is
+        # +e_t when p is t's +1 end, and x - p on b's, +e_t when x is
+        b = sum(rows[j]) - a
+        cycle = {j: 1}
+        while a != b:
+            if depth[a] >= depth[b]:
+                t, a = up[a], parent[a]
+                cycle[t] = 1 if plus[t] == a else -1
+            else:
+                t = up[b]
+                cycle[t] = 1 if plus[t] == b else -1
+                b = parent[b]
+        cycles.append(cycle)
+    return cycles
 
 
 @dataclass

@@ -6,7 +6,7 @@ import pytest
 
 from graphconf import generation
 from graphconf.discretized import is_sufficiently_subdivided
-from graphconf.errors import BadParamsError
+from graphconf.errors import BadParamsError, InvariantError
 from graphconf.generation import (
     GeneratorList,
     _arc_profile,
@@ -25,7 +25,9 @@ from graphconf.generation import (
 )
 from graphconf.graphs import (SimpleGraph, ambient_arcs, betti1, disjoint_union, family,
                               make_graph, subdivide_uniform, subdivision_pieces, theta_graph)
+from graphconf.homology import forest_cycles
 from graphconf.morphisms import enumerate_tm, gtm_k_member, iter_tm, smooth
+from graphconf.snf import snf
 
 
 def test_generator_list_validation():
@@ -280,6 +282,9 @@ IMAGE_ORACLE_CASES = [
     # H_2 is 0 in the K4 and theta cases above; here it is Z and Z^3
     ("K33-ordered", family("complete_bipartite", 3, 3), 2, 2, 0, True),
     ("K4", family("complete", 4), 2, 3, 0, False),
+    # unordered complexes in degree 1, where the image comes from a forest
+    ("theta", theta_graph(), 1, 3, 0, False),
+    ("K4", family("complete", 4), 1, 2, 1, False),
 ]
 
 
@@ -292,6 +297,93 @@ def test_image_of_subgraph_matches_the_chain_map(name, g, i, n, extra, ordered):
         assert ctx.image_of_subgraph(h) == image_by_chain_map(ctx, h), h.edges
     whole = ctx.image_of_subgraph(ctx.subdivided)
     assert whole.is_full() and whole == image_by_chain_map(ctx, ctx.subdivided)
+
+
+FOREST_CASES = [
+    # (name, graph, n, extra, ordered)
+    ("theta", theta_graph(), 2, 0, False),
+    ("theta-ordered", theta_graph(), 2, 0, True),
+    ("K4", family("complete", 4), 3, 0, False),
+    ("K33-ordered", family("complete_bipartite", 3, 3), 2, 0, True),
+    ("C3+star3", disjoint_union(family("cycle", 3), family("star", 3)), 3, 0, False),
+    ("lollipop-ordered", lollipop(), 2, 1, True),
+    ("star3-ordered", family("star", 3), 3, 0, True),
+]
+
+
+def _inside(ctx, h):
+    """The 1-cells of D_n(G'') inside the subgraph h."""
+    slots = {("e", *e) for e in h.edges} | {("v", v) for v in h.vertices}
+    return [j for j, cell in enumerate(ctx.complex.cells[1]) if set(cell) <= slots]
+
+
+def _components(ends, vertices):
+    """Number of connected components of the graph with these edges."""
+    root = {v: v for v in vertices}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    merged = 0
+    for a, b in ends:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+            merged += 1
+    return len(vertices) - merged
+
+
+@pytest.mark.parametrize("name,g,n,extra,ordered", FOREST_CASES,
+                         ids=[f"{c[0]}-n{c[2]}-extra{c[3]}" for c in FOREST_CASES])
+def test_forest_cycles_are_a_basis_of_the_subgraph_cycles(name, g, n, extra, ordered):
+    ctx = build_ambient(g, 1, n, extra, ordered=ordered)
+    rows, coeffs = ctx.complex.chain.columns(1)
+    # G'' without the middle edge of each arc: leaves and several components
+    cut = ctx.subdivided.subgraph([e for arc in ambient_arcs(ctx.subdivided)
+                                   for e in arc if e != arc[len(arc) // 2]])
+    assert min(map(cut.degree, cut.vertices)) == 1 and _components(cut.edges, cut.vertices) > 1
+    subgraphs = _arc_unions(ctx.subdivided, random.Random(name), 8) + [cut, ctx.subdivided]
+    for h in subgraphs:
+        inside = _inside(ctx, h)
+        cycles = forest_cycles((rows, coeffs), inside)
+        # each vector is a cycle of d_1 on the cells inside h
+        for z in cycles:
+            assert set(z) <= set(inside)
+            boundary: dict = {}
+            for j, c in z.items():
+                for r, v in zip(rows[j], coeffs[j]):
+                    boundary[r] = boundary.get(r, 0) + c * v
+            assert not any(boundary.values()), z
+        # as many as the nullity of d_1 on those columns
+        entries = {(r, c): v for c, j in enumerate(inside) for r, v in zip(rows[j], coeffs[j])}
+        res = snf(entries, (ctx.complex.chain.rank(0), len(inside)), track_v=True)
+        assert len(cycles) == len(res.kernel_basis())
+        # each holds exactly one cell outside the forest, first, with coefficient 1;
+        # the forest spans the cells inside h and has no cycle
+        own = [next(iter(z)) for z in cycles]
+        forest = set(inside) - set(own)
+        assert len(set(own)) == len(own) and all(z[j] == 1 for z, j in zip(cycles, own))
+        assert all(set(z) - {j} <= forest for z, j in zip(cycles, own))
+        touched = {r for j in inside for r in rows[j]}
+        assert (_components([rows[j] for j in forest], touched)
+                == len(touched) - len(forest)
+                == _components([rows[j] for j in inside], touched))
+
+
+def test_degree_1_image_runs_no_snf(monkeypatch):
+    ctx = build_ambient(family("complete", 4), 1, 2, 1, ordered=False)
+    expected = [image_by_chain_map(ctx, h)
+                for h in _arc_unions(ctx.subdivided, random.Random("no-snf"), 6)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("snf called for a degree-1 image")
+
+    monkeypatch.setattr(generation, "snf", refuse)
+    got = [ctx.image_of_subgraph(h)
+           for h in _arc_unions(ctx.subdivided, random.Random("no-snf"), 6)]
+    assert got == expected
 
 
 
@@ -426,6 +518,51 @@ def test_onto_count_matches_morphisms_on_every_union_of_arcs(sub, n, gen, morphi
             h = sub.subgraph([e for arc in combo for e in arc])
             assert onto_count(GENERATORS[gen], h) == onto_count_by_morphisms(
                 GENERATORS[gen], h), h
+
+
+def test_degree_1_image_rejects_a_d1_that_is_no_incidence_matrix():
+    ctx = build_ambient(family("cycle", 3), 1, 2, ordered=False)
+    rows, coeffs = ctx.complex.chain.columns(1)
+    coeffs[0] = [1, 1]
+    with pytest.raises(InvariantError):
+        ctx.image_of_subgraph(ctx.subdivided)
+
+
+# star3 has leaves, so its images are not unions of whole arcs
+@pytest.mark.parametrize("sub,n,gen,morphisms,distinct",
+                         [c for c in IMAGE_CASES if c.values[2] != "star3"])
+def test_unions_of_arcs_pass_abrams_test_when_the_ambient_does(sub, n, gen, morphisms,
+                                                               distinct):
+    # generator_images tests no union when G'' passes; a G'' that fails has a
+    # short arc, which fails by itself
+    arcs = ambient_arcs(sub)
+    unions = [sub.subgraph([e for arc in combo for e in arc])
+              for size in range(1, len(arcs) + 1)
+              for combo in itertools.combinations(arcs, size)]
+    assert any(onto_count(GENERATORS[gen], h) for h in unions)
+    assert all(is_sufficiently_subdivided(h, n) for h in unions) == (
+        is_sufficiently_subdivided(sub, n))
+
+
+@pytest.mark.parametrize("name,g,n,extra", [c[:4] for c in GENERATE_CASES],
+                         ids=[f"{c[0]}-n{c[2]}-extra{c[3]}-{c[4]}" for c in GENERATE_CASES])
+def test_every_ambient_of_build_ambient_passes_abrams_test(name, g, n, extra):
+    assert is_sufficiently_subdivided(build_ambient(g, 1, n, extra).subdivided, n)
+
+
+def test_leafless_generator_tests_only_the_ambient(monkeypatch):
+    calls = []
+
+    def counted(h, n):
+        calls.append(h)
+        return is_sufficiently_subdivided(h, n)
+
+    monkeypatch.setattr(generation, "is_sufficiently_subdivided", counted)
+    ctx = SimpleNamespace(subdivided=subdivide_uniform(family("complete", 4), 4), n=2)
+    images, count, witness = generator_images(ctx, C3)
+    assert (count, len(images)) == (15360, 7)
+    assert witness == next(iter_tm(C3, ctx.subdivided, kind="tm"))
+    assert calls == [ctx.subdivided]
 
 
 BOWTIE = make_graph(range(5), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])

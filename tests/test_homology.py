@@ -15,6 +15,7 @@ from graphconf.homology import (
     Subgroup,
     _reduce,
     cycle_image_subgroup,
+    forest_cycles,
     homology,
     presentation,
 )
@@ -110,6 +111,19 @@ def test_non_incidence_d1_skips_the_base_vertex_step():
     h = homology(c)
     assert h == homology_by_full_snf(c)
     assert h.betti == (0, 0, 0) and h.torsion == ((), (), ())
+
+
+def test_forest_cycles_need_an_incidence_matrix():
+    # 1-cells 0, 1, 2 on the 0-cells 0, 1, 2: a triangle
+    rows = [[0, 1], [1, 2], [0, 2]]
+    assert len(forest_cycles((rows, [[1, -1], [-1, 1], [-1, 1]]), [0, 1, 2])) == 1
+    for doctored in ([2, -1], [1, 1], [-1, -1]):
+        with pytest.raises(InvariantError):
+            forest_cycles((rows, [[1, -1], doctored, [-1, 1]]), [0, 1, 2])
+    with pytest.raises(InvariantError):
+        forest_cycles(([[0, 1], [1]], [[1, -1], [1]]), [0, 1])
+    # a column with no entry is a cycle by itself
+    assert forest_cycles(([[0, 1], []], [[1, -1], []]), [0, 1]) == [{1: 1}]
 
 
 def test_residual_is_a_complex_with_the_same_homology(full_snf_corpus):

@@ -20,7 +20,8 @@ face for e' still holds e and the face for e does not (the slots of a
 cell are distinct, and x is a vertex).  The two faces for one edge differ
 in its endpoint, and neither endpoint is already a slot of the cell, as
 the closures are disjoint.  So each column of d_k has 2k entries, each
-±1, on pairwise distinct rows, and each entry is written once.
+±1, on pairwise distinct rows: ``build_discretized`` appends each face to
+its column once, and the column lists are the complex's one stored form.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cached_property
 
 from .errors import BadParamsError, InvariantError, NotASubgraphError
 from .graphs import SimpleGraph, ambient_arcs
-from .homology import ChainMap, IntegerChainComplex, Sparse
+from .homology import ChainMap, Columns, IntegerChainComplex, Sparse
 
 # slot encodings sort edges before vertices, matching the orbit representative
 Slot = tuple  # ('e', a, b) or ('v', v)
@@ -75,9 +76,9 @@ class CubicalComplex:
 
 
 def build_discretized(g: SimpleGraph, n: int, ordered: bool = True) -> CubicalComplex:
-    """Enumerate cells and assemble boundary matrices for D_n(G).
+    """Enumerate cells and assemble the boundary matrices of D_n(G) by column.
 
-    Per column, the entries are written edge slot by edge slot in cell
+    Per column, the faces are appended edge slot by edge slot in cell
     order, the larger endpoint (sign (-1)^r for the r-th edge slot) before
     the smaller one (the opposite sign).  ``homology._reduce`` visits faces
     in this order, and the size of its residual depends on it."""
@@ -110,11 +111,12 @@ def build_discretized(g: SimpleGraph, n: int, ordered: bool = True) -> CubicalCo
     # depth first in ascending codes, so every layer comes out sorted
     extend((), 0, 0, 0)
 
-    boundaries: list[Sparse] = [{}]
+    columns: list[Columns] = [([[] for _ in per_dim[0]], [[] for _ in per_dim[0]])]
     for d in range(1, n + 1):
-        rows = {cell: i for i, cell in enumerate(per_dim[d - 1])}
-        bd: Sparse = {}
-        for col, cell in enumerate(per_dim[d]):
+        index = {cell: i for i, cell in enumerate(per_dim[d - 1])}
+        rows, coeffs = [], []
+        for cell in per_dim[d]:
+            col_rows, col_coeffs = [], []
             sign = 1
             for p, c in enumerate(cell):
                 if c >= n_edges:
@@ -128,11 +130,14 @@ def build_discretized(g: SimpleGraph, n: int, ordered: bool = True) -> CubicalCo
                         # the head holds edges only, and x sorts after them
                         k = bisect_left(tail, x)
                         face = head + tail[:k] + (x,) + tail[k:]
-                    bd[rows[face], col] = coeff
+                    col_rows.append(index[face])
+                    col_coeffs.append(coeff)
                 sign = -sign
-        boundaries.append(bd)
+            rows.append(col_rows)
+            coeffs.append(col_coeffs)
+        columns.append((rows, coeffs))
 
-    chain = IntegerChainComplex(tuple(map(len, per_dim)), tuple(boundaries))
+    chain = IntegerChainComplex(tuple(map(len, per_dim)), tuple(columns))
     return CubicalComplex(g, n, ordered, tuple(slots), tuple(map(tuple, per_dim)), chain)
 
 
@@ -201,8 +206,7 @@ def complex_to_json_obj(cx: CubicalComplex) -> dict:
             for layer in cx.cells
         ],
         "boundaries": [
-            sorted([r, c, v] for (r, c), v in cx.chain.boundaries[d].items())
-            for d in range(len(cx.cells))
+            sorted([r, c, v] for (r, c), v in bd.items()) for bd in cx.chain.boundaries
         ],
     }
 

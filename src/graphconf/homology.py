@@ -1,9 +1,9 @@
 """Integer homology of finite chain complexes, chain maps, and subgroups.
 
-A chain complex is ranks per degree plus sparse boundary matrices; the
-d^2 = 0 check, ``_reduce`` and ``presentation`` read each matrix through
-one column view per degree, which checks it against the shape.  All
-homology data is exact over Z: ``homology`` deletes cell pairs with
+A chain complex is ranks per degree plus each boundary matrix by column,
+its one stored form, checked once when the complex is built.  The
+(row, col) dicts that ``snf`` reads are built from the columns on demand.
+All homology data is exact over Z: ``homology`` deletes cell pairs with
 incidence ±1 and takes Smith normal forms of what is left, and
 ``presentation`` takes them of the whole complex, since it needs chain
 coordinates.  When d_1 is a graph's incidence matrix, ``forest_cycles``
@@ -15,9 +15,9 @@ so that equality and containment are plain lattice comparisons.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import AmbientMismatchError, InvariantError, NotAComplexError
 from .snf import SNFResult, hermite_columns, hnf_contains, snf, sparse_matmul
@@ -29,21 +29,55 @@ Columns = tuple[list[list[int]], list[list[int]]]
 
 @dataclass(frozen=True)
 class IntegerChainComplex:
-    """ranks[d] = rank of C_d; boundaries[d]: C_d -> C_{d-1} (sparse)."""
+    """ranks[k] = rank of C_k, and d_k: C_k -> C_{k-1} by column.
+
+    ``_columns[k]`` is d_k as (rows, coeffs): rows[j] and coeffs[j] list
+    the nonzero entries of column j.  This is the only stored form, and it
+    is checked once, here: one column per k-cell, rows and coefficients of
+    equal length, every row in range(rank(k-1)) (so d_0 has no entry), no
+    row twice in a column and no zero coefficient."""
 
     ranks: tuple[int, ...]
-    boundaries: tuple[Sparse, ...]  # boundaries[0] is the zero map
-    _views: dict[int, Columns] = field(default_factory=dict, init=False,
-                                       repr=False, compare=False)
+    _columns: tuple[Columns, ...]
 
     def __post_init__(self):
-        if len(self.boundaries) != len(self.ranks):
+        if len(self._columns) != len(self.ranks):
             raise NotAComplexError("need one boundary per degree (degree 0 is zero)")
+        for k, (rows, coeffs) in enumerate(self._columns):
+            m, n = self.rank(k - 1), self.ranks[k]
+            if len(rows) != n or len(coeffs) != n:
+                raise InvariantError(f"d_{k} needs one column per {k}-cell, {n} in all")
+            # per degree, with builtins mapped over the columns, as this
+            # reads every entry of every complex built
+            lengths = list(map(len, rows))
+            if lengths != list(map(len, coeffs)):
+                raise InvariantError(f"d_{k} needs one coefficient per row")
+            entries = list(chain.from_iterable(rows))
+            if entries and (min(entries) < 0 or max(entries) >= m):
+                raise InvariantError(f"d_{k} has a row outside shape {(m, n)}")
+            if lengths != list(map(len, map(set, rows))):
+                raise InvariantError(f"a column of d_{k} repeats a row")
+            if not all(map(all, coeffs)):
+                raise InvariantError(f"d_{k} has a zero coefficient")
+
+    def columns(self, k: int) -> Columns:
+        """d_k by column: the stored lists themselves, which callers only
+        read.  Empty outside the degrees."""
+        if 0 <= k < len(self.ranks):
+            return self._columns[k]
+        return [], []
 
     def boundary(self, d: int) -> Sparse:
-        if 0 <= d < len(self.ranks):
-            return self.boundaries[d]
-        return {}
+        """d_d as a {(row, col): value} dict, built column by column on
+        each call; nothing caches it."""
+        rows, coeffs = self.columns(d)
+        return {(i, j): v for j, (col_rows, col_coeffs) in enumerate(zip(rows, coeffs))
+                for i, v in zip(col_rows, col_coeffs)}
+
+    @property
+    def boundaries(self) -> tuple[Sparse, ...]:
+        """``boundary(d)`` for every degree."""
+        return tuple(map(self.boundary, range(len(self.ranks))))
 
     def rank(self, d: int) -> int:
         if 0 <= d < len(self.ranks):
@@ -54,37 +88,12 @@ class IntegerChainComplex:
     def top_degree(self) -> int:
         return len(self.ranks) - 1
 
-    def columns(self, k: int) -> Columns:
-        """d_k by column, built on first use: rows[j] and coeffs[j] list
-        the nonzero entries of column j in the order of ``boundaries[k]``.
-
-        Raises InvariantError on a nonzero entry outside the shape
-        (rank(k-1), rank(k)); d_0 has shape (0, rank(0)), so any nonzero
-        entry there is outside it."""
-        view = self._views.get(k)
-        if view is None:
-            m, n = self.rank(k - 1), self.rank(k)
-            rows: list[list[int]] = [[] for _ in range(n)]
-            coeffs: list[list[int]] = [[] for _ in range(n)]
-            for key, v in self.boundary(k).items():
-                if v:
-                    i, j = key
-                    if not (0 <= i < m and 0 <= j < n):
-                        raise InvariantError(f"entry {key} of d_{k} outside shape {(m, n)}")
-                    rows[j].append(i)
-                    coeffs[j].append(v)
-            view = self._views[k] = (rows, coeffs)
-        return view
-
     def check_boundary_squares_to_zero(self) -> bool:
         """Whether d_{k-1} d_k = 0 for every k, multiplied column by column.
-
-        It reads every degree's ``columns``, so it also validates the
-        shapes: a nonzero entry outside them raises InvariantError."""
-        views = [self.columns(k) for k in range(len(self.ranks))]
+        The shapes were checked when the complex was built."""
         for k in range(2, len(self.ranks)):
-            lower_rows, lower_coeffs = views[k - 1]
-            for col_rows, col_coeffs in zip(*views[k]):
+            lower_rows, lower_coeffs = self._columns[k - 1]
+            for col_rows, col_coeffs in zip(*self._columns[k]):
                 acc: dict[int, int] = {}
                 for i, v in zip(col_rows, col_coeffs):
                     for r, w in zip(lower_rows[i], lower_coeffs[i]):
@@ -128,7 +137,7 @@ def homology(c: IntegerChainComplex) -> HomologySummary:
         raise NotAComplexError("boundary does not square to zero")
     r, base_vertices = _reduce(c)
     top = r.top_degree
-    snfs = {d: snf(r.boundaries[d], (r.ranks[d - 1], r.ranks[d]))
+    snfs = {d: snf(r.boundary(d), (r.ranks[d - 1], r.ranks[d]))
             for d in range(1, top + 1)}
     betti = []
     torsion = []
@@ -144,7 +153,8 @@ def homology(c: IntegerChainComplex) -> HomologySummary:
 def _reduce(c: IntegerChainComplex) -> tuple[IntegerChainComplex, int]:
     """A smaller complex with the homology of c, and the number of base
     vertices to add back to H_0.  The residual is c restricted to the
-    cells left live, renumbered in order.
+    cells left live, renumbered in order; each of its columns keeps the
+    order of the column of c it comes from.
 
     Base vertices.  When every nonzero column of d_1 is {+1, -1}, H_0(C)
     is free on the components of that graph, and any 0-cell generates its
@@ -171,12 +181,12 @@ def _reduce(c: IntegerChainComplex) -> tuple[IntegerChainComplex, int]:
     still holds there) with the homology of c.
 
     Each cell's faces and their coefficients are its column in
-    ``c.columns``; its cofaces are gathered from those.  Live counts of
-    both are kept, and when a count is 1 the list is scanned for the live
-    one.  The queue is first in, first out, so coreductions spread out
-    from the base vertices breadth first.  That leaves far smaller
-    residuals than last in, first out: 3 cells against 1,621 for
-    unordered D_3 of the theta graph subdivided for n = 3.
+    ``c.columns``, visited in the column's order; its cofaces are gathered
+    from those.  Live counts of both are kept, and when a count is 1 the
+    list is scanned for the live one.  The queue is first in, first out,
+    so coreductions spread out from the base vertices breadth first.  That
+    leaves far smaller residuals than last in, first out: 3 cells against
+    1,621 for unordered D_3 of the theta graph subdivided for n = 3.
     """
     top = c.top_degree
     ranks = c.ranks
@@ -255,16 +265,21 @@ def _reduce(c: IntegerChainComplex) -> tuple[IntegerChainComplex, int]:
 
     index = [{x: new for new, x in enumerate(compress(range(r), live))}
              for r, live in zip(ranks, alive)]
-    boundaries: list[Sparse] = [{}]
-    for k in range(1, top + 1):
-        rows, out = index[k - 1], {}
-        for j, jj in index[k].items():
+    columns: list[Columns] = []
+    for k in range(top + 1):
+        rows = index[k - 1] if k else {}
+        out_rows, out_coeffs = [], []
+        for j in index[k]:
+            col_rows, col_coeffs = [], []
             for i, v in zip(faces[k][j], coeffs[k][j]):
                 ii = rows.get(i)
                 if ii is not None:
-                    out[ii, jj] = v
-        boundaries.append(out)
-    return IntegerChainComplex(tuple(map(len, index)), tuple(boundaries)), base_vertices
+                    col_rows.append(ii)
+                    col_coeffs.append(v)
+            out_rows.append(col_rows)
+            out_coeffs.append(col_coeffs)
+        columns.append((out_rows, out_coeffs))
+    return IntegerChainComplex(tuple(map(len, index)), tuple(columns)), base_vertices
 
 
 def _is_incidence(coeffs1: list[list[int]]) -> bool:
@@ -411,10 +426,7 @@ class HomologyPresentation:
 
 
 def presentation(c: IntegerChainComplex, d: int) -> HomologyPresentation:
-    """Compute the homology presentation of C at degree d.
-
-    Raises InvariantError when d_d or d_{d+1} has a nonzero entry outside
-    its shape."""
+    """Compute the homology presentation of C at degree d."""
     kernel = snf(c.boundary(d), (c.rank(d - 1), c.rank(d)), track_vinv=True)
     rel_cols: dict[tuple[int, int], int] = {}
     for j, (rows, coeffs) in enumerate(zip(*c.columns(d + 1))):

@@ -8,9 +8,9 @@ graph corpora rather than hand-picked examples.
 
 from types import SimpleNamespace
 
+from chains import from_entries
 from graphconf import acceptance
 from graphconf.acceptance import CRITERIA
-from graphconf.homology import IntegerChainComplex
 
 
 def _run(number: int):
@@ -29,8 +29,7 @@ def test_criterion_2_complex_sanity_sweep():
 
 
 def test_criterion_2_reports_a_broken_complex(monkeypatch):
-    broken = SimpleNamespace(chain=IntegerChainComplex(
-        (1, 1, 1), ({}, {(0, 0): 1}, {(0, 0): 1})))
+    broken = SimpleNamespace(chain=from_entries((1, 1, 1), ({}, {(0, 0): 1}, {(0, 0): 1})))
     monkeypatch.setattr(acceptance, "build_discretized", lambda *a, **k: broken)
     res = CRITERIA[2]()
     assert not res.passed

@@ -9,10 +9,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from chains import from_entries
 from graphconf import cli
 from graphconf.cli import main
 from graphconf.errors import InvariantError
-from graphconf.homology import IntegerChainComplex
 from graphconf.gio import load_graph, to_json
 from graphconf.graphs import complement, disjoint_union, family, make_graph, theta_graph
 
@@ -303,8 +303,7 @@ def test_generate_echoes_the_callers_parameters(capsys, g6):
 
 
 def test_broken_complex_exits_3(monkeypatch, capsys, g6):
-    broken = SimpleNamespace(chain=IntegerChainComplex(
-        (1, 1, 1), ({}, {(0, 0): 1}, {(0, 0): 1})))
+    broken = SimpleNamespace(chain=from_entries((1, 1, 1), ({}, {(0, 0): 1}, {(0, 0): 1})))
     monkeypatch.setattr(cli, "build_discretized", lambda *a, **k: broken)
     c3 = g6("c3.json", family("cycle", 3))
     assert main(["homology", "--graph", c3, "-n", "1"]) == 3

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chains import from_entries
 from graphconf.acceptance import _atlas_graphs
 from graphconf.discretized import build_discretized
 from graphconf.errors import AmbientMismatchError, InvariantError, NotAComplexError
@@ -25,7 +26,7 @@ from graphconf.snf import hermite_columns, hnf_contains, snf, sparse_matmul
 
 def circle_complex():
     # two vertices, two parallel arcs forming a circle
-    return IntegerChainComplex(
+    return from_entries(
         (2, 2),
         ({}, {(0, 0): -1, (1, 0): 1, (0, 1): -1, (1, 1): 1}),
     )
@@ -33,7 +34,7 @@ def circle_complex():
 
 def projective_plane_complex():
     # one cell in each degree; degree-2 attaching map has degree 2
-    return IntegerChainComplex((1, 1, 1), ({}, {}, {(0, 0): 2}))
+    return from_entries((1, 1, 1), ({}, {}, {(0, 0): 2}))
 
 
 def test_homology_circle():
@@ -106,8 +107,8 @@ def test_homology_matches_oracle_without_clearing(full_snf_corpus):
 def test_non_incidence_d1_skips_the_base_vertex_step():
     # d1 = [[3, -2]] is no incidence matrix, so _reduce counts no base
     # vertex: H_0 = Z/(3, -2) = 0, not Z
-    c = IntegerChainComplex((1, 2, 1), ({}, {(0, 0): 3, (0, 1): -2},
-                                        {(0, 0): 2, (1, 0): 3}))
+    c = from_entries((1, 2, 1), ({}, {(0, 0): 3, (0, 1): -2},
+                                 {(0, 0): 2, (1, 0): 3}))
     h = homology(c)
     assert h == homology_by_full_snf(c)
     assert h.betti == (0, 0, 0) and h.torsion == ((), (), ())
@@ -144,32 +145,43 @@ def test_residual_is_a_complex_with_the_same_homology(full_snf_corpus):
     assert residual_cells < cells // 10
 
 
-# each complex has one broken boundary, the only nonempty one
+def no_columns(n):
+    return [[] for _ in range(n)], [[] for _ in range(n)]
+
+
+# d_k by column, each complex with one broken degree, the only one with
+# entries or with too many columns: a row, or a column, outside the ranks
 OUTSIDE_THE_RANKS = [
-    ((1, 1), ({}, {(1, 0): 1})),
-    ((1, 1), ({}, {(0, -1): 1})),
-    ((2, 1), ({}, {(-1, 0): 1, (1, 0): -1})),
-    ((1, 1, 1), ({}, {}, {(0, 3): 2})),
-    ((2, 1), ({}, {(1, 0): 2, (5, 0): 1})),
-    ((1, 1), ({(0, 0): 5}, {})),  # d_0 is the zero map into C_{-1} = 0
+    ((1, 1), (no_columns(1), ([[1]], [[1]]))),
+    ((1, 1), (no_columns(1), ([[0], []], [[1], []]))),
+    ((2, 1), (no_columns(2), ([[-1, 1]], [[1, -1]]))),
+    ((1, 1, 1), (no_columns(1), no_columns(1), ([[], [], [], [0]], [[], [], [], [2]]))),
+    ((2, 1), (no_columns(2), ([[1, 5]], [[2, 1]]))),
+    ((1, 1), (([[0]], [[5]]), no_columns(1))),  # d_0 is the zero map into C_{-1} = 0
 ]
 
 
 @pytest.mark.parametrize("ranks,boundaries", OUTSIDE_THE_RANKS)
 def test_entry_outside_the_ranks_raises_invariant_error(ranks, boundaries):
-    c = IntegerChainComplex(ranks, boundaries)
-    with pytest.raises(InvariantError, match="outside shape"):
-        homology(c)
+    with pytest.raises(InvariantError, match="outside shape|one column per"):
+        IntegerChainComplex(ranks, boundaries)
 
 
-@pytest.mark.parametrize("ranks,boundaries", OUTSIDE_THE_RANKS)
-def test_presentation_rejects_an_entry_outside_the_ranks(ranks, boundaries):
-    # presentation(c, d) reads d_d and d_{d+1}
-    broken = next(k for k, bd in enumerate(boundaries) if bd)
-    c = IntegerChainComplex(ranks, boundaries)
-    for d in {broken - 1, broken} - {-1}:
-        with pytest.raises(InvariantError, match="outside shape"):
-            presentation(c, d)
+# the checks that the dict form made by its structure: a column per cell,
+# a coefficient per row, each row once and no zero
+MALFORMED_COLUMNS = [
+    ((1, 2), (no_columns(1), ([[0]], [[1]])), "one column per"),
+    ((1, 1), (no_columns(1), ([[0]], [[1], [1]])), "one column per"),
+    ((2, 1), (no_columns(2), ([[0, 1]], [[1]])), "one coefficient per row"),
+    ((2, 1), (no_columns(2), ([[0, 0]], [[1, -1]])), "repeats a row"),
+    ((2, 1), (no_columns(2), ([[0, 1]], [[1, 0]])), "zero coefficient"),
+]
+
+
+@pytest.mark.parametrize("ranks,columns,match", MALFORMED_COLUMNS)
+def test_malformed_columns_raise_invariant_error_at_construction(ranks, columns, match):
+    with pytest.raises(InvariantError, match=match):
+        IntegerChainComplex(ranks, columns)
 
 
 def invariant_factors(orders):
@@ -244,7 +256,7 @@ def known_complexes(draw):
                         row[a] = -row[a]
     boundaries = [{}] + [{(i, j): v for i, row in enumerate(d[k]) for j, v in enumerate(row)
                           if v} for k in range(1, top + 1)]
-    c = IntegerChainComplex(tuple(ranks), tuple(boundaries))
+    c = from_entries(ranks, boundaries)
     torsion = [invariant_factors(m for kk, m in blocks if kk - 1 == k) for k in range(top + 1)]
     return c, HomologySummary(tuple(lone), tuple(torsion))
 
@@ -272,7 +284,7 @@ def small_complexes(draw):
     boundaries = [{}] + [
         {(i, j): draw(entry) for i in range(ranks[k - 1]) for j in range(ranks[k])}
         for k in range(1, 4)]
-    return IntegerChainComplex(ranks, tuple(boundaries))
+    return from_entries(ranks, boundaries)
 
 
 @settings(max_examples=300, deadline=None)
@@ -283,11 +295,11 @@ def test_boundary_check_matches_sparse_matmul(c):
 
 
 def test_boundary_squares_validation():
-    bad = IntegerChainComplex((1, 1, 1), ({}, {(0, 0): 1}, {(0, 0): 1}))
+    bad = from_entries((1, 1, 1), ({}, {(0, 0): 1}, {(0, 0): 1}))
     assert not bad.check_boundary_squares_to_zero()
     assert circle_complex().check_boundary_squares_to_zero()
     with pytest.raises(NotAComplexError):
-        IntegerChainComplex((1, 1), ({},))
+        from_entries((1, 1), ({},))
 
 
 def test_presentation_torsion_coordinates():
@@ -308,7 +320,7 @@ def test_cycle_to_normal_rejects_non_cycle():
     pres = presentation(circle_complex(), 0)
     # degree-0 chains are all cycles; try degree 1 with a non-cycle
     pres1 = presentation(
-        IntegerChainComplex((2, 1), ({}, {(0, 0): -1, (1, 0): 1})), 1
+        from_entries((2, 1), ({}, {(0, 0): -1, (1, 0): 1})), 1
     )
     with pytest.raises(InvariantError):
         pres1.cycle_to_normal({0: 1})
@@ -387,10 +399,10 @@ def test_subgroup_ambient_mismatch():
 
 def test_subgroup_equality_needs_same_ambient():
     # Z^2 and Z^3 in degree 1: both zero subgroups have an empty HNF
-    z2 = presentation(IntegerChainComplex((1, 2, 0), ({}, {}, {})), 1)
-    z3 = presentation(IntegerChainComplex((1, 3, 0), ({}, {}, {})), 1)
+    z2 = presentation(from_entries((1, 2, 0), ({}, {}, {})), 1)
+    z3 = presentation(from_entries((1, 3, 0), ({}, {}, {})), 1)
     assert Subgroup.zero(z2) != Subgroup.zero(z3)
-    z2_again = presentation(IntegerChainComplex((1, 2, 0), ({}, {}, {})), 1)
+    z2_again = presentation(from_entries((1, 2, 0), ({}, {}, {})), 1)
     assert Subgroup.zero(z2) == Subgroup.zero(z2_again)
     assert hash(Subgroup.zero(z2)) == hash(Subgroup.zero(z2_again))
     assert len({Subgroup.zero(z2), Subgroup.zero(z3)}) == 2

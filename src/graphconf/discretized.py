@@ -22,6 +22,8 @@ in its endpoint, and neither endpoint is already a slot of the cell, as
 the closures are disjoint.  So each column of d_k has 2k entries, each
 ±1, on pairwise distinct rows: ``build_discretized`` appends each face to
 its column once, and the column lists are the complex's one stored form.
+The coefficients depend only on k, so the columns of d_k share one
+coefficient list.
 """
 
 from __future__ import annotations
@@ -81,7 +83,9 @@ def build_discretized(g: SimpleGraph, n: int, ordered: bool = True) -> CubicalCo
     Per column, the faces are appended edge slot by edge slot in cell
     order, the larger endpoint (sign (-1)^r for the r-th edge slot) before
     the smaller one (the opposite sign).  ``homology._reduce`` visits faces
-    in this order, and the size of its residual depends on it."""
+    in this order, and the size of its residual depends on it.  So every
+    column of d_k has the coefficients (1, -1, -1, 1, ...) of length 2k,
+    and all of them share one list, which readers must not mutate."""
     if n < 1:
         raise BadParamsError("n must be >= 1")
     slots = sorted([edge_slot(a, b) for a, b in g.edges] + [vertex_slot(v) for v in g.vertices])
@@ -114,16 +118,15 @@ def build_discretized(g: SimpleGraph, n: int, ordered: bool = True) -> CubicalCo
     columns: list[Columns] = [([[] for _ in per_dim[0]], [[] for _ in per_dim[0]])]
     for d in range(1, n + 1):
         index = {cell: i for i, cell in enumerate(per_dim[d - 1])}
-        rows, coeffs = [], []
+        rows = []
         for cell in per_dim[d]:
-            col_rows, col_coeffs = [], []
-            sign = 1
+            col_rows = []
             for p, c in enumerate(cell):
                 if c >= n_edges:
                     continue
                 head, tail = cell[:p], cell[p + 1:]
                 a, b = ends[c]
-                for x, coeff in ((b, sign), (a, -sign)):
+                for x in (b, a):
                     if ordered:
                         face = head + (x,) + tail
                     else:
@@ -131,11 +134,10 @@ def build_discretized(g: SimpleGraph, n: int, ordered: bool = True) -> CubicalCo
                         k = bisect_left(tail, x)
                         face = head + tail[:k] + (x,) + tail[k:]
                     col_rows.append(index[face])
-                    col_coeffs.append(coeff)
-                sign = -sign
             rows.append(col_rows)
-            coeffs.append(col_coeffs)
-        columns.append((rows, coeffs))
+        # every column has d edge slots, so one list serves them all
+        pattern = [(-1) ** r * s for r in range(d) for s in (1, -1)]
+        columns.append((rows, [pattern] * len(rows)))
 
     chain = IntegerChainComplex(tuple(map(len, per_dim)), tuple(columns))
     return CubicalComplex(g, n, ordered, tuple(slots), tuple(map(tuple, per_dim)), chain)

@@ -91,8 +91,12 @@ class AmbientContext:
         i-cell of H in degree 0, the fundamental cycles of a spanning
         forest in degree 1 (``forest_cycles``), and the kernel columns of
         a V-tracked SNF in higher degrees.  ``Subgroup`` is canonical, so
-        the basis chosen does not change the result.  ``image_by_chain_map``
-        builds D_n(H) instead; it is the oracle for this method."""
+        the basis chosen does not change the result.  In degree 1 the
+        ambient presentation's kernel is read off a spanning forest of
+        D_n(G'')'s d_1 as well, so no SNF of d_1 runs at all, and each
+        cycle's kernel coordinates take at most 3 entries per cell.
+        ``image_by_chain_map`` builds D_n(H) instead; it is the oracle for
+        this method."""
         key = (h.vertices, h.edges)
         cached = self._image_cache.get(key)
         if cached is not None:

@@ -6,8 +6,10 @@ its one stored form, checked once when the complex is built.  The
 All homology data is exact over Z: ``homology`` deletes cell pairs with
 incidence ±1 and takes Smith normal forms of what is left, and
 ``presentation`` takes them of the whole complex, since it needs chain
-coordinates.  When d_1 is a graph's incidence matrix, ``forest_cycles``
-reads a Z-basis of the 1-cycles off a spanning forest, with no SNF.
+coordinates.  When d_1 is a graph's incidence matrix, a breadth-first
+spanning forest replaces the SNF of d_1: ``forest_cycles`` reads a
+Z-basis of the 1-cycles off it, and ``presentation`` in degree 1 reads
+V and V^-1 of d_1 off it.
 Subgroups of a homology group are canonicalized by Hermite normal form
 so that equality and containment are plain lattice comparisons.
 """
@@ -287,6 +289,76 @@ def _is_incidence(coeffs1: list[list[int]]) -> bool:
     return all(not col or sorted(col) == [-1, 1] for col in coeffs1)
 
 
+@dataclass
+class _Forest:
+    """A breadth-first spanning forest of the graph whose vertices are the
+    0-cells and whose edges are some 1-cells with {+1, -1} columns of d_1."""
+
+    rows: list[list[int]]  # d_1 by column, rows only
+    plus: dict[int, int]  # 1-cell -> its +1 end
+    up: dict[int, int]  # non-root 0-cell -> the forest cell to its parent, breadth first
+    parent: dict[int, int]
+    depth: dict[int, int]
+
+    def cycle(self, j: int) -> dict[int, int]:
+        """The fundamental cycle of a 1-cell j outside the forest, j first:
+        e_j plus the signed forest path from its +1 end to its -1 end, or
+        e_j alone if its column is empty."""
+        cycle = {j: 1}
+        if not self.rows[j]:
+            return cycle
+        up, parent, depth, plus = self.up, self.parent, self.depth, self.plus
+        # e_j has boundary a - b.  Walk a and b up to where they meet.  A
+        # step x -> p along forest cell t adds p - x on a's side, which is
+        # +e_t when p is t's +1 end, and x - p on b's, +e_t when x is
+        a = plus[j]
+        b = sum(self.rows[j]) - a
+        while a != b:
+            if depth[a] >= depth[b]:
+                t, a = up[a], parent[a]
+                cycle[t] = 1 if plus[t] == a else -1
+            else:
+                t = up[b]
+                cycle[t] = 1 if plus[t] == b else -1
+                b = parent[b]
+        return cycle
+
+
+def _spanning_forest(d1: Columns, inside) -> _Forest:
+    """The breadth-first spanning forest of the 1-cells ``inside``, whose
+    columns of d1 must be {+1, -1} or empty.  Each component's root is the
+    first of its 0-cells met in ``inside``'s order; a 0-cell on no inside
+    1-cell is a root by itself and is in no map."""
+    rows, coeffs = d1
+    plus: dict[int, int] = {}
+    links: dict[int, list[int]] = {}  # 0-cell -> the 1-cells at it
+    for j in inside:
+        r = rows[j]
+        if r:
+            plus[j] = r[0] if coeffs[j][0] == 1 else r[1]
+            links.setdefault(r[0], []).append(j)
+            links.setdefault(r[1], []).append(j)
+    up: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    depth: dict[int, int] = {}
+    for root in links:
+        if root in depth:
+            continue
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for j in links[v]:
+                a, w = rows[j]
+                if w == v:
+                    w = a
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    up[w], parent[w] = j, v
+                    queue.append(w)
+    return _Forest(rows, plus, up, parent, depth)
+
+
 def forest_cycles(d1: Columns, inside: list[int]) -> list[dict[int, int]]:
     """A Z-basis of the 1-cycles on the 1-cells ``inside``, where d1 is
     d_1 by column: the fundamental cycles of a breadth-first spanning
@@ -315,63 +387,74 @@ def forest_cycles(d1: Columns, inside: list[int]) -> list[dict[int, int]]:
     rows, coeffs = d1
     if not _is_incidence([coeffs[j] for j in inside]):
         raise InvariantError("d_1 is not the incidence matrix of a graph")
-    plus: dict[int, int] = {}  # 1-cell -> its +1 end
-    links: dict[int, list[int]] = {}  # 0-cell -> the 1-cells at it
-    cycles = []
-    for j in inside:
-        r = rows[j]
-        if not r:
-            cycles.append({j: 1})
-            continue
-        plus[j] = r[0] if coeffs[j][0] == 1 else r[1]
-        links.setdefault(r[0], []).append(j)
-        links.setdefault(r[1], []).append(j)
-    up: dict[int, int] = {}  # 0-cell -> the forest cell to its parent
-    parent: dict[int, int] = {}
-    depth: dict[int, int] = {}
-    for root in links:
-        if root in depth:
-            continue
-        depth[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for j in links[v]:
-                a, w = rows[j]
-                if w == v:
-                    w = a
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    up[w], parent[w] = j, v
-                    queue.append(w)
-    forest = set(up.values())
-    for j, a in plus.items():
-        if j in forest:
-            continue
-        # e_j has boundary a - b.  Walk a and b up to where they meet.  A
-        # step x -> p along forest cell t adds p - x on a's side, which is
-        # +e_t when p is t's +1 end, and x - p on b's, +e_t when x is
-        b = sum(rows[j]) - a
-        cycle = {j: 1}
-        while a != b:
-            if depth[a] >= depth[b]:
-                t, a = up[a], parent[a]
-                cycle[t] = 1 if plus[t] == a else -1
-            else:
-                t = up[b]
-                cycle[t] = 1 if plus[t] == b else -1
-                b = parent[b]
-        cycles.append(cycle)
-    return cycles
+    forest = _spanning_forest(d1, inside)
+    tree = set(forest.up.values())
+    return ([{j: 1} for j in inside if not rows[j]]
+            + [forest.cycle(j) for j in forest.plus if j not in tree])
+
+
+def _forest_kernel(d1: Columns, m: int) -> SNFResult:
+    """The kernel SNF of an incidence-matrix d_1 with m rows, read off its
+    breadth-first spanning forest with no elimination: rank r is the
+    number of forest cells, every invariant factor is 1, and V and V^-1
+    are as follows.
+
+    Number the non-root 0-cells 0..r-1 ascending, and the cells outside
+    the forest r, r+1, ... ascending.  V^-1 = [A; B]: A is d_1 without
+    the root rows, and B has a 1 at (r + k, j) for the k-th cell j outside
+    the forest, so a column of V^-1 has at most 3 entries.  Columns
+    0..r-1 of V are the signed forest paths p_w from the root to each
+    non-root 0-cell w, with d_1 p_w = w - root; columns r, r+1, ... are the
+    fundamental cycles of ``_Forest.cycle``, so ``kernel_basis`` is the
+    basis that ``forest_cycles`` proves one.
+
+    V^-1 V = I.  A p_w = e_w, as the root's row is deleted, and B p_w = 0,
+    as p_w lies on the forest.  A fundamental cycle is a cycle, so A sends
+    it to 0, and B to the unit of its own cell, the only cell outside the
+    forest in it, with coefficient 1.  So both are integer inverses of each
+    other, and V is unimodular.  Ordering the cells forest first, V^-1 is
+    block triangular with the identity and A restricted to the forest
+    cells on its diagonal, a reduced tree incidence matrix.  d_1 V has
+    columns w - root and then zeros, so U d_1 V = diag(1, ..., 1, 0, ...)
+    for a unimodular U, as the roots complete the w - root to a basis.
+
+    ker A = Z_1, so ``SNFResult.kernel_coords`` still raises on a chain
+    that is not a cycle.  Each column of d_1 is 0 or holds +1 and -1 in
+    one component, so d_1 z sums to 0 over each component.  If A z = 0,
+    d_1 z is 0 off the roots, and each component has one root, so
+    d_1 z = 0."""
+    rows, coeffs = d1
+    n = len(rows)
+    forest = _spanning_forest(d1, range(n))
+    tree = set(forest.up.values())
+    r = len(forest.up)
+    below = {w: k for k, w in enumerate(sorted(forest.up))}
+    outside = [j for j in range(n) if j not in tree]
+    vinv = {j: {below[i]: v for i, v in zip(rows[j], coeffs[j]) if i in below}
+            for j in range(n)}
+    paths: dict[int, dict[int, int]] = {}
+    # breadth first, so each parent's path is known; the step from the
+    # parent p along t adds w - p, which is +e_t when w is t's +1 end
+    for w, t in forest.up.items():
+        path = dict(paths.get(forest.parent[w], ()))
+        path[t] = 1 if forest.plus[t] == w else -1
+        paths[w] = path
+    v = {below[w]: path for w, path in paths.items()}
+    for k, j in enumerate(outside, r):
+        vinv[j][k] = 1
+        v[k] = forest.cycle(j)
+    return SNFResult(m, n, r, (1,) * r, v_cols=v, vinv_cols=vinv)
 
 
 @dataclass
 class HomologyPresentation:
     """H_d(C) presented in normal coordinates.
 
-    ``kernel`` is the SNF of the boundary out of degree d, tracking only
+    ``kernel`` is an SNF of the boundary out of degree d that carries
     V^-1: ``kernel_coords`` writes a cycle in the basis of Z_d given by the
-    columns of V past the rank, and V itself is never built.
+    columns of V past the rank.  At d = 1 on an incidence-matrix d_1 it is
+    read off a spanning forest (``_forest_kernel``) and carries V too;
+    otherwise it is an elimination that tracks only V^-1.
     ``relation_snf`` is the SNF (with U) of the boundaries from degree d+1
     written in kernel coordinates, so U * (kernel coords) is a cycle's class in
     ⊕ Z/diag[j] ⊕ Z^(cycle_rank - rank).
@@ -426,8 +509,15 @@ class HomologyPresentation:
 
 
 def presentation(c: IntegerChainComplex, d: int) -> HomologyPresentation:
-    """Compute the homology presentation of C at degree d."""
-    kernel = snf(c.boundary(d), (c.rank(d - 1), c.rank(d)), track_vinv=True)
+    """Compute the homology presentation of C at degree d.
+
+    The kernel is ``_forest_kernel`` when d = 1 and d_1 is a graph's
+    incidence matrix (the gate of ``_reduce``), as it is for D_n(G''), and
+    otherwise the SNF of d_d tracking V^-1."""
+    if d == 1 and _is_incidence(c.columns(1)[1]):
+        kernel = _forest_kernel(c.columns(1), c.rank(0))
+    else:
+        kernel = snf(c.boundary(d), (c.rank(d - 1), c.rank(d)), track_vinv=True)
     rel_cols: dict[tuple[int, int], int] = {}
     for j, (rows, coeffs) in enumerate(zip(*c.columns(d + 1))):
         if rows:

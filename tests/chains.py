@@ -1,4 +1,4 @@
-"""Hand-built chain complexes for the tests."""
+"""Helpers shared by the tests: hand-built chain complexes and a component count."""
 
 from graphconf.homology import IntegerChainComplex
 
@@ -18,3 +18,21 @@ def from_entries(ranks, boundaries):
                 coeffs[j].append(v)
         columns.append((rows, coeffs))
     return IntegerChainComplex(tuple(ranks), tuple(columns))
+
+
+def components(ends, vertices):
+    """Number of connected components of the graph with these edges."""
+    root = {v: v for v in vertices}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    merged = 0
+    for a, b in ends:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+            merged += 1
+    return len(vertices) - merged

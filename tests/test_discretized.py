@@ -16,8 +16,10 @@ from graphconf.discretized import (
     vertex_slot,
 )
 from graphconf.errors import NotASubgraphError
-from graphconf.graphs import (disjoint_union, family, make_graph, subdivide,
-                              subdivide_uniform, subdivision_pieces, theta_graph)
+from graphconf.generation import build_ambient
+from graphconf.graphs import (ambient_arcs, disjoint_union, family, make_graph,
+                              subdivide, subdivide_uniform, subdivision_pieces,
+                              theta_graph)
 from graphconf.homology import _reduce, homology, presentation
 
 
@@ -247,6 +249,29 @@ def test_every_column_has_2k_unit_entries_on_distinct_rows():
                 assert len(set(rows)) == len(rows) == 2 * k, (g.edges, n, ordered, k)
                 assert all(v in (1, -1) for v in coeffs), (g.edges, n, ordered, k)
 
+
+# the coefficients of every column of d_k, one list per degree: the r-th
+# edge slot gives (-1)^r at its larger endpoint and the opposite sign at
+# the smaller one
+COEFFICIENT_PATTERNS = [[], [1, -1], [1, -1, -1, 1], [1, -1, -1, 1, 1, -1]]
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_readers_leave_the_shared_coefficient_lists_alone(i):
+    # all columns of a degree share one list, so a reader that mutated it
+    # would corrupt every column
+    ctx = build_ambient(theta_graph(), i, 3, ordered=False)
+    chain = ctx.complex.chain
+    homology(chain)
+    presentation(chain, 1)
+    arcs = ambient_arcs(ctx.subdivided)
+    for k in range(1, len(arcs) + 1):
+        ctx.image_of_subgraph(ctx.subdivided.subgraph([e for arc in arcs[:k] for e in arc]))
+    for k in range(chain.top_degree + 1):
+        coeffs = chain.columns(k)[1]
+        assert coeffs and all(col == COEFFICIENT_PATTERNS[k] for col in coeffs), k
+        if k:
+            assert len(set(map(id, coeffs))) == 1, k
 
 # (graph, n, extra subdivision, ordered, residual ranks) of the benchmark's
 # homology jobs at identity labels; a face order that grows the residual

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from chains import components
 from graphconf import generation
 from graphconf.discretized import is_sufficiently_subdivided
 from graphconf.errors import BadParamsError, InvariantError
@@ -317,24 +318,6 @@ def _inside(ctx, h):
     return [j for j, cell in enumerate(ctx.complex.cells[1]) if set(cell) <= slots]
 
 
-def _components(ends, vertices):
-    """Number of connected components of the graph with these edges."""
-    root = {v: v for v in vertices}
-
-    def find(x):
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    merged = 0
-    for a, b in ends:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            root[ra] = rb
-            merged += 1
-    return len(vertices) - merged
-
-
 @pytest.mark.parametrize("name,g,n,extra,ordered", FOREST_CASES,
                          ids=[f"{c[0]}-n{c[2]}-extra{c[3]}" for c in FOREST_CASES])
 def test_forest_cycles_are_a_basis_of_the_subgraph_cycles(name, g, n, extra, ordered):
@@ -343,7 +326,7 @@ def test_forest_cycles_are_a_basis_of_the_subgraph_cycles(name, g, n, extra, ord
     # G'' without the middle edge of each arc: leaves and several components
     cut = ctx.subdivided.subgraph([e for arc in ambient_arcs(ctx.subdivided)
                                    for e in arc if e != arc[len(arc) // 2]])
-    assert min(map(cut.degree, cut.vertices)) == 1 and _components(cut.edges, cut.vertices) > 1
+    assert min(map(cut.degree, cut.vertices)) == 1 and components(cut.edges, cut.vertices) > 1
     subgraphs = _arc_unions(ctx.subdivided, random.Random(name), 8) + [cut, ctx.subdivided]
     for h in subgraphs:
         inside = _inside(ctx, h)
@@ -367,9 +350,9 @@ def test_forest_cycles_are_a_basis_of_the_subgraph_cycles(name, g, n, extra, ord
         assert len(set(own)) == len(own) and all(z[j] == 1 for z, j in zip(cycles, own))
         assert all(set(z) - {j} <= forest for z, j in zip(cycles, own))
         touched = {r for j in inside for r in rows[j]}
-        assert (_components([rows[j] for j in forest], touched)
+        assert (components([rows[j] for j in forest], touched)
                 == len(touched) - len(forest)
-                == _components([rows[j] for j in inside], touched))
+                == components([rows[j] for j in inside], touched))
 
 
 def test_degree_1_image_runs_no_snf(monkeypatch):

@@ -1,16 +1,18 @@
+import importlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chains import from_entries
+from chains import components, from_entries
 from graphconf.acceptance import _atlas_graphs
 from graphconf.discretized import build_discretized
 from graphconf.errors import AmbientMismatchError, InvariantError, NotAComplexError
 from graphconf.generation import build_ambient
 from graphconf.homology import (
     ChainMap,
+    HomologyPresentation,
     HomologySummary,
     IntegerChainComplex,
     Subgroup,
@@ -327,9 +329,13 @@ def test_cycle_to_normal_rejects_non_cycle():
 
 
 def kernel_basis(pres):
-    """A basis of the cycles Z_d, from an SNF of d_d that also tracks V.
-    Pivot choice does not read the tracking flags, so its V^-1 is the one
-    the presentation keeps, and ``kernel_coords`` refer to this basis."""
+    """The basis of the cycles Z_d that ``kernel_coords`` refer to: the
+    presentation's own when its kernel carries V (the forest kernel of an
+    incidence-matrix d_1), else from an SNF of d_d that also tracks V.
+    Pivot choice does not read the tracking flags, so that SNF's V^-1 is
+    the one the presentation keeps."""
+    if pres.kernel.v_cols is not None:
+        return pres.kernel.kernel_basis()
     c, d = pres.complex, pres.degree
     res = snf(c.boundary(d), (c.rank(d - 1), c.rank(d)), track_v=True, track_vinv=True)
     assert res.vinv_cols == pres.kernel.vinv_cols
@@ -486,3 +492,146 @@ def test_subgroup_matches_full_coordinate_lattice(name):
         assert a.join(b).is_full() == (joined == ref_full)
     if name in ("K33", "projective_plane"):
         assert pres.torsion == [2]
+
+
+# -- the degree-1 kernel read off a spanning forest -------------------------------
+
+
+@st.composite
+def incidence_complexes(draw):
+    """d_1 of a random multigraph: parallel 1-cells, empty columns,
+    isolated 0-cells and several components, each column {+1, -1} in
+    random order, as the only degree above 0."""
+    m = draw(st.integers(0, 8))
+    n = draw(st.integers(0, 12))
+    rows, coeffs = [], []
+    for _ in range(n):
+        if m < 2 or draw(st.integers(0, 5)) == 0:
+            rows.append([])
+            coeffs.append([])
+            continue
+        a, b = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        rows.append([a, b])
+        coeffs.append(draw(st.sampled_from([[1, -1], [-1, 1]])))
+    return IntegerChainComplex((m, n), (([[]] * m, [[]] * m), (rows, coeffs)))
+
+
+def _mul(a, b, size):
+    """Product of two n x n matrices stored as {column: {row: value}}."""
+    out = {}
+    for j in range(size):
+        acc = {}
+        for k, x in b.get(j, {}).items():
+            for i, y in a.get(k, {}).items():
+                acc[i] = acc.get(i, 0) + x * y
+        out[j] = {i: v for i, v in acc.items() if v}
+    return out
+
+
+def _boundary_of(c, chain):
+    rows, coeffs = c.columns(1)
+    acc = {}
+    for j, x in chain.items():
+        for i, v in zip(rows[j], coeffs[j]):
+            acc[i] = acc.get(i, 0) + x * v
+    return {i: v for i, v in acc.items() if v}
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidence_complexes(), st.randoms(use_true_random=False))
+def test_forest_kernel_is_an_snf_of_the_incidence_matrix(c, rng):
+    m, n = c.ranks
+    kernel = presentation(c, 1).kernel
+    identity = {j: {j: 1} for j in range(n)}
+    assert _mul(kernel.v_cols, kernel.vinv_cols, n) == identity
+    assert _mul(kernel.vinv_cols, kernel.v_cols, n) == identity
+    ends = [r for r in c.columns(1)[0] if r]
+    vertices = list(range(m))
+    assert kernel.rank == m - components(ends, vertices)
+    assert kernel.diag == (1,) * kernel.rank
+    assert all(len(col) <= 3 for col in kernel.vinv_cols.values())
+    basis = kernel.kernel_basis()
+    assert len(basis) == n - kernel.rank
+    assert not any(_boundary_of(c, z) for z in basis)
+    for _ in range(5):
+        coords = {k: rng.choice([-2, -1, 1, 3]) for k in range(len(basis))
+                  if rng.random() < 0.5}
+        chain = {}
+        for k, x in coords.items():
+            for j, v in basis[k].items():
+                chain[j] = chain.get(j, 0) + x * v
+        assert kernel.kernel_coords({j: v for j, v in chain.items() if v}) == coords
+    # the forest cells are those whose V^-1 column has no unit past the rank
+    forest = [j for j, col in kernel.vinv_cols.items() if max(col, default=0) < kernel.rank]
+    assert len(forest) == kernel.rank
+    non_cycles = [{t: 1} for t in forest]
+    for _ in range(5):
+        chain = {j: rng.choice([-1, 1, 2]) for j in range(n) if rng.random() < 0.4}
+        if _boundary_of(c, chain):
+            non_cycles.append(chain)
+    for chain in non_cycles:
+        with pytest.raises(InvariantError):
+            kernel.kernel_coords(chain)
+
+
+def test_degree_1_presentation_runs_one_snf(monkeypatch):
+    # only the relations go through snf; d_1 of D_n(G'') is an incidence matrix
+    # (the package's ``homology`` is the function, so fetch the module)
+    homology_module = importlib.import_module("graphconf.homology")
+    calls = []
+
+    def counting(entries, shape, **track):
+        calls.append(track)
+        return snf(entries, shape, **track)
+
+    monkeypatch.setattr(homology_module, "snf", counting)
+    cx = build_discretized(subdivide_uniform(family("complete", 4), 3), 2, ordered=False)
+    presentation(cx.chain, 1)
+    assert calls == [{"track_u": True}]
+    # a d_1 that is no incidence matrix, and degree 2, keep the tracked SNF
+    calls.clear()
+    presentation(from_entries((1, 2, 1), ({}, {(0, 0): 3, (0, 1): -2},
+                                          {(0, 0): 2, (1, 0): 3})), 1)
+    presentation(cx.chain, 2)
+    assert calls == [{"track_vinv": True}, {"track_u": True}] * 2
+
+
+def snf_presentation(c, d):
+    """The presentation with the kernel from an SNF of d_d tracking V^-1,
+    for every degree: the oracle for the forest kernel."""
+    kernel = snf(c.boundary(d), (c.rank(d - 1), c.rank(d)), track_vinv=True)
+    rel = {}
+    for j, (rows, coeffs) in enumerate(zip(*c.columns(d + 1))):
+        if rows:
+            for i, v in kernel.kernel_coords(dict(zip(rows, coeffs))).items():
+                rel[(i, j)] = v
+    relation_snf = snf(rel, (kernel.n - kernel.rank, c.rank(d + 1)), track_u=True)
+    return HomologyPresentation(c, d, kernel, relation_snf)
+
+
+FOREST_ORACLE_CASES = [
+    ("theta", theta_graph(), False),
+    ("K4", family("complete", 4), False),
+    ("K33", family("complete_bipartite", 3, 3), False),
+    ("K4-ordered", family("complete", 4), True),
+]
+
+
+@pytest.mark.parametrize("name,g,ordered", FOREST_ORACLE_CASES,
+                         ids=[case[0] for case in FOREST_ORACLE_CASES])
+def test_forest_presentation_matches_the_snf_presentation(name, g, ordered):
+    ctx = build_ambient(g, 1, 2, ordered=ordered)
+    fast, slow = ctx.pres, snf_presentation(ctx.complex.chain, 1)
+    assert fast.kernel.v_cols is not None and slow.kernel.v_cols is None
+    for attr in ("cycle_rank", "betti", "torsion", "units", "dim"):
+        assert getattr(fast, attr) == getattr(slow, attr), attr
+    # cycles in chain coordinates mean the same to both; HNF tuples of the
+    # two presentations are in different bases and are not compared
+    sets = random_cycle_sets(fast, random.Random(name))
+    fast_subs = [cycle_image_subgroup(fast, s) for s in sets]
+    slow_subs = [cycle_image_subgroup(slow, s) for s in sets]
+    for a, b in zip(fast_subs, slow_subs):
+        assert (a.free_rank(), a.is_full()) == (b.free_rank(), b.is_full())
+    for (a, b), (x, y) in itertools.product(zip(fast_subs, slow_subs), repeat=2):
+        assert a.contains(x) == b.contains(y)
+        assert (a == x) == (b == y)

@@ -42,7 +42,6 @@ from .graphs import (
     theta_graph,
 )
 from .homology import (
-    ChainMap,
     HomologySummary,
     IntegerChainComplex,
     Subgroup,

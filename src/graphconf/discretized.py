@@ -34,7 +34,7 @@ from functools import cached_property
 
 from .errors import BadParamsError, InvariantError, NotASubgraphError
 from .graphs import SimpleGraph, ambient_arcs
-from .homology import ChainMap, Columns, IntegerChainComplex, Sparse
+from .homology import Columns, IntegerChainComplex
 
 # slot encodings sort edges before vertices, matching the orbit representative
 Slot = tuple  # ('e', a, b) or ('v', v)
@@ -162,11 +162,12 @@ def is_sufficiently_subdivided(g: SimpleGraph, n: int) -> bool:
     return all(len(arc) >= n + 1 for arc in ambient_arcs(g))
 
 
-# -- the oracle for subgraph images: chain maps of inclusions ----------------
+# -- the oracle for subgraph images: inclusions by cell index ----------------
 #
 # ``generation.AmbientContext.image_of_subgraph`` reads D_n(H) off the
 # ambient complex as a subset of its cells; ``generation.image_by_chain_map``
-# rebuilds D_n(H) and maps it along ``inclusion_chain_map`` to check it.
+# rebuilds D_n(H) and pushes its cycles along ``inclusion_chain_map`` to
+# check it.
 
 
 def inclusion_chain_map(
@@ -175,8 +176,12 @@ def inclusion_chain_map(
     n: int,
     ordered: bool = True,
     target_complex: CubicalComplex | None = None,
-) -> ChainMap:
-    """The degreewise 0/1 map sending each cell of D_n(H) to itself in D_n(G)."""
+) -> tuple[CubicalComplex, list[list[int]]]:
+    """D_n(H), and per degree d the index in D_n(G) of each d-cell of D_n(H).
+
+    D_n(H) is a subcomplex of D_n(G), so the inclusion is the chain map
+    sending d-cell j of D_n(H) to cell ``index[d][j]`` of D_n(G), with
+    coefficient 1."""
     if not h.is_subgraph_of(g):
         raise NotASubgraphError("H is not a subgraph of G")
     src = build_discretized(h, n, ordered)
@@ -184,16 +189,16 @@ def inclusion_chain_map(
     # both numberings follow the sorted slot order, so sorted cells map to sorted cells
     tgt_code = {s: k for k, s in enumerate(tgt.slots)}
     to_tgt = [tgt_code[s] for s in src.slots]
-    mats: list[Sparse] = []
-    for d in range(n + 1):
-        mat: Sparse = {}
-        for col, cell in enumerate(src.cell_codes[d]):
-            dd, row = tgt.code_index[tuple(to_tgt[c] for c in cell)]
+    index: list[list[int]] = []
+    for d, layer in enumerate(src.cell_codes):
+        cols = []
+        for j, cell in enumerate(layer):
+            dd, k = tgt.code_index[tuple(to_tgt[c] for c in cell)]
             if dd != d:
-                raise InvariantError(f"cell {src.cells[d][col]} has dimension {d} in H, {dd} in G")
-            mat[(row, col)] = 1
-        mats.append(mat)
-    return ChainMap(src.chain, tgt.chain, tuple(mats))
+                raise InvariantError(f"cell {src.cells[d][j]} has dimension {d} in H, {dd} in G")
+            cols.append(k)
+        index.append(cols)
+    return src, index
 
 
 # -- export --------------------------------------------------------------------

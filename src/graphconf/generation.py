@@ -95,8 +95,9 @@ class AmbientContext:
         ambient presentation's kernel is read off a spanning forest of
         D_n(G'')'s d_1 as well, so no SNF of d_1 runs at all, and each
         cycle's kernel coordinates take at most 3 entries per cell.
-        ``image_by_chain_map`` builds D_n(H) instead; it is the oracle for
-        this method."""
+        ``image_by_chain_map`` builds D_n(H) instead and reindexes its
+        cycles along ``inclusion_chain_map``; it is the oracle for this
+        method."""
         key = (h.vertices, h.edges)
         cached = self._image_cache.get(key)
         if cached is not None:
@@ -136,17 +137,15 @@ class AmbientContext:
 
 def image_by_chain_map(ctx: AmbientContext, h: SimpleGraph) -> Subgroup:
     """``AmbientContext.image_of_subgraph`` the long way, as its oracle:
-    build D_n(H), take the kernel of its d_i and push it forward along the
-    inclusion chain map D_n(H) -> D_n(G'')."""
-    fmap = inclusion_chain_map(h, ctx.subdivided, ctx.n, ctx.ordered,
-                               target_complex=ctx.complex)
-    src = fmap.source
-    if ctx.i == 0:
-        kernel = [{j: 1} for j in range(src.rank(0))]
-    else:
-        res = snf(src.boundary(ctx.i), (src.rank(ctx.i - 1), src.rank(ctx.i)), track_v=True)
-        kernel = res.kernel_basis()
-    return cycle_image_subgroup(ctx.pres, [fmap.apply(ctx.i, vec) for vec in kernel])
+    build D_n(H), take the kernel of its d_i from a V-tracked SNF (V = I
+    when i = 0, as d_0 has no rows) and push it forward along the
+    inclusion D_n(H) -> D_n(G''), which sends cell j to ``index[i][j]``."""
+    src, index = inclusion_chain_map(h, ctx.subdivided, ctx.n, ctx.ordered,
+                                     target_complex=ctx.complex)
+    c, i = src.chain, ctx.i
+    res = snf(c.boundary(i), (c.rank(i - 1), c.rank(i)), track_v=True)
+    return cycle_image_subgroup(ctx.pres, [{index[i][j]: v for j, v in vec.items()}
+                                           for vec in res.kernel_basis()])
 
 
 def build_ambient(
@@ -450,9 +449,12 @@ def _gap_sets(length: int, spacing: int) -> list[tuple[int, ...]]:
 
 
 def _stage_subgraphs(ctx: AmbientContext, predicate) -> list[SimpleGraph]:
-    """Maximal edge subsets of the subdivided graph that pass the predicate
-    and are sufficiently subdivided; isolated vertices are dropped since
-    they contribute nothing in positive degree.
+    """The subgraphs of G'' with a maximal edge subset that pass the
+    predicate and are sufficiently subdivided, each with every vertex of
+    G''.  The vertices matter: H_0 counts them, and for n >= 2 a particle
+    can rest on an isolated vertex while the others move.  Adding vertices
+    to a subgraph only grows its image, and changes neither its first
+    Betti number, nor its topological minors, nor Abrams' test.
 
     ``predicate`` must be invariant under subdividing an edge (both stage
     predicates are: ``betti1 <= s``, and topological-minor containment of
@@ -473,15 +475,18 @@ def _stage_subgraphs(ctx: AmbientContext, predicate) -> list[SimpleGraph]:
 
 
 def _mask_subgraph(g: SimpleGraph, mask: int) -> SimpleGraph:
-    """The edges of g whose bits are set: edge j is bit 1 << (|E|-1-j)."""
+    """Every vertex of g and the edges whose bits are set: edge j is bit
+    1 << (|E|-1-j)."""
     top = len(g.edges) - 1
-    return g.subgraph([e for j, e in enumerate(g.edges) if mask >> (top - j) & 1])
+    return g.subgraph([e for j, e in enumerate(g.edges) if mask >> (top - j) & 1],
+                      g.vertices)
 
 
 def _stage_candidates(ctx: AmbientContext) -> tuple[list[int], Callable[[int], bool]]:
     """The candidate edge masks of ``_stage_subgraphs`` in the order it tests
     them, and Abrams' test on a candidate mask: whether the subgraph with
-    those edges ``is_sufficiently_subdivided`` for ``ctx.n``.
+    those edges (and any vertices) ``is_sufficiently_subdivided`` for
+    ``ctx.n``.
 
     On each ambient arc of G'' a candidate takes no edges, or all edges but
     a set of gaps, any two at least n+2 positions apart.  Testing only
@@ -489,11 +494,12 @@ def _stage_candidates(ctx: AmbientContext) -> tuple[list[int], Callable[[int], b
 
     - Suppose a maximal passing H had two adjacent missing edges on an arc
       that still has some edge in H.  Then some leaf x of H sits on that
-      arc, and x's other ambient neighbour is not in H.
-    - Adding that edge extends a leaf.  Every arc of H only gets longer,
-      the girth does not change, and the homeomorphism type does not
-      change.  So Abrams' test and the predicate give the same answer, and
-      H was not maximal.
+      arc, and its edge to its other ambient neighbour y is missing, as is
+      y's other edge on the arc: y is an isolated vertex of H.
+    - Adding the edge xy extends a leaf.  Every arc of H only gets longer,
+      the girth does not change, and up to homeomorphism H only loses the
+      isolated vertex y.  So Abrams' test and the predicate give the same
+      answer, and H was not maximal.
     - A floating segment shorter than n+1 between two gaps is itself an
       arc of H shorter than n+1, so Abrams' test rejects it.
     - So every maximal passing subset is a candidate, and the maximal
@@ -503,7 +509,7 @@ def _stage_candidates(ctx: AmbientContext) -> tuple[list[int], Callable[[int], b
 
     Edge j of G'' is bit ``1 << (|E''|-1-j)`` of a mask; the masks come by
     decreasing size, then decreasing mask, which within one size is the
-    ``itertools.combinations`` order.
+    ``itertools.combinations`` order, so the empty mask comes last.
 
     Abrams' test asks that every arc of H, open or closed, and every cycle
     component of H has >= n+1 edges.  On one ambient arc, a candidate's
@@ -552,7 +558,6 @@ def _stage_candidates(ctx: AmbientContext) -> tuple[list[int], Callable[[int], b
             table[full - sum(bit[arc[k]] for k in gaps)] = _arc_pieces(amb, arc, gaps, need)
         tables.append((full, table))
         masks = [m | p for m in masks for p in table]
-    masks.remove(0)
     masks.sort(key=lambda m: (m.bit_count(), m), reverse=True)
 
     def sufficient(mask: int) -> bool:

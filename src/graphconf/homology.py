@@ -1,4 +1,4 @@
-"""Integer homology of finite chain complexes, chain maps, and subgroups.
+"""Integer homology of finite chain complexes, and subgroups of it.
 
 A chain complex is ranks per degree plus each boundary matrix by column,
 its one stored form, checked once when the complex is built.  The
@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import chain, compress
 
 from .errors import AmbientMismatchError, InvariantError, NotAComplexError
-from .snf import SNFResult, hermite_columns, hnf_contains, snf, sparse_matmul
+from .snf import SNFResult, hermite_columns, hnf_contains, snf
 
 Sparse = dict[tuple[int, int], int]
 # d_k by column: rows[j] and coeffs[j] list column j's nonzero entries
@@ -406,7 +406,9 @@ def _forest_kernel(d1: Columns, m: int) -> SNFResult:
     0..r-1 of V are the signed forest paths p_w from the root to each
     non-root 0-cell w, with d_1 p_w = w - root; columns r, r+1, ... are the
     fundamental cycles of ``_Forest.cycle``, so ``kernel_basis`` is the
-    basis that ``forest_cycles`` proves one.
+    basis that ``forest_cycles`` proves one.  Only these kernel columns
+    of V are stored, as ``kernel_basis`` reads no other; the paths serve
+    the proof alone.
 
     V^-1 V = I.  A p_w = e_w, as the root's row is deleted, and B p_w = 0,
     as p_w lies on the forest.  A fundamental cycle is a cycle, so A sends
@@ -432,14 +434,7 @@ def _forest_kernel(d1: Columns, m: int) -> SNFResult:
     outside = [j for j in range(n) if j not in tree]
     vinv = {j: {below[i]: v for i, v in zip(rows[j], coeffs[j]) if i in below}
             for j in range(n)}
-    paths: dict[int, dict[int, int]] = {}
-    # breadth first, so each parent's path is known; the step from the
-    # parent p along t adds w - p, which is +e_t when w is t's +1 end
-    for w, t in forest.up.items():
-        path = dict(paths.get(forest.parent[w], ()))
-        path[t] = 1 if forest.plus[t] == w else -1
-        paths[w] = path
-    v = {below[w]: path for w, path in paths.items()}
+    v: dict[int, dict[int, int]] = {}
     for k, j in enumerate(outside, r):
         vinv[j][k] = 1
         v[k] = forest.cycle(j)
@@ -453,8 +448,8 @@ class HomologyPresentation:
     ``kernel`` is an SNF of the boundary out of degree d that carries
     V^-1: ``kernel_coords`` writes a cycle in the basis of Z_d given by the
     columns of V past the rank.  At d = 1 on an incidence-matrix d_1 it is
-    read off a spanning forest (``_forest_kernel``) and carries V too;
-    otherwise it is an elimination that tracks only V^-1.
+    read off a spanning forest (``_forest_kernel``) and carries the kernel
+    columns of V too; otherwise it is an elimination that tracks only V^-1.
     ``relation_snf`` is the SNF (with U) of the boundaries from degree d+1
     written in kernel coordinates, so U * (kernel coords) is a cycle's class in
     ⊕ Z/diag[j] ⊕ Z^(cycle_rank - rank).
@@ -526,54 +521,6 @@ def presentation(c: IntegerChainComplex, d: int) -> HomologyPresentation:
     z = kernel.n - kernel.rank
     relation_snf = snf(rel_cols, (z, c.rank(d + 1)), track_u=True)
     return HomologyPresentation(c, d, kernel, relation_snf)
-
-
-@dataclass(frozen=True)
-class ChainMap:
-    """A degreewise sparse map between chain complexes, commuting with d."""
-
-    source: IntegerChainComplex
-    target: IntegerChainComplex
-    matrices: tuple[Sparse, ...]
-
-    def matrix(self, d: int) -> Sparse:
-        if 0 <= d < len(self.matrices):
-            return self.matrices[d]
-        return {}
-
-    def check_commutes(self) -> bool:
-        """Whether the map commutes with the boundaries in every degree: the
-        oracle for ``discretized.inclusion_chain_map``."""
-        for d in range(1, len(self.source.ranks)):
-            lhs = sparse_matmul(self.target.boundary(d), self.matrix(d))
-            rhs = sparse_matmul(self.matrix(d - 1), self.source.boundary(d))
-            if lhs != rhs:
-                return False
-        return True
-
-    @cached_property
-    def _columns(self) -> dict[int, dict[int, dict[int, int]]]:
-        """Column form of each degree's matrix, filled in by ``apply``."""
-        return {}
-
-    def apply(self, d: int, vec: dict[int, int]) -> dict[int, int]:
-        cols = self._columns.get(d)
-        if cols is None:
-            cols = self._columns[d] = {}
-            for (i, j), v in self.matrix(d).items():
-                cols.setdefault(j, {})[i] = v
-        out: dict[int, int] = {}
-        for j, c in vec.items():
-            col = cols.get(j)
-            if not col:
-                continue
-            for i, v in col.items():
-                nv = out.get(i, 0) + c * v
-                if nv:
-                    out[i] = nv
-                elif i in out:
-                    del out[i]
-        return out
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ class SNFResult:
     rank: int
     diag: tuple[int, ...]  # positive invariant factors, divisibility order
     u_cols: dict | None = None  # U such that U*M*V = D, columns as dicts
-    v_cols: dict | None = None  # V, columns as dicts
+    v_cols: dict | None = None  # V, columns as dicts; a forest kernel has rank..n-1 only
     vinv_cols: dict | None = None  # V^-1, columns as dicts
 
     @property
@@ -311,26 +311,6 @@ class _Engine:
                         if rows[r][c] < 0:
                             self._row_negate(r)
         self.diag = [rows[r][c] for r, c in pivots]
-
-
-def sparse_matmul(a: dict, b: dict) -> dict:
-    """Product of sparse matrices given as {(i,j): v} dicts."""
-    brows: dict[int, dict[int, int]] = {}
-    for (i, j), v in b.items():
-        brows.setdefault(i, {})[j] = v
-    out: dict[tuple[int, int], int] = {}
-    for (i, k), v in a.items():
-        row = brows.get(k)
-        if not row:
-            continue
-        for j, w in row.items():
-            key = (i, j)
-            nv = out.get(key, 0) + v * w
-            if nv:
-                out[key] = nv
-            elif key in out:
-                del out[key]
-    return out
 
 
 # -- Hermite normal form (column style) --------------------------------------

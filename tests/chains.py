@@ -1,4 +1,5 @@
-"""Helpers shared by the tests: hand-built chain complexes and a component count."""
+"""Helpers shared by the tests: hand-built chain complexes, a sparse matrix
+product and a component count."""
 
 from graphconf.homology import IntegerChainComplex
 
@@ -18,6 +19,18 @@ def from_entries(ranks, boundaries):
                 coeffs[j].append(v)
         columns.append((rows, coeffs))
     return IntegerChainComplex(tuple(ranks), tuple(columns))
+
+
+def sparse_matmul(a, b):
+    """Product of sparse matrices given as {(i, j): v} dicts, without zeros."""
+    brows = {}
+    for (i, j), v in b.items():
+        brows.setdefault(i, {})[j] = v
+    out = {}
+    for (i, k), v in a.items():
+        for j, w in brows.get(k, {}).items():
+            out[(i, j)] = out.get((i, j), 0) + v * w
+    return {key: v for key, v in out.items() if v}
 
 
 def components(ends, vertices):

@@ -1,5 +1,6 @@
 """Every public function, class and method of the package has a caller in
-the package itself, so no API exists only for its own test.
+the package itself, so no API exists only for its own test, and every
+name a package module imports is read in that module.
 
 A definition counts as used when its name appears as a ``Name`` (read) or
 as an ``Attribute`` anywhere in ``src/graphconf`` outside its own body.
@@ -15,9 +16,7 @@ import graphconf
 PACKAGE = Path(graphconf.__file__).parent
 
 # qualified name -> why it may have no caller in the package
-ALLOWED = {
-    "homology.ChainMap.check_commutes": "oracle for discretized.inclusion_chain_map",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _public(node) -> bool:
@@ -70,3 +69,29 @@ def test_every_public_definition_has_a_caller_in_the_package():
 def test_allow_list_is_not_stale():
     # an allowed entry that gained a caller, or was deleted, leaves the list
     assert set(ALLOWED) <= _unreferenced()
+
+
+def _unread_imports() -> list[str]:
+    """'module.name' for each name a package module imports and never reads.
+    ``__init__`` is skipped, as its imports are the package's exports, and
+    so are ``__future__`` imports."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        out.append(f"{path.stem}.{name}")
+    return out
+
+
+def test_every_imported_name_is_read():
+    assert _unread_imports() == []

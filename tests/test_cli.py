@@ -250,6 +250,21 @@ def test_generate_gens_and_stage(capsys, g6):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("graph6,args,rank", [
+    # C3 plus an isolated vertex: b1 = 1, so G itself is a stage subgraph,
+    # and in H_1 of D_2 a particle may rest on the isolated vertex
+    ("Cw", ["-n", "2", "-i", "1", "--unordered", "--stage", "betti:1"], 2),
+    # K1: its one vertex is all of H_0
+    ("@", ["-n", "1", "-i", "0", "--stage", "robertson:1"], 1),
+], ids=["C3+K1-betti", "K1-robertson"])
+def test_stage_subgraphs_keep_isolated_vertices(tmp_path, capsys, graph6, args, rank):
+    path = tmp_path / "g.g6"
+    path.write_text(graph6 + "\n")
+    assert main(["generate", "--graph", str(path), *args]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["rank"] == obj["ambient_betti"] == rank and obj["full"] is True
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--stage", "bogus:1"], "unknown stage kind"),
     (["--stage", "betti:one"], "stage level must be an integer"),

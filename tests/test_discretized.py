@@ -89,15 +89,40 @@ def test_n_plus_one_pieces_suffice():
         assert len(sub.edges) == (n + 1) * 6
 
 
-def test_inclusion_chain_map_commutes():
-    g = subdivide_uniform(family("cycle", 3), 3)
-    h = g.subgraph(list(g.edges)[:6])
-    f = inclusion_chain_map(h, g, 2, ordered=False)
-    assert f.check_commutes()
-    # degreewise injective with unit entries
-    for mat in f.matrices:
-        assert all(v == 1 for v in mat.values())
-        assert len({r for r, _ in mat}) == len(mat)
+INCLUSION_CASES = [
+    # (name, G, n, ordered)
+    ("C3", subdivide_uniform(family("cycle", 3), 3), 2, False),
+    ("C3-ordered", subdivide_uniform(family("cycle", 3), 3), 2, True),
+    ("theta", subdivide_uniform(theta_graph(), 3), 2, False),
+    ("theta-ordered", subdivide_uniform(theta_graph(), 3), 2, True),
+    ("K4", subdivide_uniform(family("complete", 4), 4), 3, False),
+    ("star3-ordered", subdivide_uniform(family("star", 3), 4), 3, True),
+]
+
+
+@pytest.mark.parametrize("name,g,n,ordered", INCLUSION_CASES,
+                         ids=[case[0] for case in INCLUSION_CASES])
+def test_inclusion_chain_map_sends_columns_to_columns(name, g, n, ordered):
+    tgt = build_discretized(g, n, ordered)
+    # H drops every third edge of G and keeps the first half of its vertices
+    # besides the ends of its edges, so it has leaves and isolated vertices
+    h = g.subgraph([e for k, e in enumerate(g.edges) if k % 3],
+                   g.vertices[:len(g.vertices) // 2])
+    src, index = inclusion_chain_map(h, g, n, ordered, target_complex=tgt)
+    assert len(index) == n + 1
+    for d in range(n + 1):
+        assert len(index[d]) == src.chain.rank(d)
+        assert len(set(index[d])) == len(index[d])  # injective
+        assert all(src.cells[d][j] == tgt.cells[d][k] for j, k in enumerate(index[d]))
+        if not d:
+            continue
+        # d_d of G on the image of cell j is d_d of H on j, its rows pushed along
+        src_rows, src_coeffs = src.chain.columns(d)
+        tgt_rows, tgt_coeffs = tgt.chain.columns(d)
+        for j, k in enumerate(index[d]):
+            assert tgt_rows[k] == [index[d - 1][i] for i in src_rows[j]]
+            assert tgt_coeffs[k] == src_coeffs[j]
+    assert src.chain.rank(n)
 
 
 def test_inclusion_requires_subgraph():

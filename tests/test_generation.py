@@ -128,20 +128,21 @@ def test_report_serialization():
 
 
 def all_subsets_stage_subgraphs(ctx, predicate):
-    """Reference for _stage_subgraphs: test every edge subset of G'', largest
-    first, skipping subsets of one that already passed."""
+    """Reference for _stage_subgraphs: test every edge subset of G'', the
+    empty one included, each with every vertex of G'', largest first,
+    skipping subsets of one that already passed."""
     amb = ctx.subdivided
     edges = list(amb.edges)
     passing: list[frozenset] = []
-    for size in range(len(edges), 0, -1):
+    for size in range(len(edges), -1, -1):
         for combo in itertools.combinations(range(len(edges)), size):
             mask = frozenset(combo)
             if any(mask <= bigger for bigger in passing):
                 continue
-            h = amb.subgraph([edges[j] for j in combo])
+            h = amb.subgraph([edges[j] for j in combo], amb.vertices)
             if is_sufficiently_subdivided(h, ctx.n) and predicate(h):
                 passing.append(mask)
-    return [amb.subgraph([edges[j] for j in mask]) for mask in passing]
+    return [amb.subgraph([edges[j] for j in mask], amb.vertices) for mask in passing]
 
 
 def stage_predicate(stage: str):
@@ -164,6 +165,8 @@ STAGE_CASES = [
     ("theta", theta_graph(), 2, 1),
     ("C3", family("cycle", 3), 3, 0),
     ("lollipop", lollipop(), 2, 0),
+    # an isolated vertex, which every stage subgraph keeps
+    ("C3+K1", disjoint_union(family("cycle", 3), make_graph([0], [])), 2, 0),
 ]
 STAGES = ["betti:0", "betti:1", "betti:2", "robertson:1", "robertson:2", "robertson:3"]
 
@@ -286,6 +289,8 @@ IMAGE_ORACLE_CASES = [
     # unordered complexes in degree 1, where the image comes from a forest
     ("theta", theta_graph(), 1, 3, 0, False),
     ("K4", family("complete", 4), 1, 2, 1, False),
+    # above the top degree: D_n(H) has no i-cells and the index no list for i
+    ("theta", theta_graph(), 3, 2, 0, False),
 ]
 
 

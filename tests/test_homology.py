@@ -5,25 +5,25 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chains import components, from_entries
+from chains import components, from_entries, sparse_matmul
 from graphconf.acceptance import _atlas_graphs
 from graphconf.discretized import build_discretized
 from graphconf.errors import AmbientMismatchError, InvariantError, NotAComplexError
 from graphconf.generation import build_ambient
 from graphconf.homology import (
-    ChainMap,
     HomologyPresentation,
     HomologySummary,
     IntegerChainComplex,
     Subgroup,
     _reduce,
+    _spanning_forest,
     cycle_image_subgroup,
     forest_cycles,
     homology,
     presentation,
 )
 from graphconf.graphs import family, subdivide_uniform, subdivision_pieces, theta_graph
-from graphconf.snf import hermite_columns, hnf_contains, snf, sparse_matmul
+from graphconf.snf import hermite_columns, hnf_contains, snf
 
 
 def circle_complex():
@@ -362,29 +362,6 @@ def test_cycle_to_normal_matches_row_scan():
     assert max(supports) > 1
 
 
-def test_chain_map_identity_image():
-    c = circle_complex()
-    ident = ChainMap(c, c, ({(0, 0): 1, (1, 1): 1}, {(0, 0): 1, (1, 1): 1}))
-    assert ident.check_commutes()
-    pres = presentation(c, 1)
-    basis = kernel_basis(pres)
-    cycles = [ident.apply(1, k) for k in basis]
-    assert cycles == basis
-    assert cycle_image_subgroup(pres, cycles).is_full()
-
-
-def test_chain_map_apply_per_degree():
-    # swap the two vertices in degree 0 and negate both arcs in degree 1;
-    # apply must read each degree's own matrix, also on repeated calls
-    c = circle_complex()
-    f = ChainMap(c, c, ({(0, 1): 1, (1, 0): 1}, {(0, 0): -1, (1, 1): -1}))
-    assert f.check_commutes()
-    for _ in range(2):
-        assert f.apply(0, {0: 3, 1: 1}) == {1: 3, 0: 1}
-        assert f.apply(1, {0: 1, 1: -1}) == {0: -1, 1: 1}
-        assert f.apply(2, {0: 1}) == {}
-
-
 def test_subgroup_lattice_ops():
     pres = presentation(circle_complex(), 0)
     full = Subgroup.full(pres)
@@ -542,9 +519,17 @@ def _boundary_of(c, chain):
 def test_forest_kernel_is_an_snf_of_the_incidence_matrix(c, rng):
     m, n = c.ranks
     kernel = presentation(c, 1).kernel
+    # V keeps only its kernel columns; the rest are the signed forest paths
+    # from the root to each non-root 0-cell, ascending, rebuilt here
+    assert set(kernel.v_cols) == set(range(kernel.rank, n))
+    forest = _spanning_forest(c.columns(1), range(n))
+    paths = {}
+    for w, t in forest.up.items():  # breadth first, so a parent's path is known
+        paths[w] = {**paths.get(forest.parent[w], {}), t: 1 if forest.plus[t] == w else -1}
+    v = {k: paths[w] for k, w in enumerate(sorted(paths))} | kernel.v_cols
     identity = {j: {j: 1} for j in range(n)}
-    assert _mul(kernel.v_cols, kernel.vinv_cols, n) == identity
-    assert _mul(kernel.vinv_cols, kernel.v_cols, n) == identity
+    assert _mul(v, kernel.vinv_cols, n) == identity
+    assert _mul(kernel.vinv_cols, v, n) == identity
     ends = [r for r in c.columns(1)[0] if r]
     vertices = list(range(m))
     assert kernel.rank == m - components(ends, vertices)

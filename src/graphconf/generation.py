@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -170,29 +171,48 @@ def generator_images(
     (passing or not) and one witness: the first morphism in ``iter_tm``
     order whose image passes.
 
-    A generator with an edge and no vertex of degree < 2 is image-first:
-    its images are found among the unions of whole ambient arcs of G''.
+    Images are enumerated first and counted in closed form; no morphism
+    is walked but the witness's predecessors.  Let rho be a morphism with
+    image H, and call gen's vertices of degree 0 isolated and of degree 1
+    leaves.
 
-    - The image of such a morphism has no vertex of degree < 2: a vertex
-      image has the degree of its preimage (one path leaves it per edge),
-      and a path interior vertex has degree 2.
-    - An interior vertex of an ambient arc has degree 2 in G''.  If the
-      image reaches it, it has degree >= 2 in the image, so the image holds
-      both its edges.  Walking along the arc, an image that holds one edge
-      of an arc holds the whole arc.  So the image is a union of arcs.
+    - A vertex image has the degree of its preimage in H (one path leaves
+      it per edge), and a path interior vertex has degree 2.  So H's
+      vertices of degree != 2, with their degrees, are those of gen: the
+      degree-multiset prune of ``_image_candidates``, a necessary
+      condition.
+    - An interior vertex of an ambient arc has degree 2 in G'', so degree
+      0, 1 or 2 in H.  On each arc, H therefore holds nothing, the whole
+      arc, or segments whose ends inside the arc have H-degree 1: leaves
+      of H, hence images of gen's leaves.  All of these ends together are
+      at most the leaves of gen, and ``_image_candidates`` lists every such
+      choice, arc by arc.  So the edges of H are among its candidates.
+    - Isolated vertices of gen go to vertices of G'' off the paths and off
+      the other vertex images, i.e. off the rest of H, and nothing else
+      does.  So H is its edge part H_E (the image of gen without its k
+      isolated vertices, ``core``) plus a set S of k vertices off H_E, and
+      each S makes a distinct image.
     - The morphisms gen -> G'' with image H are the morphisms gen -> H
       whose image is all of H (paths in H are the paths of G'' inside H,
-      and the four conditions read the same in both).
+      and the four conditions read the same in both).  Their number is
+      ``_onto_count(gen, H)``, exact for every simple graph.  The
+      isolated vertices are branch vertices of degree 0 with no arc there,
+      so it is k!, for the bijections onto S, times ``_onto_count(core,
+      H_E)``.
 
-    So each union H adds ``_onto_count`` to the count, and it is an image
-    iff that count is not 0.  The count is exact for any union, so no
-    union is filtered or grouped first, and unions that fail Abrams' test
-    count too.  ``iter_tm`` runs only for the witness, and stops at it.
+    So each candidate H_E adds ``_onto_count`` of core times k! times
+    C(f, k), for the f vertices of G'' off H_E, and it is an image iff
+    that count is not 0.  Candidates that fail Abrams' test count too.
+    Isolated vertices do not change Abrams' test, so every S of a passing
+    H_E is listed.  ``iter_tm`` runs only for the witness, and stops at
+    it.
 
-    When G'' passes Abrams' test, so does every union of its arcs, and no
-    union is tested.  Every G'' of ``build_ambient`` passes, since each of
-    its arcs holds a whole edge of G cut into n+1+extra pieces; a graph
-    with a shorter arc, passed in as G'', has each image tested.
+    A candidate with no segment end inside an arc (every candidate of a
+    generator with no leaf) is a union of whole ambient arcs, and it
+    passes Abrams' test whenever G'' does, so it is not tested then.
+    Every G'' of ``build_ambient`` passes, since each of its arcs holds a
+    whole edge of G cut into n+1+extra pieces; a graph with a shorter
+    arc, passed in as G'', has each image tested.
 
     - Abrams' test asks that every arc of H, open or closed, and every
       cycle component of H has >= n+1 edges, and G'' passes it iff every
@@ -201,32 +221,130 @@ def generator_images(
       arcs at degree 2, so each arc or cycle component of H runs through
       whole ambient arcs, joined at branch vertices of G'' that have
       degree 2 in H.  It has at least as many edges as any one of them.
-    - So every image passes, and the witness is the first morphism that
-      ``iter_tm`` yields.
-
-    Any other generator (a leaf, an isolated vertex, or no edge) takes
-    every morphism from ``iter_tm``, keyed by its image sets, so each
-    distinct image is built and tested once."""
-    if not gen.edges or any(gen.degree(v) < 2 for v in gen.vertices):
-        return _images_by_morphism(ctx, gen)
+    - So when G'' passes, every image of a generator with no leaf passes,
+      and the witness is the first morphism that ``iter_tm`` yields.  A
+      segment ending inside an arc may be shorter than n+1, so a
+      candidate with one is tested."""
     amb = ctx.subdivided
-    arcs = ambient_arcs(amb)
-    profile = _arc_profile(gen)
-    ambient_passes = is_sufficiently_subdivided(amb, ctx.n)  # then every union does
+    core = gen.subgraph(gen.edges)
+    k = len(gen.vertices) - len(core.vertices)
+    profile = _arc_profile(core)
+    ambient_passes = is_sufficiently_subdivided(amb, ctx.n)  # then every union of arcs does
     passing: dict = {}  # (vertex set, edge set) -> image that passes
     count = 0
-    for size in range(1, len(arcs) + 1):
-        for combo in itertools.combinations(arcs, size):
-            h = amb.subgraph([e for arc in combo for e in arc])
-            onto = _onto_count(profile, h)
-            count += onto
-            if onto and (ambient_passes or is_sufficiently_subdivided(h, ctx.n)):
-                passing[(h.vertex_set, h.edge_set)] = h
+    for edges, stubs in _image_candidates(amb, core):
+        h = amb.subgraph(edges)
+        onto = _onto_count(profile, h)
+        if not onto:
+            continue
+        count += onto * math.factorial(k) * math.comb(len(amb.vertices) - len(h.vertices), k)
+        if (ambient_passes and not stubs) or is_sufficiently_subdivided(h, ctx.n):
+            free = [v for v in amb.vertices if v not in h.vertex_set]
+            for extra in itertools.combinations(free, k):
+                img = amb.subgraph(edges, extra) if extra else h
+                passing[(img.vertex_set, img.edge_set)] = img
     witness = None
     if passing:
         witness = next(rho for rho in iter_tm(gen, amb, kind="tm")
                        if (rho.image_vertices, rho.image_edges) in passing)
     return list(passing.values()), count, witness
+
+
+def _image_candidates(amb: SimpleGraph, core: SimpleGraph):
+    """Edge sets of G'' that may be the image of ``core``, a graph with no
+    isolated vertex, with the number of their segment ends inside arcs.
+
+    On each ambient arc a candidate takes nothing, the whole arc, or
+    segments; a segment end at an interior vertex of the arc is a leaf of
+    the candidate, and all such ends together are at most the leaves of
+    core.  A candidate is yielded only if its vertices of degree other
+    than 0 and 2, with their degrees, are those of core.  Arcs are chosen
+    one at a time, and the degree of a branch vertex of G'' is checked
+    against what core has left as soon as its last arc is chosen."""
+    left = Counter(d for v in core.vertices if (d := core.degree(v)) != 2)
+    arcs = ambient_arcs(amb)
+    ends = [_arc_ends(amb, arc) for arc in arcs]
+    last = {b: i for i, pair in enumerate(ends) for b in pair}
+    closing: list[list[int]] = [[] for _ in arcs]
+    for b, i in last.items():
+        closing[i].append(b)
+    patterns = [_arc_patterns(arc, pair, left[1]) for arc, pair in zip(arcs, ends)]
+    degree = dict.fromkeys(last, 0)  # branch vertex of G'' -> its degree so far
+    chosen: list[tuple] = []
+
+    def rec(i: int, stubs: int):
+        if i == len(arcs):
+            if not any(left.values()):
+                yield [e for edges in chosen for e in edges], stubs
+            return
+        for edges, inside, reached in patterns[i]:
+            if inside > left[1]:
+                continue
+            left[1] -= inside
+            for b in reached:
+                degree[b] += 1
+            taken = []
+            for b in closing[i]:
+                d = degree[b]
+                if d in (0, 2):
+                    continue
+                if not left[d]:
+                    break
+                left[d] -= 1
+                taken.append(d)
+            else:
+                chosen.append(edges)
+                yield from rec(i + 1, stubs + inside)
+                chosen.pop()
+            for d in taken:
+                left[d] += 1
+            for b in reached:
+                degree[b] -= 1
+            left[1] += inside
+
+    return rec(0, 0)
+
+
+def _arc_ends(g: SimpleGraph, arc: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The end vertices of an ambient arc of g, at its first and its last
+    edge (one vertex twice for a loop arc), or () for a cycle component,
+    which has no branch vertex."""
+    if len(arc) == 1:
+        first, last = arc[0]
+    else:
+        first = next(v for v in arc[0] if v not in arc[1])
+        last = next(v for v in arc[-1] if v not in arc[-2])
+    return () if g.degree(first) == 2 else (first, last)
+
+
+def _arc_patterns(arc: list[tuple[int, int]], ends: tuple[int, ...], budget: int) -> list:
+    """The edge subsets of one ambient arc with at most ``budget`` segment
+    ends inside it, as (edges, ends inside, the arc ends it reaches).
+
+    ``ends`` holds the arc's first and last vertex, or nothing for a cycle
+    component.  A subset is its first edge's membership plus the interior
+    positions where membership flips: position p lies between edges p-1
+    and p, and on a cycle component position 0 closes the cycle, so the
+    flips there are even in number.  Each flip is a segment end inside
+    the arc, and each subset has one such description."""
+    size = len(arc)
+    inner = range(size) if not ends else range(1, size)
+    out = []
+    for j in range(min(budget, len(inner)) + 1):
+        if not ends and j % 2:
+            continue
+        for flips in itertools.combinations(inner, j):
+            at = set(flips) - {0}
+            for first in (False, True):
+                take, edges = first, []
+                for p, e in enumerate(arc):
+                    take ^= p in at
+                    if take:
+                        edges.append(e)
+                # take is now the last edge's membership
+                reached = tuple(end for end, hit in zip(ends, (first, take)) if hit)
+                out.append((tuple(edges), j, reached))
+    return out
 
 
 class _ArcProfile(NamedTuple):
@@ -298,7 +416,18 @@ def _onto_count(gen: _ArcProfile, h: SimpleGraph) -> int:
     times the same sum over cycle matchings.  phi is built one vertex at a
     time, and a pair whose arcs cannot be matched prunes it.  The early
     exit: an onto image has |E(gen)| + sum(len(path) - 1) edges and
-    |V(gen)| + sum(len(path) - 1) vertices, so |V| - |E| agrees."""
+    |V(gen)| + sum(len(path) - 1) vertices, so |V| - |E| agrees.
+
+    Only the pairs with a gen arc between them are checked; a pair with
+    none has the factor 1 when h has no arc between its images either,
+    and h has none once the checked pairs match.  Every edge at a branch
+    vertex starts exactly one arc end there, so a branch vertex's degree
+    is its number of arc ends (a loop arc counts twice).  Take v with
+    w = phi(v).  The arcs matched at v's pairs have deg(v) ends at v in
+    gen, and as many at w in h; phi keeps degrees, so they are all
+    deg(w) arc ends at w.  So no h arc at w goes to a vertex phi(u) with
+    no gen arc between u and v, and as every h arc that is not a cycle
+    component has a branch end, every one is matched."""
     if gen.euler != len(h.vertices) - len(h.edges):
         return 0
     tgt = _arc_profile(h)
@@ -309,6 +438,9 @@ def _onto_count(gen: _ArcProfile, h: SimpleGraph) -> int:
     if not cycles:
         return 0
     order = list(gen.branch)
+    # the branch vertices up to and including v with a gen arc to v
+    partners = {v: [u for u in order[:i + 1] if (min(u, v), max(u, v)) in gen.arcs]
+                for i, v in enumerate(order)}
     phi: dict[int, int] = {}
 
     def arcs_between(u: int, v: int, x: int, w: int) -> int:
@@ -328,7 +460,7 @@ def _onto_count(gen: _ArcProfile, h: SimpleGraph) -> int:
                 continue
             phi[v] = w
             weight = 1
-            for u in order[:i + 1]:
+            for u in partners[v]:
                 weight *= arcs_between(u, v, phi[u], w)
                 if not weight:
                     break
@@ -338,24 +470,6 @@ def _onto_count(gen: _ArcProfile, h: SimpleGraph) -> int:
         return total
 
     return cycles * extend(0)
-
-
-def _images_by_morphism(
-    ctx: AmbientContext, gen: SimpleGraph
-) -> tuple[list[SimpleGraph], int, TopMinorMorphism | None]:
-    """generator_images over every morphism gen -> G''."""
-    verdicts: dict = {}  # image key -> the image if it passes, else None
-    count = 0
-    witness = None
-    for rho in iter_tm(gen, ctx.subdivided, kind="tm"):
-        count += 1
-        key = (rho.image_vertices, rho.image_edges)
-        if key not in verdicts:
-            img = rho.image_subgraph()
-            verdicts[key] = img if is_sufficiently_subdivided(img, ctx.n) else None
-        if witness is None and verdicts[key] is not None:
-            witness = rho
-    return [img for img in verdicts.values() if img is not None], count, witness
 
 
 @dataclass(frozen=True)
@@ -596,22 +710,18 @@ def _arc_pieces(g: SimpleGraph, arc: list[tuple[int, int]], gaps: tuple[int, ...
     at a branch vertex, as (edge count, branch ends); None when a piece
     with no branch end has fewer than ``need`` edges."""
     size = len(arc)
-    if size == 1:
-        first, last = arc[0]
-    else:
-        first = next(v for v in arc[0] if v not in arc[1])
-        last = next(v for v in arc[-1] if v not in arc[-2])
+    ends = _arc_ends(g, arc)
     cuts = (-1, *gaps, size)
     segments = [b - a - 1 for a, b in zip(cuts, cuts[1:])]
-    if g.degree(first) == 2:  # a cycle component: no branch vertex
+    if not ends:  # a cycle component: no branch vertex
         floating = [size] if not gaps else [segments[0] + segments[-1], *segments[1:-1]]
         pieces: tuple = ()
     elif not gaps:
-        floating, pieces = [], ((size, (first, last)),)
+        floating, pieces = [], ((size, ends),)
     else:
         floating = segments[1:-1]
         pieces = tuple((length, (end,)) for length, end in
-                       ((segments[0], first), (segments[-1], last)) if length)
+                       ((segments[0], ends[0]), (segments[-1], ends[1])) if length)
     if any(0 < length < need for length in floating):
         return None
     return pieces

@@ -6,10 +6,13 @@ import pytest
 
 from chains import components
 from graphconf import generation
+from graphconf.acceptance import _atlas_graphs
 from graphconf.discretized import is_sufficiently_subdivided
 from graphconf.errors import BadParamsError, InvariantError
 from graphconf.generation import (
     GeneratorList,
+    _arc_ends,
+    _arc_patterns,
     _arc_profile,
     _mask_subgraph,
     _onto_count,
@@ -401,8 +404,14 @@ def _sorted_keys(subgraphs):
 
 
 C3 = family("cycle", 3)
-GENERATORS = {"C3": C3, "star3": family("star", 3), "theta": smooth(theta_graph()),
-              "C3+C3": disjoint_union(C3, C3), "C4": family("cycle", 4)}
+STAR3 = family("star", 3)
+K1 = make_graph([0], [])
+K2 = family("path", 2)
+GENERATORS = {"C3": C3, "star3": STAR3, "theta": smooth(theta_graph()),
+              "C3+C3": disjoint_union(C3, C3), "C4": family("cycle", 4),
+              "K2": K2, "K2+K1": disjoint_union(K2, K1), "K2+K2": disjoint_union(K2, K2),
+              "star3+K1": disjoint_union(STAR3, K1), "P3": family("path", 3),
+              "lollipop": lollipop(), "K1+K1": disjoint_union(K1, K1)}
 # the generate workload: (target, n, extra subdivision, generator, morphisms, images)
 GENERATE_CASES = [
     ("K4", family("complete", 4), 2, 1, "C3", 15360, 7),
@@ -432,7 +441,29 @@ IMAGE_CASES = [_generate_case(*c) for c in GENERATE_CASES] + [
                  id="theta+C4-n3-C3+C3"),
     # an unsmoothed generator: C4 does not map onto theta's triangles
     pytest.param(theta_graph(), 2, "C4", 8, 1, id="theta-n2-C4"),
+    # generators with a leaf or an isolated vertex; C3'' is one closed arc,
+    # so these segments have both ends inside it
+    pytest.param(subdivide_uniform(C3, 3), 2, "K2", 144, 54, id="C3''-n2-K2"),
+    pytest.param(subdivide_uniform(C3, 3), 2, "K2+K1", 504, 135, id="C3''-n2-K2+K1"),
+    pytest.param(subdivide_uniform(STAR3, 3), 2, "K2+K1", 534, 132, id="star3''-n2-K2+K1"),
+    pytest.param(subdivide_uniform(theta_graph(), 2), 1, "star3+K1", 924, 12,
+                 id="theta''-n1-star3+K1"),
+    # no edge: 2! bijections onto each pair of vertices
+    pytest.param(subdivide_uniform(C3, 3), 2, "K1+K1", 72, 36, id="C3''-n2-K1+K1"),
+    # an unsmoothed generator with leaves: its arc has an interior vertex
+    pytest.param(subdivide_uniform(STAR3, 3), 2, "P3", 186, 27, id="star3''-n2-P3"),
+    pytest.param(subdivide_uniform(lollipop(), 3), 2, "lollipop", 168, 1,
+                 id="lollipop''-n2-lollipop"),
+    # G'' fails Abrams' test, so each image is tested, and none passes
+    pytest.param(theta_graph(), 3, "star3", 12, 0, id="theta-n3-star3"),
+    # a cycle component beside a loop arc and a leaf
+    pytest.param(disjoint_union(lollipop(), family("cycle", 4)), 2, "K2+K2", 1080, 8,
+                 id="lollipop+C4-n2-K2+K2"),
 ]
+
+
+def _leafless(gen):
+    return all(gen.degree(v) >= 2 for v in gen.vertices)
 
 
 @pytest.mark.parametrize("sub,n,gen,morphisms,distinct", IMAGE_CASES)
@@ -443,7 +474,7 @@ def test_generator_images_match_per_morphism_loop(sub, n, gen, morphisms, distin
     assert _sorted_keys(images) == _sorted_keys(ref_images)
     assert count == ref_count == morphisms
     assert len(images) == distinct
-    assert witness == ref_witness and witness is not None
+    assert witness == ref_witness and (witness is not None) == (distinct > 0)
 
 
 def test_generator_images_witness_skips_a_failing_first_image():
@@ -516,9 +547,10 @@ def test_degree_1_image_rejects_a_d1_that_is_no_incidence_matrix():
         ctx.image_of_subgraph(ctx.subdivided)
 
 
-# star3 has leaves, so its images are not unions of whole arcs
+# a generator with a leaf or an isolated vertex has images that are not
+# unions of whole arcs
 @pytest.mark.parametrize("sub,n,gen,morphisms,distinct",
-                         [c for c in IMAGE_CASES if c.values[2] != "star3"])
+                         [c for c in IMAGE_CASES if _leafless(GENERATORS[c.values[2]])])
 def test_unions_of_arcs_pass_abrams_test_when_the_ambient_does(sub, n, gen, morphisms,
                                                                distinct):
     # generator_images tests no union when G'' passes; a G'' that fails has a
@@ -569,6 +601,53 @@ ONTO_CASES = [
 ]
 
 
+@pytest.mark.parametrize("g", [family("path", 5), family("cycle", 5),
+                               subdivide_uniform(lollipop(), 2)], ids=["P5", "C5", "lollipop''"])
+def test_arc_patterns_list_each_subset_once(g):
+    # every edge subset of an arc with at most `budget` leaves inside it (at
+    # vertices of degree 2 in g), once, with the arc ends its end edges reach
+    for arc in ambient_arcs(g):
+        ends = _arc_ends(g, arc)
+        for budget in range(5):
+            want = []
+            for mask in range(2 ** len(arc)):
+                edges = tuple(e for k, e in enumerate(arc) if mask >> k & 1)
+                inside = sum(1 for v in g.vertices if g.degree(v) == 2
+                             and sum(v in e for e in edges) == 1)
+                reached = tuple(end for end, e in zip(ends, (arc[0], arc[-1])) if e in edges)
+                if inside <= budget:
+                    want.append((edges, inside, reached))
+            assert sorted(_arc_patterns(arc, ends, budget)) == sorted(want)
+
+
+THETA3 = subdivide_uniform(theta_graph(), 3)
+# its arcs of 3, 6 and 6 edges, each walked from vertex 0 to vertex 1
+SHORT, LEFT, RIGHT = sorted(ambient_arcs(THETA3), key=len)
+C3_ARC, = ambient_arcs(subdivide_uniform(C3, 3))
+LOLLIPOP3 = subdivide_uniform(lollipop(), 3)
+LOOP, STEM = ambient_arcs(LOLLIPOP3)  # 9 edges from vertex 2 round to it, and 3
+ONTO_CASES += [
+    # stubs, off the unions of whole arcs: legs of 2 and 2 edges end inside
+    # arcs, and the third runs through vertex 1, a branch vertex of G'' with
+    # H-degree 2, into the last 2 edges of an arc
+    pytest.param(STAR3, THETA3.subgraph(SHORT + LEFT[:2] + RIGHT[:2] + RIGHT[-2:]), 6,
+                 id="star3-stub-through-a-branch-vertex"),
+    # the loop arc as in lollipop-leaf, and a stem cut short to a stub
+    pytest.param(lollipop(), LOLLIPOP3.subgraph(LOOP + STEM[:2]), 56, id="lollipop-stub"),
+    # two segments on one arc: 2 matchings of the components, 2 directions each
+    pytest.param(disjoint_union(K2, K2), THETA3.subgraph(LEFT[1:3] + LEFT[4:5]), 8,
+                 id="K2+K2-two-segments-on-an-arc"),
+    # a segment inside a closed arc, 2 directions, and a vertex off it
+    pytest.param(disjoint_union(K2, K1),
+                 subdivide_uniform(C3, 3).subgraph(C3_ARC[1:4], [C3_ARC[6][0]]), 2,
+                 id="K2+K1-segment-and-vertex"),
+    # two isolated vertices: 2! bijections
+    pytest.param(disjoint_union(disjoint_union(K2, K1), K1),
+                 THETA3.subgraph(SHORT, [LEFT[2][0], RIGHT[2][0]]), 4,
+                 id="K2+K1+K1-arc-and-two-vertices"),
+]
+
+
 @pytest.mark.parametrize("gen,h,expected", ONTO_CASES)
 def test_onto_count_named_cases(gen, h, expected):
     assert onto_count(gen, h) == onto_count_by_morphisms(gen, h) == expected
@@ -600,3 +679,42 @@ def test_leafless_generator_with_no_passing_image_never_walks_iter_tm(monkeypatc
     images, count, witness = generator_images(ctx, C3)
     assert images == [] and witness is None and count > 0
     assert calls == []
+
+
+def test_leaf_generator_walks_iter_tm_only_for_the_witness(monkeypatch):
+    calls = _count_iter_tm_calls(monkeypatch)
+    ctx = SimpleNamespace(subdivided=THETA3, n=2)
+    images, count, witness = generator_images(ctx, STAR3)
+    assert (count, len(images)) == (2940, 54) and witness is not None
+    assert len(calls) == 1
+
+
+def test_leaf_generator_with_no_passing_image_never_walks_iter_tm(monkeypatch):
+    calls = _count_iter_tm_calls(monkeypatch)
+    # theta has 5 edges, so a star's shortest leg has 1, fewer than n+1 = 4
+    ctx = SimpleNamespace(subdivided=theta_graph(), n=3)
+    images, count, witness = generator_images(ctx, STAR3)
+    assert images == [] and witness is None and count == 12
+    assert calls == []
+
+
+def _leaf_types():
+    """(graph, generator) for every homeomorphism type with a leaf among the
+    subgraphs of a connected graph with <= 4 vertices: 21 pairs on 9
+    graphs.  The four whose per-morphism walk takes over 1 s each are
+    left out: star3 and the paw on K4, and K2+K2 on K4 and on K4 - e."""
+    slow = {(6, 4, 3), (6, 4, 4), (6, 4, 2), (5, 4, 2)}  # (|E(G)|, |V(gen)|, |E(gen)|)
+    return [pytest.param(g, gen, id=f"{g.edges}-{gen.edges}")
+            for g in _atlas_graphs(4, connected=True) if g.edges
+            for gen in subgraph_homeomorphism_types(g).graphs if not _leafless(gen)
+            if (len(g.edges), len(gen.vertices), len(gen.edges)) not in slow]
+
+
+@pytest.mark.parametrize("g,gen", _leaf_types())
+def test_leaf_types_match_per_morphism_loop(g, gen):
+    ctx = SimpleNamespace(subdivided=subdivide_uniform(g, subdivision_pieces(2, 0)), n=2)
+    images, count, witness = generator_images(ctx, gen)
+    ref_images, ref_count, ref_witness = per_morphism_generator_images(ctx, gen)
+    assert (_sorted_keys(images), count, witness) == (
+        _sorted_keys(ref_images), ref_count, ref_witness)
+    assert witness is not None

@@ -207,38 +207,25 @@ def generator_images(
     H_E is listed.  ``iter_tm`` runs only for the witness, and stops at
     it.
 
-    A candidate with no segment end inside an arc (every candidate of a
-    generator with no leaf) is a union of whole ambient arcs, and it
-    passes Abrams' test whenever G'' does, so it is not tested then.
-    Every G'' of ``build_ambient`` passes, since each of its arcs holds a
-    whole edge of G cut into n+1+extra pieces; a graph with a shorter
-    arc, passed in as G'', has each image tested.
-
-    - Abrams' test asks that every arc of H, open or closed, and every
-      cycle component of H has >= n+1 edges, and G'' passes it iff every
-      ambient arc has >= n+1 edges.
-    - A union H of whole ambient arcs keeps the interior vertices of its
-      arcs at degree 2, so each arc or cycle component of H runs through
-      whole ambient arcs, joined at branch vertices of G'' that have
-      degree 2 in H.  It has at least as many edges as any one of them.
-    - So when G'' passes, every image of a generator with no leaf passes,
-      and the witness is the first morphism that ``iter_tm`` yields.  A
-      segment ending inside an arc may be shorter than n+1, so a
-      candidate with one is tested."""
+    Each candidate comes as the ``_Join`` of its pieces, which gives both
+    the profile that ``_onto_count`` reads and Abrams' test.  f needs no
+    graph either: each edge's path, with L edges, adds L - 1 of each, so
+    |V(H_E)| - |E(H_E)| = |V(core)| - |E(core)| when the count is not 0.
+    A ``SimpleGraph`` is built only for an H_E that passes."""
     amb = ctx.subdivided
     core = gen.subgraph(gen.edges)
     k = len(gen.vertices) - len(core.vertices)
     profile = _arc_profile(core)
-    ambient_passes = is_sufficiently_subdivided(amb, ctx.n)  # then every union of arcs does
+    off = len(amb.vertices) - len(core.vertices) + len(core.edges)  # f + |E(H_E)|
     passing: dict = {}  # (vertex set, edge set) -> image that passes
     count = 0
-    for edges, stubs in _image_candidates(amb, core):
-        h = amb.subgraph(edges)
-        onto = _onto_count(profile, h)
+    for edges, join in _image_candidates(amb, core):
+        onto = _onto_count(profile, join.profile())
         if not onto:
             continue
-        count += onto * math.factorial(k) * math.comb(len(amb.vertices) - len(h.vertices), k)
-        if (ambient_passes and not stubs) or is_sufficiently_subdivided(h, ctx.n):
+        count += onto * math.factorial(k) * math.comb(off - len(edges), k)
+        if join.sufficient(ctx.n):
+            h = amb.subgraph(edges)
             free = [v for v in amb.vertices if v not in h.vertex_set]
             for extra in itertools.combinations(free, k):
                 img = amb.subgraph(edges, extra) if extra else h
@@ -252,32 +239,36 @@ def generator_images(
 
 def _image_candidates(amb: SimpleGraph, core: SimpleGraph):
     """Edge sets of G'' that may be the image of ``core``, a graph with no
-    isolated vertex, with the number of their segment ends inside arcs.
+    isolated vertex, each with the ``_Join`` of its pieces.
 
     On each ambient arc a candidate takes nothing, the whole arc, or
-    segments; a segment end at an interior vertex of the arc is a leaf of
-    the candidate, and all such ends together are at most the leaves of
-    core.  A candidate is yielded only if its vertices of degree other
-    than 0 and 2, with their degrees, are those of core.  Arcs are chosen
-    one at a time, and the degree of a branch vertex of G'' is checked
-    against what core has left as soon as its last arc is chosen."""
+    segments, its pieces there; a piece end at an interior vertex of the
+    arc is a leaf of the candidate, and all such ends together are at most
+    the leaves of core.  A candidate is yielded only if its vertices of
+    degree other than 0 and 2, with their degrees, are those of core.
+    Arcs are chosen one at a time, and the degree of a branch vertex of
+    G'' is checked against what core has left once its last arc is."""
     left = Counter(d for v in core.vertices if (d := core.degree(v)) != 2)
     arcs = ambient_arcs(amb)
-    ends = [_arc_ends(amb, arc) for arc in arcs]
+    walks = [_arc_walk(arc) for arc in arcs]
+    joints = {v for walk in walks for v in (walk[0], walk[-1])}
+    ends = [(walk[0], walk[-1]) if amb.degree(walk[0]) != 2 else () for walk in walks]
     last = {b: i for i, pair in enumerate(ends) for b in pair}
     closing: list[list[int]] = [[] for _ in arcs]
     for b, i in last.items():
         closing[i].append(b)
-    patterns = [_arc_patterns(arc, pair, left[1]) for arc, pair in zip(arcs, ends)]
+    patterns = [_arc_patterns(arc, walk, pair, left[1])
+                for arc, walk, pair in zip(arcs, walks, ends)]
     degree = dict.fromkeys(last, 0)  # branch vertex of G'' -> its degree so far
     chosen: list[tuple] = []
 
-    def rec(i: int, stubs: int):
+    def rec(i: int):
         if i == len(arcs):
             if not any(left.values()):
-                yield [e for edges in chosen for e in edges], stubs
+                yield ([e for edges, _ in chosen for e in edges],
+                       _Join([pieces for _, pieces in chosen], joints))
             return
-        for edges, inside, reached in patterns[i]:
+        for edges, pieces, inside, reached in patterns[i]:
             if inside > left[1]:
                 continue
             left[1] -= inside
@@ -293,8 +284,8 @@ def _image_candidates(amb: SimpleGraph, core: SimpleGraph):
                 left[d] -= 1
                 taken.append(d)
             else:
-                chosen.append(edges)
-                yield from rec(i + 1, stubs + inside)
+                chosen.append((edges, pieces))
+                yield from rec(i + 1)
                 chosen.pop()
             for d in taken:
                 left[d] += 1
@@ -302,31 +293,33 @@ def _image_candidates(amb: SimpleGraph, core: SimpleGraph):
                 degree[b] -= 1
             left[1] += inside
 
-    return rec(0, 0)
+    return rec(0)
 
 
-def _arc_ends(g: SimpleGraph, arc: list[tuple[int, int]]) -> tuple[int, ...]:
-    """The end vertices of an ambient arc of g, at its first and its last
-    edge (one vertex twice for a loop arc), or () for a cycle component,
-    which has no branch vertex."""
+def _arc_walk(arc: list[tuple[int, int]]) -> list[int]:
+    """The vertices of an ambient arc in path order, edge p joining vertex
+    p to p + 1; a loop arc or a cycle component ends where it starts."""
     if len(arc) == 1:
-        first, last = arc[0]
-    else:
-        first = next(v for v in arc[0] if v not in arc[1])
-        last = next(v for v in arc[-1] if v not in arc[-2])
-    return () if g.degree(first) == 2 else (first, last)
+        return list(arc[0])
+    walk = [next(v for v in arc[0] if v not in arc[1])]
+    for a, b in arc:
+        walk.append(b if a == walk[-1] else a)
+    return walk
 
 
-def _arc_patterns(arc: list[tuple[int, int]], ends: tuple[int, ...], budget: int) -> list:
+def _arc_patterns(arc: list[tuple[int, int]], walk: list[int], ends: tuple[int, ...],
+                  budget: int) -> list:
     """The edge subsets of one ambient arc with at most ``budget`` segment
-    ends inside it, as (edges, ends inside, the arc ends it reaches).
+    ends inside it, as (edges, pieces, ends inside, the arc ends it
+    reaches).
 
-    ``ends`` holds the arc's first and last vertex, or nothing for a cycle
-    component.  A subset is its first edge's membership plus the interior
-    positions where membership flips: position p lies between edges p-1
-    and p, and on a cycle component position 0 closes the cycle, so the
-    flips there are even in number.  Each flip is a segment end inside
-    the arc, and each subset has one such description."""
+    ``walk`` is ``_arc_walk(arc)``, and ``ends`` holds the arc's first and
+    last vertex, or nothing for a cycle component.  A subset is its first
+    edge's membership plus the interior positions where membership flips:
+    position p lies between edges p-1 and p, and on a cycle component
+    position 0 closes the cycle, so the flips there are even in number.
+    Each flip is a segment end inside the arc, and each subset has one
+    such description."""
     size = len(arc)
     inner = range(size) if not ends else range(1, size)
     out = []
@@ -336,39 +329,124 @@ def _arc_patterns(arc: list[tuple[int, int]], ends: tuple[int, ...], budget: int
         for flips in itertools.combinations(inner, j):
             at = set(flips) - {0}
             for first in (False, True):
-                take, edges = first, []
-                for p, e in enumerate(arc):
+                take, kept = first, []
+                for p in range(size):
                     take ^= p in at
                     if take:
-                        edges.append(e)
+                        kept.append(p)
                 # take is now the last edge's membership
                 reached = tuple(end for end, hit in zip(ends, (first, take)) if hit)
-                out.append((tuple(edges), j, reached))
+                out.append((tuple(arc[p] for p in kept), _pieces(walk, kept), j, reached))
     return out
+
+
+def _pieces(walk: list[int], kept) -> list[tuple[int, int, int]]:
+    """The pieces of the edges at positions ``kept`` (ascending) of an
+    ambient arc with vertices ``walk``: its maximal runs of kept edges, as
+    (edge count, end, end)."""
+    pieces: list[tuple[int, int, int]] = []
+    for p in kept:
+        if pieces and pieces[-1][2] == walk[p]:  # edge p continues the last run
+            pieces[-1] = (pieces[-1][0] + 1, pieces[-1][1], walk[p + 1])
+        else:
+            pieces.append((1, walk[p], walk[p + 1]))
+    return pieces
 
 
 class _ArcProfile(NamedTuple):
     """A graph cut into arcs at its branch vertices (degree != 2)."""
 
-    euler: int  # |V| - |E|
     branch: dict[int, int]  # branch vertex -> degree
     arcs: dict[tuple[int, int], list[int]]  # (a, b), a <= b -> edges of each arc a..b
     cycles: list[int]  # edges of each cycle component (no branch vertex)
 
 
 def _arc_profile(g: SimpleGraph) -> _ArcProfile:
-    branch = {v: g.degree(v) for v in g.vertices if g.degree(v) != 2}
-    arcs: dict[tuple[int, int], list[int]] = {}
-    cycles = []
-    for arc in ambient_arcs(g):
-        # the branch vertices of an arc's end edges are its ends; a loop
-        # arc has one, a cycle component none
-        ends = {v for e in (arc[0], arc[-1]) for v in e if v in branch}
-        if ends:
-            arcs.setdefault((min(ends), max(ends)), []).append(len(arc))
-        else:
-            cycles.append(len(arc))
-    return _ArcProfile(len(g.vertices) - len(g.edges), branch, arcs, cycles)
+    """g's whole ambient arcs joined, with its isolated vertices of degree 0."""
+    walks = [_arc_walk(arc) for arc in ambient_arcs(g)]
+    profile = _Join([[(len(walk) - 1, walk[0], walk[-1])] for walk in walks],
+                    {v for walk in walks for v in (walk[0], walk[-1])}).profile()
+    profile.branch.update((v, 0) for v in g.vertices if not g.degree(v))
+    return profile
+
+
+class _Join:
+    """The arcs and cycle components of a subgraph H of a graph G, joined
+    from H's pieces: its maximal runs of edges on each ambient arc of G,
+    as (edge count, end, end), one list per arc.  ``joints`` holds the
+    ends of G's ambient arcs (``_arc_walk``; a cycle component of G starts
+    and ends at one of its vertices).
+
+    - An interior vertex of an ambient arc has degree 2 in G, so it has
+      degree 2 in H exactly when it lies inside a piece, and is a leaf of
+      H at a piece end, where no other piece ends.
+    - A joint v has one H edge per piece end at v, so it has degree 2 in
+      H exactly when two piece ends meet there.  Then v lies inside an arc
+      or a cycle component of H, which runs on through both pieces; at any
+      other degree the pieces end there.
+    - So the arcs and cycle components of H are the classes of pieces
+      under "meet at a joint of H-degree 2", each with the summed length
+      of its pieces.  A class is a chain: a cycle component if each of its
+      ends is joined (a closed ambient arc taken whole, with nothing else
+      at its end, joins itself), else an arc between its two unjoined
+      ends, which are branch vertices of H.
+
+    A union-find over the pieces gives the classes and their lengths, all
+    that Abrams' test reads; ``profile`` reads the unjoined ends of each
+    class after it.  Leaf ends are never joined, so they stay out of the
+    union-find."""
+
+    def __init__(self, groups: list, joints):
+        at: dict[int, list[int]] = {}  # joint -> its pieces, once per end there
+        size: dict[int, int] = {}  # class root -> edge count of the class
+        for pieces in groups:
+            for n, a, b in pieces:
+                p = len(size)
+                size[p] = n
+                if a in joints:
+                    at.setdefault(a, []).append(p)
+                if b in joints:
+                    at.setdefault(b, []).append(p)
+        root = list(range(len(size)))
+        for meeting in at.values():
+            if len(meeting) == 2:
+                x, y = meeting
+                while root[x] != x:
+                    x = root[x]
+                while root[y] != y:
+                    y = root[y]
+                if x != y:
+                    root[x] = y
+                    size[y] += size.pop(x)
+        self.groups, self.at, self.size, self.root = groups, at, size, root
+
+    def sufficient(self, n: int) -> bool:
+        """Abrams' test, as ``is_sufficiently_subdivided``: every arc of H,
+        open or closed, and every cycle component has >= n+1 edges."""
+        return min(self.size.values(), default=n + 1) > n
+
+    def profile(self) -> _ArcProfile:
+        outer: dict[int, list[int]] = {}  # class root -> the unjoined ends of the class
+        branch: dict[int, int] = {}
+        p = 0
+        for pieces in self.groups:
+            for _, a, b in pieces:
+                for v in (a, b):
+                    if len(self.at.get(v, ())) != 2:
+                        x = p
+                        while self.root[x] != x:
+                            x = self.root[x]
+                        outer.setdefault(x, []).append(v)
+                        branch[v] = branch.get(v, 0) + 1
+                p += 1
+        arcs: dict[tuple[int, int], list[int]] = {}
+        cycles = []
+        for p, n in self.size.items():
+            if p in outer:
+                arcs.setdefault(tuple(sorted(outer[p])), []).append(n)
+            else:
+                cycles.append(n)
+        return _ArcProfile(branch, arcs, cycles)
 
 
 def _bijections(src: list[int], dst: list[int], ways) -> int:
@@ -379,9 +457,9 @@ def _bijections(src: list[int], dst: list[int], ways) -> int:
     return sum(math.prod(map(ways, src, perm)) for perm in itertools.permutations(dst))
 
 
-def _onto_count(gen: _ArcProfile, h: SimpleGraph) -> int:
-    """Number of morphisms gen -> h whose image is all of h, where gen is
-    given by its ``_arc_profile``.  Exact for every simple graph h.
+def _onto_count(gen: _ArcProfile, tgt: _ArcProfile) -> int:
+    """Number of morphisms gen -> h whose image is all of h, where gen and
+    h are given by their ``_arc_profile``s.  Exact for all simple graphs.
 
     Branch vertices are the vertices of degree != 2.  Let rho be onto h.
 
@@ -414,9 +492,7 @@ def _onto_count(gen: _ArcProfile, h: SimpleGraph) -> int:
     So the count is the sum over phi of the product, over pairs of branch
     vertices, of the sum over arc matchings of the product of placements,
     times the same sum over cycle matchings.  phi is built one vertex at a
-    time, and a pair whose arcs cannot be matched prunes it.  The early
-    exit: an onto image has |E(gen)| + sum(len(path) - 1) edges and
-    |V(gen)| + sum(len(path) - 1) vertices, so |V| - |E| agrees.
+    time, and a pair whose arcs cannot be matched prunes it.
 
     Only the pairs with a gen arc between them are checked; a pair with
     none has the factor 1 when h has no arc between its images either,
@@ -428,9 +504,6 @@ def _onto_count(gen: _ArcProfile, h: SimpleGraph) -> int:
     deg(w) arc ends at w.  So no h arc at w goes to a vertex phi(u) with
     no gen arc between u and v, and as every h arc that is not a cycle
     component has a branch end, every one is matched."""
-    if gen.euler != len(h.vertices) - len(h.edges):
-        return 0
-    tgt = _arc_profile(h)
     if len(gen.branch) != len(tgt.branch):
         return 0
     cycles = _bijections(gen.cycles, tgt.cycles,
@@ -625,106 +698,33 @@ def _stage_candidates(ctx: AmbientContext) -> tuple[list[int], Callable[[int], b
     decreasing size, then decreasing mask, which within one size is the
     ``itertools.combinations`` order, so the empty mask comes last.
 
-    Abrams' test asks that every arc of H, open or closed, and every cycle
-    component of H has >= n+1 edges.  On one ambient arc, a candidate's
-    edges fall into pieces: the whole arc, or the segments between its
-    gaps.  A piece that reaches an end of the ambient arc keeps that end,
-    a branch vertex of G'' (degree != 2); every other piece end is a leaf
-    of H.  The arcs of H are the pieces joined at branch vertices where
-    exactly two pieces meet:
-
-    - An interior vertex of an ambient arc has degree 2 in G'', so it has
-      degree 2 in H exactly when it lies inside a piece, and is a leaf of
-      H at a piece end next to a gap.
-    - A branch vertex b has one H edge per piece end at b, so it has
-      degree 2 in H exactly when two piece ends meet there.  Then b is
-      interior to an arc of H, which runs on through both pieces; at any
-      other degree the pieces end there.  So the arcs of H, and its cycle
-      components, are the classes of pieces under "meet at a branch
-      vertex of H-degree 2", and each has the summed length of its
-      pieces.
-    - A whole loop arc (both ends at one branch vertex, as in a
-      lollipop) meets itself there.  If no other piece reaches that
-      vertex, the loop is a cycle component of H with L edges, its own
-      class; else it is a closed arc of H with L edges.  A cycle component
-      of G'' has no branch vertex: taken whole it is a cycle component of
-      H, and with gaps its wrap-around segment and the segments between
-      gaps are paths with two leaf ends, each an arc of H by itself.
-
-    So each arc pattern is cut once into its pieces with a branch end,
-    the pieces with none are checked against n+1 there (a pattern with a
-    short one fails at once), and a union-find over a mask's pieces with
-    branch ends gives the edge count of each arc of H.  Short ambient arcs
-    need no special case: a whole arc shorter than n+1 is one piece.
+    On each ambient arc a candidate's edges fall into pieces, the whole
+    arc or the segments between its gaps, cut once per pattern; Abrams'
+    test is the ``_Join`` of a mask's pieces.
     """
     amb = ctx.subdivided
-    need = ctx.n + 1
     edges = amb.edges
     bit = {e: 1 << (len(edges) - 1 - j) for j, e in enumerate(edges)}
     masks = [0]
-    # per ambient arc: its bits, and pattern -> pieces with a branch end as
-    # (edge count, branch ends), or None when a piece with no branch end is short
-    tables: list[tuple[int, dict]] = []
+    tables: list[tuple[int, dict]] = []  # per ambient arc: its bits, and pattern -> pieces
+    joints = set()
     for arc in ambient_arcs(amb):
+        walk = _arc_walk(arc)
+        joints |= {walk[0], walk[-1]}
         full = sum(bit[e] for e in arc)
-        table = {0: ()}
+        table: dict = {0: []}
         for gaps in _gap_sets(len(arc), ctx.n + 2):
-            table[full - sum(bit[arc[k]] for k in gaps)] = _arc_pieces(amb, arc, gaps, need)
+            table[full - sum(bit[arc[k]] for k in gaps)] = _pieces(
+                walk, [k for k in range(len(arc)) if k not in gaps])
         tables.append((full, table))
         masks = [m | p for m in masks for p in table]
-    masks.sort(key=lambda m: (m.bit_count(), m), reverse=True)
+    masks.sort(reverse=True)
+    masks.sort(key=int.bit_count, reverse=True)  # stable: by size, then by mask
 
     def sufficient(mask: int) -> bool:
-        lengths: list[int] = []
-        at: dict[int, list[int]] = {}  # branch vertex -> its pieces, once per end
-        for full, table in tables:
-            pieces = table[mask & full]
-            if pieces is None:
-                return False
-            for length, ends in pieces:
-                for v in ends:
-                    at.setdefault(v, []).append(len(lengths))
-                lengths.append(length)
-        root = list(range(len(lengths)))
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
-        for meeting in at.values():
-            if len(meeting) == 2:
-                a, b = find(meeting[0]), find(meeting[1])
-                if a != b:
-                    root[a] = b
-                    lengths[b] += lengths[a]
-        return all(lengths[x] >= need for x in range(len(lengths)) if root[x] == x)
+        return _Join([table[mask & full] for full, table in tables], joints).sufficient(ctx.n)
 
     return masks, sufficient
-
-
-def _arc_pieces(g: SimpleGraph, arc: list[tuple[int, int]], gaps: tuple[int, ...],
-                need: int) -> tuple | None:
-    """The pieces of ``arc`` minus the edges at positions ``gaps`` that end
-    at a branch vertex, as (edge count, branch ends); None when a piece
-    with no branch end has fewer than ``need`` edges."""
-    size = len(arc)
-    ends = _arc_ends(g, arc)
-    cuts = (-1, *gaps, size)
-    segments = [b - a - 1 for a, b in zip(cuts, cuts[1:])]
-    if not ends:  # a cycle component: no branch vertex
-        floating = [size] if not gaps else [segments[0] + segments[-1], *segments[1:-1]]
-        pieces: tuple = ()
-    elif not gaps:
-        floating, pieces = [], ((size, ends),)
-    else:
-        floating = segments[1:-1]
-        pieces = tuple((length, (end,)) for length, end in
-                       ((segments[0], ends[0]), (segments[-1], ends[1])) if length)
-    if any(0 < length < need for length in floating):
-        return None
-    return pieces
 
 
 def _stage_span(ctx: AmbientContext, predicate) -> Subgroup:

@@ -405,10 +405,10 @@ def _forest_kernel(d1: Columns, m: int) -> SNFResult:
     the forest, so a column of V^-1 has at most 3 entries.  Columns
     0..r-1 of V are the signed forest paths p_w from the root to each
     non-root 0-cell w, with d_1 p_w = w - root; columns r, r+1, ... are the
-    fundamental cycles of ``_Forest.cycle``, so ``kernel_basis`` is the
-    basis that ``forest_cycles`` proves one.  Only these kernel columns
-    of V are stored, as ``kernel_basis`` reads no other; the paths serve
-    the proof alone.
+    fundamental cycles of ``_Forest.cycle``, so ``kernel_coords`` writes a
+    cycle in the basis that ``forest_cycles`` proves one.  V serves the
+    proof alone and is not stored, so ``kernel_basis`` raises, as for any
+    SNF computed without V.
 
     V^-1 V = I.  A p_w = e_w, as the root's row is deleted, and B p_w = 0,
     as p_w lies on the forest.  A fundamental cycle is a cycle, so A sends
@@ -434,11 +434,9 @@ def _forest_kernel(d1: Columns, m: int) -> SNFResult:
     outside = [j for j in range(n) if j not in tree]
     vinv = {j: {below[i]: v for i, v in zip(rows[j], coeffs[j]) if i in below}
             for j in range(n)}
-    v: dict[int, dict[int, int]] = {}
     for k, j in enumerate(outside, r):
         vinv[j][k] = 1
-        v[k] = forest.cycle(j)
-    return SNFResult(m, n, r, (1,) * r, v_cols=v, vinv_cols=vinv)
+    return SNFResult(m, n, r, (1,) * r, vinv_cols=vinv)
 
 
 @dataclass
@@ -448,8 +446,8 @@ class HomologyPresentation:
     ``kernel`` is an SNF of the boundary out of degree d that carries
     V^-1: ``kernel_coords`` writes a cycle in the basis of Z_d given by the
     columns of V past the rank.  At d = 1 on an incidence-matrix d_1 it is
-    read off a spanning forest (``_forest_kernel``) and carries the kernel
-    columns of V too; otherwise it is an elimination that tracks only V^-1.
+    read off a spanning forest (``_forest_kernel``); otherwise it is an
+    elimination.  Either way it carries V^-1 only.
     ``relation_snf`` is the SNF (with U) of the boundaries from degree d+1
     written in kernel coordinates, so U * (kernel coords) is a cycle's class in
     ⊕ Z/diag[j] ⊕ Z^(cycle_rank - rank).

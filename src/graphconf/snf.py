@@ -41,7 +41,7 @@ class SNFResult:
     rank: int
     diag: tuple[int, ...]  # positive invariant factors, divisibility order
     u_cols: dict | None = None  # U such that U*M*V = D, columns as dicts
-    v_cols: dict | None = None  # V, columns as dicts; a forest kernel has rank..n-1 only
+    v_cols: dict | None = None  # V, columns as dicts
     vinv_cols: dict | None = None  # V^-1, columns as dicts
 
     @property

@@ -11,9 +11,10 @@ from graphconf.discretized import is_sufficiently_subdivided
 from graphconf.errors import BadParamsError, InvariantError
 from graphconf.generation import (
     GeneratorList,
-    _arc_ends,
     _arc_patterns,
     _arc_profile,
+    _arc_walk,
+    _image_candidates,
     _mask_subgraph,
     _onto_count,
     _stage_candidates,
@@ -28,7 +29,8 @@ from graphconf.generation import (
     subgraph_homeomorphism_types,
 )
 from graphconf.graphs import (SimpleGraph, ambient_arcs, betti1, disjoint_union, family,
-                              make_graph, subdivide_uniform, subdivision_pieces, theta_graph)
+                              make_graph, norm_edge, subdivide_uniform, subdivision_pieces,
+                              theta_graph)
 from graphconf.homology import forest_cycles
 from graphconf.morphisms import enumerate_tm, gtm_k_member, iter_tm, smooth
 from graphconf.snf import snf
@@ -514,7 +516,7 @@ def onto_count_by_morphisms(gen, h):
 
 
 def onto_count(gen, h):
-    return _onto_count(_arc_profile(gen), h)
+    return _onto_count(_arc_profile(gen), _arc_profile(h))
 
 
 @pytest.mark.parametrize("sub,n,gen,morphisms,distinct", IMAGE_CASES)
@@ -553,8 +555,9 @@ def test_degree_1_image_rejects_a_d1_that_is_no_incidence_matrix():
                          [c for c in IMAGE_CASES if _leafless(GENERATORS[c.values[2]])])
 def test_unions_of_arcs_pass_abrams_test_when_the_ambient_does(sub, n, gen, morphisms,
                                                                distinct):
-    # generator_images tests no union when G'' passes; a G'' that fails has a
-    # short arc, which fails by itself
+    # each arc or cycle component of a union runs through whole ambient arcs,
+    # so a union passes when G'' does; a G'' that fails has a short arc, which
+    # fails by itself
     arcs = ambient_arcs(sub)
     unions = [sub.subgraph([e for arc in combo for e in arc])
               for size in range(1, len(arcs) + 1)
@@ -570,19 +573,50 @@ def test_every_ambient_of_build_ambient_passes_abrams_test(name, g, n, extra):
     assert is_sufficiently_subdivided(build_ambient(g, 1, n, extra).subdivided, n)
 
 
-def test_leafless_generator_tests_only_the_ambient(monkeypatch):
-    calls = []
+def _profile_key(profile):
+    # the order of parallel arcs and of cycle components is not part of a profile
+    return (profile.branch, {k: sorted(v) for k, v in profile.arcs.items()},
+            sorted(profile.cycles))
 
-    def counted(h, n):
-        calls.append(h)
-        return is_sufficiently_subdivided(h, n)
 
-    monkeypatch.setattr(generation, "is_sufficiently_subdivided", counted)
-    ctx = SimpleNamespace(subdivided=subdivide_uniform(family("complete", 4), 4), n=2)
-    images, count, witness = generator_images(ctx, C3)
-    assert (count, len(images)) == (15360, 7)
-    assert witness == next(iter_tm(C3, ctx.subdivided, kind="tm"))
-    assert calls == [ctx.subdivided]
+@pytest.mark.parametrize("sub,n,gen,morphisms,distinct", IMAGE_CASES)
+def test_candidate_profiles_match_the_built_subgraph(sub, n, gen, morphisms, distinct):
+    # the profile joined from a candidate's pieces is the one walked on the
+    # subgraph it spans, and its Abrams verdict is is_sufficiently_subdivided's
+    core = GENERATORS[gen].subgraph(GENERATORS[gen].edges)
+    candidates = list(_image_candidates(sub, core))
+    assert candidates or not core.edges
+    for edges, join in candidates:
+        h = sub.subgraph(edges)
+        assert _profile_key(join.profile()) == _profile_key(_arc_profile(h)), edges
+        assert join.sufficient(n) == is_sufficiently_subdivided(h, n), edges
+
+
+@pytest.mark.parametrize("sub,gen,images", [
+    pytest.param(subdivide_uniform(family("complete", 4), 4), C3, 7, id="C3-on-K4"),
+    pytest.param(subdivide_uniform(theta_graph(), 3), STAR3, 54, id="star3-on-theta"),
+])
+def test_generator_images_build_graphs_only_for_passing_images(monkeypatch, sub, gen,
+                                                               images):
+    calls, built = [], []
+    subgraph = SimpleGraph.subgraph
+
+    def counted_subgraph(g, *args):
+        if g is sub:
+            built.append(args)
+        return subgraph(g, *args)
+
+    monkeypatch.setattr(generation, "is_sufficiently_subdivided",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(SimpleGraph, "subgraph", counted_subgraph)
+    ctx = SimpleNamespace(subdivided=sub, n=2)
+    got, count, witness = generator_images(ctx, gen)
+    assert len(got) == images and witness is not None
+    assert calls == [] and len(built) == images
+    # some candidates with an onto morphism fail Abrams' test for star3
+    onto = sum(1 for _, join in _image_candidates(sub, gen)
+               if _onto_count(_arc_profile(gen), join.profile()))
+    assert onto == images if gen is C3 else onto > images
 
 
 BOWTIE = make_graph(range(5), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
@@ -605,19 +639,25 @@ ONTO_CASES = [
                                subdivide_uniform(lollipop(), 2)], ids=["P5", "C5", "lollipop''"])
 def test_arc_patterns_list_each_subset_once(g):
     # every edge subset of an arc with at most `budget` leaves inside it (at
-    # vertices of degree 2 in g), once, with the arc ends its end edges reach
+    # vertices of degree 2 in g), once, with its maximal runs of edges as
+    # pieces and the arc ends its end edges reach
     for arc in ambient_arcs(g):
-        ends = _arc_ends(g, arc)
+        walk = _arc_walk(arc)
+        assert [norm_edge(a, b) for a, b in zip(walk, walk[1:])] == arc
+        ends = (walk[0], walk[-1]) if g.degree(walk[0]) != 2 else ()
         for budget in range(5):
             want = []
             for mask in range(2 ** len(arc)):
                 edges = tuple(e for k, e in enumerate(arc) if mask >> k & 1)
+                runs = [list(run) for kept, run in itertools.groupby(
+                    range(len(arc)), key=lambda k: mask >> k & 1) if kept]
+                pieces = [(len(run), walk[run[0]], walk[run[-1] + 1]) for run in runs]
                 inside = sum(1 for v in g.vertices if g.degree(v) == 2
                              and sum(v in e for e in edges) == 1)
                 reached = tuple(end for end, e in zip(ends, (arc[0], arc[-1])) if e in edges)
                 if inside <= budget:
-                    want.append((edges, inside, reached))
-            assert sorted(_arc_patterns(arc, ends, budget)) == sorted(want)
+                    want.append((edges, pieces, inside, reached))
+            assert sorted(_arc_patterns(arc, walk, ends, budget)) == sorted(want)
 
 
 THETA3 = subdivide_uniform(theta_graph(), 3)

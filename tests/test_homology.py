@@ -15,6 +15,8 @@ from graphconf.homology import (
     HomologySummary,
     IntegerChainComplex,
     Subgroup,
+    _forest_kernel,
+    _is_incidence,
     _reduce,
     _spanning_forest,
     cycle_image_subgroup,
@@ -328,15 +330,24 @@ def test_cycle_to_normal_rejects_non_cycle():
         pres1.cycle_to_normal({0: 1})
 
 
+def fundamental_cycles(c):
+    """The fundamental cycles of the spanning forest of d_1 that
+    ``_forest_kernel`` reads, one per cell outside the forest, ascending:
+    the columns of V past the rank."""
+    forest = _spanning_forest(c.columns(1), range(c.rank(1)))
+    tree = set(forest.up.values())
+    return [forest.cycle(j) for j in range(c.rank(1)) if j not in tree]
+
+
 def kernel_basis(pres):
     """The basis of the cycles Z_d that ``kernel_coords`` refer to: the
-    presentation's own when its kernel carries V (the forest kernel of an
-    incidence-matrix d_1), else from an SNF of d_d that also tracks V.
-    Pivot choice does not read the tracking flags, so that SNF's V^-1 is
-    the one the presentation keeps."""
-    if pres.kernel.v_cols is not None:
-        return pres.kernel.kernel_basis()
+    fundamental cycles for the forest kernel of an incidence-matrix d_1,
+    else from an SNF of d_d that also tracks V.  Pivot choice does not
+    read the tracking flags, so that SNF's V^-1 is the one the
+    presentation keeps."""
     c, d = pres.complex, pres.degree
+    if d == 1 and _is_incidence(c.columns(1)[1]):
+        return fundamental_cycles(c)
     res = snf(c.boundary(d), (c.rank(d - 1), c.rank(d)), track_v=True, track_vinv=True)
     assert res.vinv_cols == pres.kernel.vinv_cols
     return res.kernel_basis()
@@ -519,14 +530,17 @@ def _boundary_of(c, chain):
 def test_forest_kernel_is_an_snf_of_the_incidence_matrix(c, rng):
     m, n = c.ranks
     kernel = presentation(c, 1).kernel
-    # V keeps only its kernel columns; the rest are the signed forest paths
-    # from the root to each non-root 0-cell, ascending, rebuilt here
-    assert set(kernel.v_cols) == set(range(kernel.rank, n))
+    # V is not stored: its columns are the signed forest paths from the root
+    # to each non-root 0-cell, ascending, then the fundamental cycles
+    assert kernel.v_cols is None
+    with pytest.raises(InvariantError):
+        kernel.kernel_basis()
     forest = _spanning_forest(c.columns(1), range(n))
     paths = {}
     for w, t in forest.up.items():  # breadth first, so a parent's path is known
         paths[w] = {**paths.get(forest.parent[w], {}), t: 1 if forest.plus[t] == w else -1}
-    v = {k: paths[w] for k, w in enumerate(sorted(paths))} | kernel.v_cols
+    basis = fundamental_cycles(c)
+    v = {k: paths[w] for k, w in enumerate(sorted(paths))} | dict(enumerate(basis, len(paths)))
     identity = {j: {j: 1} for j in range(n)}
     assert _mul(v, kernel.vinv_cols, n) == identity
     assert _mul(kernel.vinv_cols, v, n) == identity
@@ -535,7 +549,6 @@ def test_forest_kernel_is_an_snf_of_the_incidence_matrix(c, rng):
     assert kernel.rank == m - components(ends, vertices)
     assert kernel.diag == (1,) * kernel.rank
     assert all(len(col) <= 3 for col in kernel.vinv_cols.values())
-    basis = kernel.kernel_basis()
     assert len(basis) == n - kernel.rank
     assert not any(_boundary_of(c, z) for z in basis)
     for _ in range(5):
@@ -607,7 +620,7 @@ FOREST_ORACLE_CASES = [
 def test_forest_presentation_matches_the_snf_presentation(name, g, ordered):
     ctx = build_ambient(g, 1, 2, ordered=ordered)
     fast, slow = ctx.pres, snf_presentation(ctx.complex.chain, 1)
-    assert fast.kernel.v_cols is not None and slow.kernel.v_cols is None
+    assert fast.kernel == _forest_kernel(ctx.complex.chain.columns(1), ctx.complex.chain.rank(0))
     for attr in ("cycle_rank", "betti", "torsion", "units", "dim"):
         assert getattr(fast, attr) == getattr(slow, attr), attr
     # cycles in chain coordinates mean the same to both; HNF tuples of the

@@ -112,8 +112,11 @@ def build_discretized(g: SimpleGraph, n: int, ordered: bool = True) -> CubicalCo
                 extend(cell + (c,), used | closure[c], dim + (c < n_edges),
                        0 if ordered else c + 1)
 
-    # depth first in ascending codes, so every layer comes out sorted
+    # depth first in ascending codes, so every layer comes out sorted.
+    # extend refers to itself, so until the next full garbage collection
+    # the cycle would keep per_dim and every cell alive; del breaks it
     extend((), 0, 0, 0)
+    del extend
 
     columns: list[Columns] = [([[] for _ in per_dim[0]], [[] for _ in per_dim[0]])]
     for d in range(1, n + 1):

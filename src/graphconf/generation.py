@@ -32,7 +32,6 @@ from .homology import (
     HomologyPresentation,
     Subgroup,
     cycle_image_subgroup,
-    forest_cycles,
     presentation,
 )
 from .morphisms import (
@@ -89,13 +88,13 @@ class AmbientContext:
         is the kernel of the ambient d_i restricted to those columns, with
         the ambient rows, and the inclusion sends each of its vectors to
         itself.  The image is spanned by any Z-basis of Z_i(H): every
-        i-cell of H in degree 0, the fundamental cycles of a spanning
-        forest in degree 1 (``forest_cycles``), and the kernel columns of
-        a V-tracked SNF in higher degrees.  ``Subgroup`` is canonical, so
-        the basis chosen does not change the result.  In degree 1 the
-        ambient presentation's kernel is read off a spanning forest of
-        D_n(G'')'s d_1 as well, so no SNF of d_1 runs at all, and each
-        cycle's kernel coordinates take at most 3 entries per cell.
+        i-cell of H in degree 0, and the kernel columns of a V-tracked SNF
+        in degrees 2 and up.  ``Subgroup`` is canonical, so the basis
+        chosen does not change the result.  In degree 1 no cycle is
+        written out: ``HomologyPresentation.image_of_cells`` reads the
+        image off the ambient's cocycle table and a spanning forest of
+        H's 1-cells, and no SNF runs, as the ambient kernel is read off a
+        spanning forest of D_n(G'')'s d_1 as well.
         ``image_by_chain_map`` builds D_n(H) instead and reindexes its
         cycles along ``inclusion_chain_map``; it is the oracle for this
         method."""
@@ -110,9 +109,9 @@ class AmbientContext:
                     | sum(bits[vertex_slot(v)] for v in h.vertices))
         inside = [j for j, cell in enumerate(self._cell_bits) if not cell & outside]
         if self.i == 0:
-            cycles = [{j: 1} for j in inside]
+            sub = cycle_image_subgroup(self.pres, [{j: 1} for j in inside])
         elif self.i == 1:
-            cycles = forest_cycles(self.complex.chain.columns(1), inside)
+            sub = self.pres.image_of_cells(inside)
         else:
             rows, coeffs = self.complex.chain.columns(self.i)
             entries = {(r, c): v for c, j in enumerate(inside)
@@ -120,7 +119,7 @@ class AmbientContext:
             res = snf(entries, (self.complex.chain.rank(self.i - 1), len(inside)),
                       track_v=True)
             cycles = [{inside[c]: v for c, v in vec.items()} for vec in res.kernel_basis()]
-        sub = cycle_image_subgroup(self.pres, cycles)
+            sub = cycle_image_subgroup(self.pres, cycles)
         self._image_cache[key] = sub
         return sub
 

@@ -7,9 +7,11 @@ All homology data is exact over Z: ``homology`` deletes cell pairs with
 incidence ±1 and takes Smith normal forms of what is left, and
 ``presentation`` takes them of the whole complex, since it needs chain
 coordinates.  When d_1 is a graph's incidence matrix, a breadth-first
-spanning forest replaces the SNF of d_1: ``forest_cycles`` reads a
-Z-basis of the 1-cycles off it, and ``presentation`` in degree 1 reads
-V and V^-1 of d_1 off it.
+spanning forest replaces the SNF of d_1: ``presentation`` in degree 1
+reads V and V^-1 of d_1 off it.  That presentation keeps a cocycle
+table, the normal coordinates of each 1-cell, and the image of the
+cycles on a set of 1-cells is read off the table and one spanning forest
+of those cells, with no cycle written out.
 Subgroups of a homology group are canonicalized by Hermite normal form
 so that equality and containment are plain lattice comparisons.
 """
@@ -20,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
+from operator import add, sub
 
 from .errors import AmbientMismatchError, InvariantError, NotAComplexError
 from .snf import SNFResult, hermite_columns, hnf_contains, snf
@@ -294,34 +297,9 @@ class _Forest:
     """A breadth-first spanning forest of the graph whose vertices are the
     0-cells and whose edges are some 1-cells with {+1, -1} columns of d_1."""
 
-    rows: list[list[int]]  # d_1 by column, rows only
     plus: dict[int, int]  # 1-cell -> its +1 end
     up: dict[int, int]  # non-root 0-cell -> the forest cell to its parent, breadth first
     parent: dict[int, int]
-    depth: dict[int, int]
-
-    def cycle(self, j: int) -> dict[int, int]:
-        """The fundamental cycle of a 1-cell j outside the forest, j first:
-        e_j plus the signed forest path from its +1 end to its -1 end, or
-        e_j alone if its column is empty."""
-        cycle = {j: 1}
-        if not self.rows[j]:
-            return cycle
-        up, parent, depth, plus = self.up, self.parent, self.depth, self.plus
-        # e_j has boundary a - b.  Walk a and b up to where they meet.  A
-        # step x -> p along forest cell t adds p - x on a's side, which is
-        # +e_t when p is t's +1 end, and x - p on b's, +e_t when x is
-        a = plus[j]
-        b = sum(self.rows[j]) - a
-        while a != b:
-            if depth[a] >= depth[b]:
-                t, a = up[a], parent[a]
-                cycle[t] = 1 if plus[t] == a else -1
-            else:
-                t = up[b]
-                cycle[t] = 1 if plus[t] == b else -1
-                b = parent[b]
-        return cycle
 
 
 def _spanning_forest(d1: Columns, inside) -> _Forest:
@@ -340,11 +318,11 @@ def _spanning_forest(d1: Columns, inside) -> _Forest:
             links.setdefault(r[1], []).append(j)
     up: dict[int, int] = {}
     parent: dict[int, int] = {}
-    depth: dict[int, int] = {}
+    seen: set[int] = set()
     for root in links:
-        if root in depth:
+        if root in seen:
             continue
-        depth[root] = 0
+        seen.add(root)
         queue = deque([root])
         while queue:
             v = queue.popleft()
@@ -352,45 +330,11 @@ def _spanning_forest(d1: Columns, inside) -> _Forest:
                 a, w = rows[j]
                 if w == v:
                     w = a
-                if w not in depth:
-                    depth[w] = depth[v] + 1
+                if w not in seen:
+                    seen.add(w)
                     up[w], parent[w] = j, v
                     queue.append(w)
-    return _Forest(rows, plus, up, parent, depth)
-
-
-def forest_cycles(d1: Columns, inside: list[int]) -> list[dict[int, int]]:
-    """A Z-basis of the 1-cycles on the 1-cells ``inside``, where d1 is
-    d_1 by column: the fundamental cycles of a breadth-first spanning
-    forest.  Raises InvariantError unless each column is {+1, -1} or empty.
-
-    Read d_1 as the incidence matrix of a graph, whose vertices are the
-    0-cells and whose edges are the 1-cells (the ``discretized`` module
-    docstring shows each column of D_n(G'')'s d_1 has one +1 and one -1).
-    Each 1-cell j not in the forest has the cycle e_j plus the signed
-    forest path from its +1 end to its -1 end, listed with j first, and a
-    cell with an empty column is a cycle by itself.  These are a Z-basis
-    of Z_1:
-
-    - Each fundamental cycle holds exactly one cell outside the forest,
-      its own, with coefficient 1.
-    - Let z be a cycle.  Then z minus the sum, over the cells j outside
-      the forest, of z_j times the cycle of j is a cycle supported on the
-      forest.  The support of a nonzero chain on a forest is a forest
-      with an edge, so some vertex lies on exactly one of its edges, and
-      the boundary is not 0 there.  So the difference is 0, and the
-      cycles span Z_1 over Z.
-    - They are independent, since each holds its own cell outside the
-      forest and no other.
-
-    Breadth-first trees are shallow, which keeps the paths short."""
-    rows, coeffs = d1
-    if not _is_incidence([coeffs[j] for j in inside]):
-        raise InvariantError("d_1 is not the incidence matrix of a graph")
-    forest = _spanning_forest(d1, inside)
-    tree = set(forest.up.values())
-    return ([{j: 1} for j in inside if not rows[j]]
-            + [forest.cycle(j) for j in forest.plus if j not in tree])
+    return _Forest(plus, up, parent)
 
 
 def _forest_kernel(d1: Columns, m: int) -> SNFResult:
@@ -405,10 +349,11 @@ def _forest_kernel(d1: Columns, m: int) -> SNFResult:
     the forest, so a column of V^-1 has at most 3 entries.  Columns
     0..r-1 of V are the signed forest paths p_w from the root to each
     non-root 0-cell w, with d_1 p_w = w - root; columns r, r+1, ... are the
-    fundamental cycles of ``_Forest.cycle``, so ``kernel_coords`` writes a
-    cycle in the basis that ``forest_cycles`` proves one.  V serves the
-    proof alone and is not stored, so ``kernel_basis`` raises, as for any
-    SNF computed without V.
+    fundamental cycles of the cells outside the forest (e_j plus the
+    signed forest path from j's +1 end to its -1 end), which
+    ``HomologyPresentation.image_of_cells`` proves a Z-basis of Z_1.  V
+    serves the proof alone and is not stored, so ``kernel_basis`` raises,
+    as for any SNF computed without V.
 
     V^-1 V = I.  A p_w = e_w, as the root's row is deleted, and B p_w = 0,
     as p_w lies on the forest.  A fundamental cycle is a cycle, so A sends
@@ -456,6 +401,9 @@ class HomologyPresentation:
     and Z/1 = 0, so projecting their coordinates away is an isomorphism.
     Normal coordinates are the remaining ``dim`` ones: coordinate k has
     order ``torsion[k]`` for k < len(torsion) and is free after that.
+    In degree 1 on an incidence-matrix d_1, ``cocycle_table`` holds the
+    normal coordinates of every 1-cell, and ``image_of_cells`` reads the
+    image of a set of 1-cells off it.
     """
 
     complex: IntegerChainComplex
@@ -499,6 +447,98 @@ class HomologyPresentation:
                 if i >= units:
                     acc[i - units] = acc.get(i - units, 0) + u * c
         return {i: s for i, s in sorted(acc.items()) if s}
+
+    @cached_property
+    def cocycle_table(self) -> list[tuple[int, ...] | None]:
+        """phi(e_j) for each 1-cell j: its ``dim`` normal coordinates, or
+        None when they are all 0, so that phi(z) = ``cycle_to_normal(z)``
+        on every 1-cycle z.  Built on first use.  Only a degree-1
+        presentation on an incidence-matrix d_1, whose kernel
+        ``presentation`` reads off ``_forest_kernel``, has one, since
+        ``image_of_cells`` needs d_1 to be an incidence matrix.  That is
+        checked once, here, for every column, and InvariantError raised
+        otherwise; ``image_of_cells`` does not check again.
+
+        Set phi(e_j) = U' (V^-1 e_j)', where x' keeps the rows of x from
+        ``kernel.rank`` on and U' keeps those of U from ``units`` on, each
+        shifted down to start at 0.  On a cycle z, ``kernel_coords(z)`` is
+        (V^-1 z)' and ``cycle_to_normal(z)`` is U' of that; both are linear
+        in z, and so is phi, which agrees with them on every e_j.  With
+        the forest kernel, (V^-1 e_j)' is 0 on a forest cell and the unit
+        at k on the k-th cell outside the forest, so phi(e_j) is 0 or U's
+        column k from row ``units`` on."""
+        rows, coeffs = self.complex.columns(1)
+        if self.degree != 1 or not _is_incidence(coeffs):
+            raise InvariantError("a cocycle table needs the H_1 of an incidence-matrix d_1")
+        units, dim, rank = self.units, self.dim, self.kernel.rank
+        vinv, u_cols = self.kernel.vinv_cols, self.relation_snf.u_cols
+        table: list[tuple[int, ...] | None] = []
+        for j in range(len(rows)):
+            acc = [0] * dim
+            for k, w in vinv.get(j, {}).items():
+                if k >= rank:
+                    for i, u in u_cols[k - rank].items():
+                        if i >= units:
+                            acc[i - units] += w * u
+            table.append(tuple(acc) if any(acc) else None)
+        return table
+
+    def image_of_cells(self, inside) -> "Subgroup":
+        """The subgroup of H_1 spanned by the 1-cycles on the 1-cells
+        ``inside``, read off ``cocycle_table`` with no cycle built.
+
+        Read d_1 as the incidence matrix of a graph on the 0-cells (the
+        ``discretized`` module docstring shows each column of D_n(G'')'s
+        d_1 has one +1 and one -1), and let F be the breadth-first
+        spanning forest of the cells inside.  Each inside cell j outside F
+        has the fundamental cycle z_j: e_j plus the signed path in F from
+        its +1 end to its -1 end, or e_j alone if its column is empty.
+        The z_j are a Z-basis of the cycles on the inside cells: each holds
+        its own cell outside F with coefficient 1 and no other, so they are
+        independent; and a cycle z minus the sum of z_j times z_j is a
+        cycle on F, which is 0, since a nonzero chain on a forest has a
+        vertex on exactly one edge of its support, where its boundary is
+        not 0.
+
+        Potentials P on the 0-cells, 0 at each root and set down F breadth
+        first, give phi(t) = P(+1 end of t) - P(-1 end of t) on each cell t
+        of F.  Let psi(e) = phi(e) - P(d_1 e).  Then psi(z) = phi(z) -
+        P(d_1 z) = phi(z) on every cycle z, and psi is 0 on F, so
+        phi(z_j) = psi(z_j) = psi(e_j).  The image is therefore spanned by
+        psi(e_j) over the inside cells j outside F.  Breadth first, a
+        parent's potential is set before its children's."""
+        table = self.cocycle_table
+        d1 = self.complex.columns(1)
+        rows = d1[0]
+        forest = _spanning_forest(d1, inside)
+        plus, parent = forest.plus, forest.parent
+        zero = [0] * self.dim
+        potential: dict[int, list[int]] = {}
+        for w, t in forest.up.items():
+            p = potential.get(parent[w], zero)
+            phi = table[t]
+            if phi is not None:
+                p = list(map(add, p, phi) if plus[t] == w else map(sub, p, phi))
+            potential[w] = p
+        tree = set(forest.up.values())
+        gens = set()
+        for j in inside:
+            if j in tree:
+                continue
+            psi = table[j]
+            if rows[j]:
+                a = plus[j]
+                pa, pb = potential.get(a, zero), potential.get(sum(rows[j]) - a, zero)
+                if pa is not pb:
+                    # from a list, so that the tuple is made at its size:
+                    # tuple() of an iterator allocates a longer one and
+                    # shrinks it, and the interpreter's free list for the
+                    # short size then grows by one tuple per call
+                    psi = tuple([x - y + z for x, y, z in zip(psi or zero, pa, pb)])
+            if psi:
+                gens.add(psi)
+        return Subgroup.from_generators(
+            self, [{k: x for k, x in enumerate(g) if x} for g in gens])
 
 
 def presentation(c: IntegerChainComplex, d: int) -> HomologyPresentation:

@@ -1,7 +1,9 @@
 """Helpers shared by the tests: hand-built chain complexes, a sparse matrix
-product and a component count."""
+product, a component count and the fundamental cycles of a spanning
+forest."""
 
-from graphconf.homology import IntegerChainComplex
+from graphconf.errors import InvariantError
+from graphconf.homology import IntegerChainComplex, _is_incidence, _spanning_forest
 
 
 def from_entries(ranks, boundaries):
@@ -49,3 +51,50 @@ def components(ends, vertices):
             root[ra] = rb
             merged += 1
     return len(vertices) - merged
+
+
+def cycles_of_forest(d1, forest, cells):
+    """The fundamental cycle of each 1-cell j in ``cells``, all outside the
+    forest, with j first: e_j plus the signed forest path from its +1 end
+    to its -1 end, or e_j alone if its column of d1 is empty."""
+    rows = d1[0]
+    up, parent, plus = forest.up, forest.parent, forest.plus
+    depth = {}
+    for w in up:  # breadth first, so a parent's depth is known
+        depth[w] = depth.get(parent[w], 0) + 1
+    out = []
+    for j in cells:
+        cycle = {j: 1}
+        out.append(cycle)
+        if not rows[j]:
+            continue
+        # e_j has boundary a - b.  Walk a and b up to where they meet.  A
+        # step x -> p along forest cell t adds p - x on a's side, which is
+        # +e_t when p is t's +1 end, and x - p on b's, +e_t when x is
+        a = plus[j]
+        b = sum(rows[j]) - a
+        while a != b:
+            if depth.get(a, 0) >= depth.get(b, 0):
+                t, a = up[a], parent[a]
+                cycle[t] = 1 if plus[t] == a else -1
+            else:
+                t = up[b]
+                cycle[t] = 1 if plus[t] == b else -1
+                b = parent[b]
+    return out
+
+
+def forest_cycles(d1, inside):
+    """A Z-basis of the 1-cycles on the 1-cells ``inside``, where d1 is d_1
+    by column: the fundamental cycles of the package's breadth-first
+    spanning forest, cells with an empty column first.  Raises
+    InvariantError unless each column is {+1, -1} or empty.  It writes out
+    every cycle that ``HomologyPresentation.image_of_cells`` does not, and
+    is its oracle."""
+    rows, coeffs = d1
+    if not _is_incidence([coeffs[j] for j in inside]):
+        raise InvariantError("d_1 is not the incidence matrix of a graph")
+    forest = _spanning_forest(d1, inside)
+    tree = set(forest.up.values())
+    return cycles_of_forest(d1, forest, [j for j in inside if not rows[j]]
+                            + [j for j in forest.plus if j not in tree])

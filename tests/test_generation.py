@@ -1,10 +1,12 @@
+import functools
 import itertools
 import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chains import components
+from chains import components, forest_cycles
 from graphconf import generation
 from graphconf.acceptance import _atlas_graphs
 from graphconf.discretized import is_sufficiently_subdivided
@@ -31,9 +33,9 @@ from graphconf.generation import (
 from graphconf.graphs import (SimpleGraph, ambient_arcs, betti1, disjoint_union, family,
                               make_graph, norm_edge, subdivide_uniform, subdivision_pieces,
                               theta_graph)
-from graphconf.homology import forest_cycles
+from graphconf.homology import HomologyPresentation, cycle_image_subgroup
 from graphconf.morphisms import enumerate_tm, gtm_k_member, iter_tm, smooth
-from graphconf.snf import snf
+from graphconf.snf import SNFResult, snf
 
 
 def test_generator_list_validation():
@@ -294,6 +296,8 @@ IMAGE_ORACLE_CASES = [
     # unordered complexes in degree 1, where the image comes from a forest
     ("theta", theta_graph(), 1, 3, 0, False),
     ("K4", family("complete", 4), 1, 2, 1, False),
+    # Z/2 in H_1, so the cocycle table has a torsion coordinate
+    ("K5", family("complete", 5), 1, 2, 0, False),
     # above the top degree: D_n(H) has no i-cells and the index no list for i
     ("theta", theta_graph(), 3, 2, 0, False),
 ]
@@ -328,14 +332,18 @@ def _inside(ctx, h):
     return [j for j, cell in enumerate(ctx.complex.cells[1]) if set(cell) <= slots]
 
 
+def _cut(sub):
+    """G'' without the middle edge of each arc: leaves and several components."""
+    return sub.subgraph([e for arc in ambient_arcs(sub) for e in arc
+                         if e != arc[len(arc) // 2]])
+
+
 @pytest.mark.parametrize("name,g,n,extra,ordered", FOREST_CASES,
                          ids=[f"{c[0]}-n{c[2]}-extra{c[3]}" for c in FOREST_CASES])
 def test_forest_cycles_are_a_basis_of_the_subgraph_cycles(name, g, n, extra, ordered):
     ctx = build_ambient(g, 1, n, extra, ordered=ordered)
     rows, coeffs = ctx.complex.chain.columns(1)
-    # G'' without the middle edge of each arc: leaves and several components
-    cut = ctx.subdivided.subgraph([e for arc in ambient_arcs(ctx.subdivided)
-                                   for e in arc if e != arc[len(arc) // 2]])
+    cut = _cut(ctx.subdivided)
     assert min(map(cut.degree, cut.vertices)) == 1 and components(cut.edges, cut.vertices) > 1
     subgraphs = _arc_unions(ctx.subdivided, random.Random(name), 8) + [cut, ctx.subdivided]
     for h in subgraphs:
@@ -377,6 +385,65 @@ def test_degree_1_image_runs_no_snf(monkeypatch):
     got = [ctx.image_of_subgraph(h)
            for h in _arc_unions(ctx.subdivided, random.Random("no-snf"), 6)]
     assert got == expected
+
+
+def test_degree_1_image_writes_no_cycle_in_normal_coordinates(monkeypatch):
+    # the cocycle table replaces cycle_to_normal and kernel_coords per cycle
+    ctx = build_ambient(family("complete", 5), 1, 2, ordered=False)
+    subgraphs = _arc_unions(ctx.subdivided, random.Random("no-cycles"), 6)
+    expected = [image_by_chain_map(ctx, h) for h in subgraphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cycle written in coordinates for a degree-1 image")
+
+    monkeypatch.setattr(HomologyPresentation, "cycle_to_normal", refuse)
+    monkeypatch.setattr(SNFResult, "kernel_coords", refuse)
+    assert [ctx.image_of_subgraph(h) for h in subgraphs] == expected
+
+
+# the ambients of the cocycle table test: K4'', theta'' and C4'' as in the
+# perfbench jobs, and K5'' and K3,3'', whose H_1 has Z/2 torsion; each built
+# once, on first use
+COCYCLE_AMBIENTS = {
+    "K4": (family("complete", 4), 2),
+    "theta": (theta_graph(), 2),
+    "C4": (family("cycle", 4), 3),
+    "K5": (family("complete", 5), 2),
+    "K33": (family("complete_bipartite", 3, 3), 2),
+}
+
+
+@functools.cache
+def _cocycle_ambient(name):
+    g, n = COCYCLE_AMBIENTS[name]
+    return build_ambient(g, 1, n, ordered=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(COCYCLE_AMBIENTS)), st.integers(0, 3), st.randoms())
+def test_cocycle_table_matches_the_forest_cycles(name, kind, rng):
+    ctx = _cocycle_ambient(name)
+    pres, sub = ctx.pres, ctx.subdivided
+    if kind == 0:
+        h = sub.subgraph([e for e in sub.edges if rng.random() < 0.7])
+    elif kind == 1:
+        h = _arc_unions(sub, rng, 1)[0]
+    else:
+        h = _cut(sub) if kind == 2 else sub
+    inside = _inside(ctx, h)
+    cycles = forest_cycles(ctx.complex.chain.columns(1), inside)
+    assert pres.image_of_cells(inside) == cycle_image_subgroup(pres, cycles)
+    # phi(z) is cycle_to_normal(z), on the basis and on a random combination
+    table = pres.cocycle_table
+    zero = (0,) * pres.dim
+    combination: dict = {}
+    for z in cycles:
+        x = rng.randint(-2, 2)
+        for j, v in z.items():
+            combination[j] = combination.get(j, 0) + x * v
+    for z in cycles + [{j: v for j, v in combination.items() if v}]:
+        phi = [sum(v * (table[j] or zero)[k] for j, v in z.items()) for k in range(pres.dim)]
+        assert {k: x for k, x in enumerate(phi) if x} == pres.cycle_to_normal(z)
 
 
 

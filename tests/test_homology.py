@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chains import components, from_entries, sparse_matmul
+from chains import components, cycles_of_forest, forest_cycles, from_entries, sparse_matmul
 from graphconf.acceptance import _atlas_graphs
 from graphconf.discretized import build_discretized
 from graphconf.errors import AmbientMismatchError, InvariantError, NotAComplexError
@@ -20,7 +20,6 @@ from graphconf.homology import (
     _reduce,
     _spanning_forest,
     cycle_image_subgroup,
-    forest_cycles,
     homology,
     presentation,
 )
@@ -336,7 +335,8 @@ def fundamental_cycles(c):
     the columns of V past the rank."""
     forest = _spanning_forest(c.columns(1), range(c.rank(1)))
     tree = set(forest.up.values())
-    return [forest.cycle(j) for j in range(c.rank(1)) if j not in tree]
+    return cycles_of_forest(c.columns(1), forest,
+                            [j for j in range(c.rank(1)) if j not in tree])
 
 
 def kernel_basis(pres):
@@ -592,6 +592,29 @@ def test_degree_1_presentation_runs_one_snf(monkeypatch):
                                           {(0, 0): 2, (1, 0): 3})), 1)
     presentation(cx.chain, 2)
     assert calls == [{"track_vinv": True}, {"track_u": True}] * 2
+
+
+def test_cocycle_table_needs_a_forest_kernel():
+    # d_1 = [2] is no incidence matrix, so the kernel comes from an SNF
+    c = from_entries((1, 1), ({}, {(0, 0): 2}))
+    pres = presentation(c, 1)
+    assert pres.kernel.diag == (2,)  # a forest kernel has every factor 1
+    with pytest.raises(InvariantError):
+        pres.cocycle_table
+    # nor is there a table outside degree 1
+    with pytest.raises(InvariantError):
+        presentation(circle_complex(), 0).cocycle_table
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidence_complexes(), st.randoms(use_true_random=False))
+def test_image_of_cells_matches_the_forest_cycles(c, rng):
+    # parallel cells, empty columns and several components; H_1 is free
+    pres = presentation(c, 1)
+    for _ in range(3):
+        inside = [j for j in range(c.rank(1)) if rng.random() < 0.6]
+        cycles = forest_cycles(c.columns(1), inside)
+        assert pres.image_of_cells(inside) == cycle_image_subgroup(pres, cycles)
 
 
 def snf_presentation(c, d):

@@ -8,6 +8,7 @@ stdout carries only the requested artifact; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -221,7 +222,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: ``parse_args``
+    keeps no state on it, and no default is a mutable object."""
     top = argparse.ArgumentParser(prog="graphconf")
     subs = top.add_subparsers(dest="command", required=True)
 

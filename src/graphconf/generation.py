@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .discretized import (
     CubicalComplex,
@@ -292,7 +292,12 @@ def _image_candidates(amb: SimpleGraph, core: SimpleGraph):
                 degree[b] -= 1
             left[1] += inside
 
-    return rec(0)
+    # rec refers to itself; del breaks the cycle, also when the caller
+    # stops early
+    try:
+        yield from rec(0)
+    finally:
+        del rec
 
 
 def _arc_walk(arc: list[tuple[int, int]]) -> list[int]:
@@ -393,7 +398,12 @@ class _Join:
     A union-find over the pieces gives the classes and their lengths, all
     that Abrams' test reads; ``profile`` reads the unjoined ends of each
     class after it.  Leaf ends are never joined, so they stay out of the
-    union-find."""
+    union-find.
+
+    It serves the candidates of ``_image_candidates``, whose counts need
+    the whole profile.  Stage candidates need only Abrams' test, and
+    ``_stage_candidates`` applies the same rule joint by joint while it
+    searches, so it builds no join."""
 
     def __init__(self, groups: list, joints):
         at: dict[int, list[int]] = {}  # joint -> its pieces, once per end there
@@ -541,7 +551,11 @@ def _onto_count(gen: _ArcProfile, tgt: _ArcProfile) -> int:
             del phi[v]
         return total
 
-    return cycles * extend(0)
+    # extend refers to itself; del breaks the cycle, which would keep both
+    # profiles alive until the next full garbage collection
+    count = cycles * extend(0)
+    del extend
+    return count
 
 
 @dataclass(frozen=True)
@@ -645,18 +659,26 @@ def _stage_subgraphs(ctx: AmbientContext, predicate) -> list[SimpleGraph]:
     ``predicate`` must be invariant under subdividing an edge (both stage
     predicates are: ``betti1 <= s``, and topological-minor containment of
     the Robertson chain).  Only the candidates of ``_stage_candidates``
-    are tested, largest first, and Abrams' test runs on their masks, so a
-    subgraph is built only for a candidate that passes it.
+    are tested, largest first; it returns only those that pass Abrams'
+    test, so a subgraph is built only for one of them.
+
+    G'' passes Abrams' test exactly when each of its ambient arcs has more
+    than n edges.  Then it is the first candidate and every other one is a
+    subset of it, so when it also passes the predicate it is the only
+    stage subgraph, and no candidate is enumerated.
     """
-    masks, sufficient = _stage_candidates(ctx)
+    amb = ctx.subdivided
+    whole = all(len(arc) > ctx.n for arc in ambient_arcs(amb))
+    if whole and predicate(amb):
+        return [amb]
     passing: list[tuple[int, SimpleGraph]] = []
-    for mask in masks:
+    # when whole, the first candidate is G'', which just failed the predicate
+    for mask in _stage_candidates(ctx)[whole:]:
         if any(mask & bigger == mask for bigger, _ in passing):
             continue
-        if sufficient(mask):
-            h = _mask_subgraph(ctx.subdivided, mask)
-            if predicate(h):
-                passing.append((mask, h))
+        h = _mask_subgraph(amb, mask)
+        if predicate(h):
+            passing.append((mask, h))
     return [h for _, h in passing]
 
 
@@ -668,11 +690,10 @@ def _mask_subgraph(g: SimpleGraph, mask: int) -> SimpleGraph:
                       g.vertices)
 
 
-def _stage_candidates(ctx: AmbientContext) -> tuple[list[int], Callable[[int], bool]]:
-    """The candidate edge masks of ``_stage_subgraphs`` in the order it tests
-    them, and Abrams' test on a candidate mask: whether the subgraph with
-    those edges (and any vertices) ``is_sufficiently_subdivided`` for
-    ``ctx.n``.
+def _stage_candidates(ctx: AmbientContext) -> list[int]:
+    """The candidate edge masks of ``_stage_subgraphs`` that pass Abrams'
+    test for ``ctx.n`` (the subgraph with those edges, and any vertices,
+    ``is_sufficiently_subdivided``), in the order it tests them.
 
     On each ambient arc of G'' a candidate takes no edges, or all edges but
     a set of gaps, any two at least n+2 positions apart.  Testing only
@@ -697,33 +718,107 @@ def _stage_candidates(ctx: AmbientContext) -> tuple[list[int], Callable[[int], b
     decreasing size, then decreasing mask, which within one size is the
     ``itertools.combinations`` order, so the empty mask comes last.
 
-    On each ambient arc a candidate's edges fall into pieces, the whole
-    arc or the segments between its gaps, cut once per pattern; Abrams'
-    test is the ``_Join`` of a mask's pieces.
+    The masks come from one search over the ambient arcs, one arc at a
+    time, whose choices on an arc are its gap patterns.  On each arc a
+    candidate's edges fall into pieces, the whole arc or the segments
+    between its gaps, and as in ``_Join`` the arcs and cycle components
+    of the candidate are the classes of pieces under "meet at a joint of
+    H-degree 2": chains of pieces through joints (ends of ambient arcs)
+    where exactly two piece ends meet.  A piece end inside an arc is a
+    leaf, never joined.  A joint is decided once its last arc is placed:
+    the two pieces that meet there are joined, or, at any other count,
+    their classes end there.  A class whose joint ends are all decided is
+    final, so is its size, and Abrams' test asks it for more than n edges:
+    a class with n or fewer prunes the search at once, with every
+    extension.  A piece with no joint end lies between two gaps and has at
+    least n+1 edges by their spacing, so it is never checked.  A leaf of
+    the search has all its joints decided, all its classes checked, and so
+    passes Abrams' test; every mask that passes is reached.
     """
-    amb = ctx.subdivided
-    edges = amb.edges
-    bit = {e: 1 << (len(edges) - 1 - j) for j, e in enumerate(edges)}
-    masks = [0]
-    tables: list[tuple[int, dict]] = []  # per ambient arc: its bits, and pattern -> pieces
-    joints = set()
-    for arc in ambient_arcs(amb):
-        walk = _arc_walk(arc)
-        joints |= {walk[0], walk[-1]}
+    amb, n = ctx.subdivided, ctx.n
+    bit = {e: 1 << (len(amb.edges) - 1 - j) for j, e in enumerate(amb.edges)}
+    arcs = ambient_arcs(amb)
+    walks = [_arc_walk(arc) for arc in arcs]
+    last = {v: i for i, walk in enumerate(walks) for v in (walk[0], walk[-1])}
+    closing: list[list[int]] = [[] for _ in arcs]  # per arc: the joints it decides
+    for v, i in last.items():
+        closing[i].append(v)
+    choices = []  # per arc: its patterns, as bits -> pieces (edge count, joint ends)
+    for arc, walk in zip(arcs, walks):
         full = sum(bit[e] for e in arc)
         table: dict = {0: []}
-        for gaps in _gap_sets(len(arc), ctx.n + 2):
-            table[full - sum(bit[arc[k]] for k in gaps)] = _pieces(
-                walk, [k for k in range(len(arc)) if k not in gaps])
-        tables.append((full, table))
-        masks = [m | p for m in masks for p in table]
-    masks.sort(reverse=True)
-    masks.sort(key=int.bit_count, reverse=True)  # stable: by size, then by mask
+        for gaps in _gap_sets(len(arc), n + 2):
+            table[full - sum(bit[arc[k]] for k in gaps)] = [
+                (size, [v for v in (a, b) if v in last])
+                for size, a, b in _pieces(walk, [k for k in range(len(arc)) if k not in gaps])]
+        choices.append(list(table.items()))
+    root: list[int] = []  # piece -> its parent in a union-find of the classes
+    size: list[int] = []  # class root -> edge count of the class
+    undecided: list[int] = []  # class root -> its ends at undecided joints
+    at: dict[int, list[int]] = {v: [] for v in last}  # joint -> its pieces, once per end
+    log: list[tuple[int, int, int]] = []  # the joins made, to undo
+    out: list[int] = []
 
-    def sufficient(mask: int) -> bool:
-        return _Join([table[mask & full] for full, table in tables], joints).sufficient(ctx.n)
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
 
-    return masks, sufficient
+    def join(x: int, y: int, ends: int) -> bool:
+        # merge class x into class y unless they are one, decide ``ends`` of
+        # y's joint ends, and report whether y still may pass
+        if x != y:
+            root[x] = y
+            size[y] += size[x]
+            undecided[y] += undecided[x]
+        undecided[y] -= ends
+        log.append((x, y, ends))
+        return undecided[y] > 0 or size[y] > n
+
+    def decide(v: int) -> bool:
+        # join the two pieces that meet at joint v, or end every class there
+        meet = at[v]
+        if len(meet) == 2:
+            return join(find(meet[0]), find(meet[1]), 2)
+        return all(join(x, x, 1) for x in map(find, meet))
+
+    def place(i: int, mask: int) -> None:
+        if i == len(choices):
+            out.append(mask)
+            return
+        for bits, pieces in choices[i]:
+            first, mark = len(root), len(log)
+            for s, ends in pieces:
+                p = len(root)
+                root.append(p)
+                size.append(s)
+                undecided.append(len(ends))
+                for v in ends:
+                    at[v].append(p)
+            for v in closing[i]:
+                if not decide(v):
+                    break
+            else:
+                place(i + 1, mask | bits)
+            while len(log) > mark:
+                x, y, ends = log.pop()
+                undecided[y] += ends
+                if x != y:
+                    undecided[y] -= undecided[x]
+                    size[y] -= size[x]
+                    root[x] = x
+            for _, ends in pieces:
+                for v in ends:
+                    at[v].pop()
+            del root[first:], size[first:], undecided[first:]
+
+    # place refers to itself; del breaks the cycle, which would keep every
+    # list above alive until the next full garbage collection
+    place(0, 0)
+    del place
+    out.sort(reverse=True)
+    out.sort(key=int.bit_count, reverse=True)  # stable: by size, then by mask
+    return out
 
 
 def _stage_span(ctx: AmbientContext, predicate) -> Subgroup:

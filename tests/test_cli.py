@@ -250,6 +250,22 @@ def test_generate_gens_and_stage(capsys, g6):
     capsys.readouterr()
 
 
+def test_main_calls_in_one_process_see_only_their_own_arguments(capsys, g6):
+    # the parser is built once per process, and each parse starts afresh
+    c3 = g6("c3.json", family("cycle", 3))
+    star = g6("star.json", family("star", 3))
+    base = ["generate", "--graph", c3, "-n", "2", "-i", "1", "--unordered"]
+    for gens, shapes in [([c3, star], [(3, 3), (4, 3)]), ([star], [(4, 3)])]:
+        assert main(base + ["--gens", *gens]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert [(g["vertices"], g["edges"]) for g in obj["generators"]] == shapes
+    # a --gens list left from the calls above would make these exit 2
+    for stage in ["betti:0", "betti:1"]:
+        assert main(base + ["--stage", stage]) == 0
+        assert json.loads(capsys.readouterr().out)["stage"] == stage
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("graph6,args,rank", [
     # C3 plus an isolated vertex: b1 = 1, so G itself is a stage subgraph,
     # and in H_1 of D_2 a particle may rest on the isolated vertex

@@ -1,10 +1,13 @@
 import functools
+import gc
 import itertools
+import math
 import random
+import types
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chains import components, forest_cycles
 from graphconf import generation
@@ -16,6 +19,7 @@ from graphconf.generation import (
     _arc_patterns,
     _arc_profile,
     _arc_walk,
+    _gap_sets,
     _image_candidates,
     _mask_subgraph,
     _onto_count,
@@ -240,14 +244,59 @@ MASK_CASES = [("K4''", _subdivided(family("complete", 4), 1), 1)] + [
 ]
 
 
+def candidate_tables(sub, n):
+    """Per ambient arc, the masks a stage candidate takes there: no edges,
+    or all edges but gaps at least n+2 apart."""
+    top = len(sub.edges) - 1
+    bit = {e: 1 << (top - j) for j, e in enumerate(sub.edges)}
+    tables = []
+    for arc in ambient_arcs(sub):
+        full = sum(bit[e] for e in arc)
+        tables.append({0} | {full - sum(bit[arc[k]] for k in gaps)
+                             for gaps in _gap_sets(len(arc), n + 2)})
+    return tables
+
+
+def abrams_candidates(sub, n):
+    """Oracle for _stage_candidates: the product of the candidate tables,
+    by size, then by mask, descending, filtered by Abrams' test."""
+    masks = sorted((sum(combo) for combo in itertools.product(*candidate_tables(sub, n))),
+                   key=lambda m: (m.bit_count(), m), reverse=True)
+    return [m for m in masks if is_sufficiently_subdivided(_mask_subgraph(sub, m), n)]
+
+
 @pytest.mark.parametrize("name,sub,n", MASK_CASES,
                          ids=[f"{c[0]}-n{c[2]}" for c in MASK_CASES])
 def test_mask_test_is_abrams_test_on_every_candidate(name, sub, n):
-    masks, sufficient = _stage_candidates(SimpleNamespace(subdivided=sub, n=n))
-    assert len(masks) == len(set(masks)) > 1
-    verdicts = [sufficient(mask) for mask in masks]
-    assert verdicts == [is_sufficiently_subdivided(_mask_subgraph(sub, mask), n)
-                        for mask in masks]
+    got = _stage_candidates(SimpleNamespace(subdivided=sub, n=n))
+    assert got == abrams_candidates(sub, n)
+    assert got[-1] == 0
+
+
+@st.composite
+def stage_graphs(draw):
+    """Small graphs with leaves and isolated vertices, and at will a cycle
+    component and a closed arc at a branch vertex: a triangle hung at
+    vertex 0 beside a leaf there."""
+    size = draw(st.integers(1, 4))
+    pairs = list(itertools.combinations(range(size), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)) if pairs else []
+    g = make_graph(range(size), edges)
+    if draw(st.booleans()):
+        g = disjoint_union(g, family("cycle", draw(st.integers(3, 4))))
+    if draw(st.booleans()):
+        a, b, c = (max(g.vertices) + k for k in (1, 2, 3))
+        g = make_graph([*g.vertices, a, b, c],
+                       [*g.edges, (0, a), (a, b), (0, b), (0, c)])
+    return g
+
+
+@settings(max_examples=120, deadline=None)
+@given(stage_graphs(), st.integers(1, 3), st.booleans())
+def test_stage_candidates_match_the_filtered_product(g, n, subdivided):
+    sub = _subdivided(g, n) if subdivided else g
+    assume(math.prod(map(len, candidate_tables(sub, n))) <= 4000)
+    assert _stage_candidates(SimpleNamespace(subdivided=sub, n=n)) == abrams_candidates(sub, n)
 
 
 def test_stage_subgraphs_make_no_abrams_call(monkeypatch):
@@ -263,6 +312,58 @@ def test_stage_subgraphs_make_no_abrams_call(monkeypatch):
     got = _keys(_stage_subgraphs(ctx, pred))
     assert got == _keys(all_subsets_stage_subgraphs(ctx, pred)) and got
     assert calls == []
+
+
+@pytest.mark.parametrize("g,stage", [(family("complete", 4), "robertson:2"),
+                                     (theta_graph(), "betti:2"),
+                                     (theta_graph(), "robertson:2"),
+                                     (theta_graph(), "robertson:3")],
+                         ids=["K4-robertson:2", "theta-betti:2", "theta-robertson:2",
+                              "theta-robertson:3"])
+def test_stage_subgraphs_return_g_when_it_passes(monkeypatch, g, stage):
+    # G'' passes Abrams' test and the predicate, so no candidate is needed
+    def search(ctx):
+        raise AssertionError("_stage_candidates ran")
+
+    monkeypatch.setattr(generation, "_stage_candidates", search)
+    ctx = build_ambient(g, 1, 2, ordered=False)
+    amb = ctx.subdivided
+    assert _keys(_stage_subgraphs(ctx, stage_predicate(stage))) == [(amb.vertices, amb.edges)]
+
+
+def test_stage_subgraphs_search_when_g_fails_abrams_test(monkeypatch):
+    # the pendant graph as given has arcs of one edge, too short for n = 1
+    calls = []
+    search = generation._stage_candidates
+    monkeypatch.setattr(generation, "_stage_candidates",
+                        lambda ctx: calls.append(ctx) or search(ctx))
+    ctx = SimpleNamespace(subdivided=pendant_graph(), n=1)
+    assert not is_sufficiently_subdivided(ctx.subdivided, 1)
+    for stage in STAGES:
+        pred = stage_predicate(stage)
+        assert _keys(_stage_subgraphs(ctx, pred)) == _keys(
+            all_subsets_stage_subgraphs(ctx, pred)), stage
+    assert len(calls) == len(STAGES)
+
+
+def test_generation_leaves_no_cycle_of_its_functions():
+    # a recursive closure refers to itself; left in place, each call would
+    # leave a cycle, with all it holds, for the cyclic collector
+    ctx = build_ambient(theta_graph(), 1, 2, ordered=False)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        generator_images(ctx, family("star", 3))
+        _stage_subgraphs(ctx, stage_predicate("betti:1"))
+        gc.collect()
+        leaked = [f.__qualname__ for f in gc.garbage
+                  if isinstance(f, types.FunctionType) and f.__module__ == generation.__name__]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []
 
 
 # -- subgraph images against the chain-map oracle --------------------------------

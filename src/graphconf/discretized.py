@@ -12,6 +12,29 @@ is a tuple of codes, and ``CubicalComplex.cells`` decodes the codes into
 slot tuples on first use.  Codes and slots sort alike, so both forms of a
 layer are in the same sorted order.
 
+Cell keys.  Inside the build every cell also has an integer key, and the
+boundary is assembled on keys.  With s slots and w = s.bit_length(),
+every code is < s < 2^w.  An unordered cell's key is its slot bitmask,
+the sum of 2^c over its codes c.  An ordered cell's key holds its codes
+as base-2^w digits: the sum of c_p 2^(pw) over its positions p.
+
+Keys are injective.  The codes of an unordered cell are distinct and
+sorted, so its mask gives the set of its codes and that set gives the
+tuple.  An ordered cell has n codes, each < 2^w, so they are the n
+base-2^w digits of its key, the code at position p being digit p.
+
+The face key is one addition.  The face for the edge code c at position
+p and an endpoint x of that edge puts x in place of c (and, for unordered
+cells, sorts it into place).  x is not a code of the cell, since it lies
+in the closure of c and the closures of a cell are disjoint.  So the
+unordered face's mask is the cell's with bit c cleared and bit x set:
+key + 2^x - 2^c, which is key ^ (2^c | 2^x).  The ordered face changes
+digit p from c to x and no other digit; x < 2^w is a digit, so nothing
+carries, and the key changes by (x - c) 2^(pw).  Edge codes sort before
+vertex codes, so the edge slots of an unordered d-cell are its first d
+codes.  A face is then one addition and one lookup in a dict from the
+keys of the layer below to their rows: no face tuple is built.
+
 No boundary entries cancel.  The face of a k-cell for its edge slot e and
 an endpoint x of e replaces e by the vertex slot x (and, for unordered
 cells, sorts x into place).  The 2k faces of one cell are pairwise
@@ -28,7 +51,6 @@ coefficient list.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,54 +115,59 @@ def build_discretized(g: SimpleGraph, n: int, ordered: bool = True) -> CubicalCo
     code = {s[1]: k for k, s in enumerate(slots) if s[0] == "v"}
     ends = [(code[s[1]], code[s[2]]) for s in slots[:n_edges]]
     closure = [(1 << a) | (1 << b) for a, b in ends] + [1 << k for k in range(n_edges, len(slots))]
+    # place[p][c]: what code c at position p adds to a cell's key
+    w = len(slots).bit_length()
+    if ordered:
+        place = [[c << p * w for c in range(len(slots))] for p in range(n)]
+    else:
+        place = [[1 << c for c in range(len(slots))]] * n
 
     per_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    keys: list[list[int]] = [[] for _ in range(n + 1)]
 
-    def extend(cell: tuple[int, ...], used: int, dim: int, start: int) -> None:
+    def extend(cell: tuple[int, ...], key: int, used: int, dim: int, start: int) -> None:
         # ordered cells restart every slot at 0; unordered ones continue
         # after the previous slot and leave room for the slots still to
         # come.  The last slot appends the cell directly, saving one call
         # per cell.
         last = len(cell) == n - 1
+        digit = place[len(cell)]
         stop = len(slots) if ordered else len(slots) - (n - 1 - len(cell))
         for c in range(start, stop):
             if closure[c] & used:
                 continue
             if last:
-                per_dim[dim + (c < n_edges)].append(cell + (c,))
+                d = dim + (c < n_edges)
+                per_dim[d].append(cell + (c,))
+                keys[d].append(key + digit[c])
             else:
-                extend(cell + (c,), used | closure[c], dim + (c < n_edges),
-                       0 if ordered else c + 1)
+                extend(cell + (c,), key + digit[c], used | closure[c],
+                       dim + (c < n_edges), 0 if ordered else c + 1)
 
     # depth first in ascending codes, so every layer comes out sorted.
     # extend refers to itself, so until the next full garbage collection
     # the cycle would keep per_dim and every cell alive; del breaks it
-    extend((), 0, 0, 0)
+    extend((), 0, 0, 0, 0)
     del extend
 
+    # step[p][c]: what the faces for the edge code c at position p add to
+    # the cell's key, larger endpoint first; nothing for a vertex code
+    step = [[(pl[b] - pl[c], pl[a] - pl[c]) for c, (a, b) in enumerate(ends)]
+            + [()] * (len(slots) - n_edges) for pl in place]
     columns: list[Columns] = [([[] for _ in per_dim[0]], [[] for _ in per_dim[0]])]
     for d in range(1, n + 1):
-        index = {cell: i for i, cell in enumerate(per_dim[d - 1])}
-        rows = []
-        for cell in per_dim[d]:
-            col_rows = []
-            for p, c in enumerate(cell):
-                if c >= n_edges:
-                    continue
-                head, tail = cell[:p], cell[p + 1:]
-                a, b = ends[c]
-                for x in (b, a):
-                    if ordered:
-                        face = head + (x,) + tail
-                    else:
-                        # the head holds edges only, and x sorts after them
-                        k = bisect_left(tail, x)
-                        face = head + tail[:k] + (x,) + tail[k:]
-                    col_rows.append(index[face])
-            rows.append(col_rows)
+        index = {key: i for i, key in enumerate(keys[d - 1])}
+        if ordered:
+            rows = [[index[key + s] for p, c in enumerate(cell) for s in step[p][c]]
+                    for cell, key in zip(per_dim[d], keys[d])]
+        else:
+            # every position has the same steps, and the edges come first
+            rows = [[index[key + s] for c in cell[:d] for s in step[0][c]]
+                    for cell, key in zip(per_dim[d], keys[d])]
         # every column has d edge slots, so one list serves them all
         pattern = [(-1) ** r * s for r in range(d) for s in (1, -1)]
         columns.append((rows, [pattern] * len(rows)))
+    del keys, index  # the keys live only in the build
 
     chain = IntegerChainComplex(tuple(map(len, per_dim)), tuple(columns))
     return CubicalComplex(g, n, ordered, tuple(slots), tuple(map(tuple, per_dim)), chain)

@@ -213,7 +213,13 @@ def _vertex_maps(source: SimpleGraph, target: SimpleGraph, fits):
                 used.discard(w)
                 del assign[v]
 
-    yield from rec(0)
+    # rec refers to itself; del breaks the cycle, which would otherwise
+    # keep rec, fits and what they hold until the next full collection,
+    # also when the caller abandons the search part way
+    try:
+        yield from rec(0)
+    finally:
+        del rec
 
 
 def _connected_avoiding(g: SimpleGraph, a: int, b: int, blocked: set[int]) -> bool:
@@ -270,6 +276,7 @@ def _assign_paths(source: SimpleGraph, target: SimpleGraph, rho_v: dict[int, int
                 seq.pop()
 
         dfs([a], {a})
+        del dfs  # it refers to itself, as rec does
         paths.sort(key=lambda p: (len(p), p))
         for seq in paths:
             interior = seq[1:-1]
@@ -279,7 +286,10 @@ def _assign_paths(source: SimpleGraph, target: SimpleGraph, rho_v: dict[int, int
             chosen.pop()
             used.difference_update(interior)
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # as in _vertex_maps
 
 
 def has_topological_minor(pattern: SimpleGraph, host: SimpleGraph) -> bool:

@@ -97,7 +97,12 @@ def push_keys(keys, emb: TopMinorMorphism) -> list[tuple]:
     embedding, extending by 0 and empty.  The embedding is validated once for
     all of them.  Mass and i do not change along an embedding, so a key is
     only checked to live on emb.source: each weighted edge, and each state
-    vertex with its half-edge, must be one of the source's."""
+    vertex with its half-edge, must be one of the source's.
+
+    The pairs of a key are sorted, and each is led by a distinct edge or
+    vertex.  A strictly increasing vertex map keeps edges normalized and
+    in order, and vertices in order, so it keeps every key sorted, and
+    only another map needs the sort.  An inclusion is increasing."""
     rho_v = emb.rho_v
     if len(set(rho_v.values())) != len(rho_v) or not emb.is_simplicial():
         raise NotAnEmbeddingError("push_keys needs an injective simplicial map")
@@ -110,11 +115,17 @@ def push_keys(keys, emb: TopMinorMorphism) -> list[tuple]:
     for e, img in edge_img.items():
         for v in e:
             state_img[v, ("half",) + e] = (rho_v[v], ("half",) + img)
+    images = [rho_v[v] for v in sorted(rho_v)]
+    if all(a < b for a, b in zip(images, images[1:])):
+        arrange = tuple
+    else:
+        def arrange(pairs):
+            return tuple(sorted(pairs))
     try:
         return [
             (
-                tuple(sorted((edge_img[e], w) for e, w in weights)),
-                tuple(sorted(state_img[vs] for vs in states)),
+                arrange((edge_img[e], w) for e, w in weights),
+                arrange(state_img[vs] for vs in states),
             )
             for weights, states in keys
         ]

@@ -3,6 +3,7 @@ import math
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chains import from_entries
 from graphconf.acceptance import _atlas_graphs
@@ -257,6 +258,33 @@ def test_assembly_matches_the_slot_tuple_oracle():
         assert cx.cells == cells, (g.edges, n, ordered)
         # the columns compare in order, which _reduce visits faces in
         assert cx.chain == chain, (g.edges, n, ordered)
+
+
+@st.composite
+def assembly_graphs(draw):
+    """Graphs of one to three components of at most four vertices each,
+    with isolated vertices and scattered vertex ids.  At will they are
+    padded with isolated vertices to a slot count at a power of two or one
+    above it, where the key width w = (slot count).bit_length() steps."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    ids = draw(st.permutations(range(0, 3 * sum(sizes), 3)))
+    edges, start = [], 0
+    for size in sizes:
+        pairs = list(itertools.combinations(ids[start:start + size], 2))
+        mask = draw(st.integers(0, 2 ** len(pairs) - 1))
+        edges += [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+        start += size
+    pad = draw(st.sampled_from([0, 4, 5, 8, 9, 16, 17])) - len(ids) - len(edges)
+    return make_graph([*ids, *range(3 * sum(sizes), 3 * sum(sizes) + max(pad, 0))], edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(assembly_graphs(), st.integers(1, 3), st.booleans())
+def test_assembly_matches_the_slot_tuple_oracle_on_random_graphs(g, n, ordered):
+    cx = build_discretized(g, n, ordered)
+    cells, chain = build_discretized_by_slots(g, n, ordered)
+    assert cx.cells == cells
+    assert cx.chain == chain
 
 
 def test_boundary_dicts_rebuild_the_columns():

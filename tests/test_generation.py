@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from chains import components, forest_cycles
-from graphconf import generation
+from graphconf import generation, morphisms
 from graphconf.acceptance import _atlas_graphs
 from graphconf.discretized import is_sufficiently_subdivided
 from graphconf.errors import BadParamsError, InvariantError
@@ -346,24 +346,41 @@ def test_stage_subgraphs_search_when_g_fails_abrams_test(monkeypatch):
     assert len(calls) == len(STAGES)
 
 
-def test_generation_leaves_no_cycle_of_its_functions():
-    # a recursive closure refers to itself; left in place, each call would
-    # leave a cycle, with all it holds, for the cyclic collector
-    ctx = build_ambient(theta_graph(), 1, 2, ordered=False)
+def leaked_functions(module, *calls):
+    """The functions of module that the calls leave in unreachable cycles.
+    A recursive closure refers to itself; left in place, each call would
+    leave a cycle, with all it holds, for the cyclic collector."""
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        generator_images(ctx, family("star", 3))
-        _stage_subgraphs(ctx, stage_predicate("betti:1"))
+        for call in calls:
+            call()
         gc.collect()
-        leaked = [f.__qualname__ for f in gc.garbage
-                  if isinstance(f, types.FunctionType) and f.__module__ == generation.__name__]
+        return [f.__qualname__ for f in gc.garbage
+                if isinstance(f, types.FunctionType) and f.__module__ == module.__name__]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
-    assert leaked == []
+
+
+def test_generation_leaves_no_cycle_of_its_functions():
+    ctx = build_ambient(theta_graph(), 1, 2, ordered=False)
+    assert leaked_functions(
+        generation,
+        lambda: generator_images(ctx, family("star", 3)),
+        lambda: _stage_subgraphs(ctx, stage_predicate("betti:1"))) == []
+
+
+def test_morphisms_leave_no_cycle_of_their_functions():
+    # the witness walk of iter_tm runs to its first morphism, and the
+    # Robertson stage abandons each topological-minor search part way
+    ctx = build_ambient(theta_graph(), 1, 2, ordered=False)
+    assert leaked_functions(
+        morphisms,
+        lambda: generator_images(ctx, family("star", 3)),
+        lambda: _stage_subgraphs(ctx, stage_predicate("robertson:2"))) == []
 
 
 # -- subgraph images against the chain-map oracle --------------------------------

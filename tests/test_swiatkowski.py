@@ -141,6 +141,45 @@ def test_push_identity_and_injectivity():
         assert len(set(imgs)) == len(imgs)
 
 
+def sorted_push(keys, emb):
+    """Oracle for push_keys: map every pair of a key, then sort."""
+    rho = emb.rho_v
+
+    def pair(v, state):
+        return (rho[v], state if state == SELF else ("half",) + norm_edge(rho[state[1]], rho[state[2]]))
+
+    return [
+        (tuple(sorted((norm_edge(rho[a], rho[b]), w) for (a, b), w in weights)),
+         tuple(sorted(pair(v, state) for v, state in states)))
+        for weights, states in keys
+    ]
+
+
+def test_push_along_a_non_monotone_embedding_sorts_its_keys():
+    p3 = family("path", 3)
+    star = family("star", 3)
+    embs = [emb for emb in enumerate_tm(p3, star, kind="simplicial")
+            if sorted(emb.rho_v.values()) != [emb.rho_v[v] for v in sorted(emb.rho_v)]]
+    assert embs
+    for i in (0, 1, 2):
+        keys = enumerate_cells(p3, i, 2)
+        for emb in embs:
+            assert push_keys(keys, emb) == sorted_push(keys, emb), (i, emb.rho_v)
+    # the sort is needed: some key's pairs come out of order unsorted
+    rho = embs[0].rho_v
+    assert any([rho[v] for v, _ in states] != sorted(rho[v] for v, _ in states)
+               for _, states in enumerate_cells(p3, 2, 2))
+
+
+def test_push_along_an_inclusion_keeps_the_keys():
+    k5 = family("complete", 5)
+    h = k5.induced([0, 2, 3])
+    for i in (0, 1, 2):
+        keys = enumerate_cells(h, i, 2)
+        pushed = push_keys(keys, inclusion_morphism(h, k5))
+        assert pushed == keys == sorted_push(keys, inclusion_morphism(h, k5)), i
+
+
 def test_push_extends_by_zero():
     k2 = family("complete", 2)
     p3 = family("path", 3)

@@ -53,16 +53,13 @@ from .morphisms import (
     enumerate_tm,
     gtm_k_member,
     has_topological_minor,
-    inclusion_morphism,
     is_homeomorphic,
     is_isomorphic,
     smooth,
-    validate_tm,
 )
 from .snf import snf
 from .swiatkowski import (
     enumerate_cells,
-    push_keys,
     support_vertices,
     verify_support_bound,
 )

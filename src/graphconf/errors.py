@@ -45,10 +45,6 @@ class AmbientMismatchError(GraphConfError):
     pass
 
 
-class NotAnEmbeddingError(GraphConfError):
-    pass
-
-
 class NotACographError(GraphConfError):
     pass
 

@@ -141,14 +141,6 @@ class Path:
         canon = canonical_path_tuple(vs)
         object.__setattr__(self, "vertices", canon)
 
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.vertices[0], self.vertices[-1])
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.vertices) - 1
-
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         vs = self.vertices
@@ -157,11 +149,6 @@ class Path:
     @cached_property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
-
-    def validates_in(self, graph: SimpleGraph) -> bool:
-        return all(e in graph.edge_set for e in self.edges) and all(
-            v in graph.vertex_set for v in self.vertices
-        )
 
     def oriented_from(self, start: int) -> tuple[int, ...]:
         if self.vertices[0] == start:

@@ -1,4 +1,4 @@
-"""Topological minor morphisms: validation and enumeration.
+"""Topological minor morphisms: enumeration.
 
 A morphism is a vertex injection plus an edge-to-path assignment subject
 to four conditions; embeddings and subdivisions are the special cases
@@ -9,7 +9,8 @@ deliberately exponential: desk scale only.
 Every kind of ``iter_tm`` and the isomorphism test run one vertex-map
 search, ``_vertex_maps``; they differ only in the test each step makes.
 ``iter_tm`` alone checks the kind, and it trusts the morphisms it builds:
-no kind revalidates what ``_assign_paths`` yields.
+no kind revalidates what ``_assign_paths`` yields.  The check of the four
+conditions is the tests' oracle for the enumeration, not package code.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ class TopMinorMorphism:
     def image_subgraph(self) -> SimpleGraph:
         return self.target.subgraph(self.image_edges, self.image_vertices)
 
-    def is_simplicial(self) -> bool:
-        return all(p.edge_count == 1 for p in self.rho_e.values())
-
     def to_json_obj(self) -> dict:
         return {
             "rho_V": {str(a): b for a, b in sorted(self.rho_v.items())},
@@ -67,59 +65,6 @@ class TopMinorMorphism:
                 for e, p in sorted(self.rho_e.items())
             },
         }
-
-
-def inclusion_morphism(h: SimpleGraph, g: SimpleGraph) -> TopMinorMorphism:
-    """The inclusion of a subgraph h into g; the identity when h is g."""
-    return TopMinorMorphism(
-        h,
-        g,
-        tuple((v, v) for v in h.vertices),
-        tuple((e, Path(e)) for e in h.edges),
-    )
-
-
-def validate_tm(rho: TopMinorMorphism) -> tuple[bool, list[tuple[int, str]]]:
-    """Check the four defining conditions; violations carry witnesses."""
-    src, tgt = rho.source, rho.target
-    violations: list[tuple[int, str]] = []
-    rv, re = rho.rho_v, rho.rho_e
-    if set(rv) != set(src.vertices) or set(re) != set(src.edges):
-        raise InvalidMorphismError("rho_V / rho_E not total on the source")
-    for v, w in rv.items():
-        if w not in tgt.vertex_set:
-            raise InvalidMorphismError(f"rho_V({v}) = {w} not in target")
-    for e, p in re.items():
-        if not p.validates_in(tgt):
-            raise InvalidMorphismError(f"rho_E({e}) is not a path of the target")
-    # (1) injectivity
-    if len(set(rv.values())) != len(rv):
-        violations.append((1, "rho_V is not injective"))
-    # (2) endpoints
-    for e, p in re.items():
-        want = {rv[e[0]], rv[e[1]]}
-        if set(p.endpoints) != want:
-            violations.append((2, f"rho_E({e}) has endpoints {p.endpoints}, expected {tuple(want)}"))
-    # (3) incidence
-    for e, p in re.items():
-        on_path = p.vertex_set
-        for v, w in rv.items():
-            incident = v in e
-            if (w in on_path) != incident:
-                violations.append((3, f"rho_V({v}) on rho_E({e}) mismatch"))
-    # (4) path intersections
-    edges = sorted(re)
-    for i, e1 in enumerate(edges):
-        for e2 in edges[i + 1 :]:
-            inter = re[e1].vertex_set & re[e2].vertex_set
-            shared = set(e1) & set(e2)
-            if shared:
-                want = {rv[next(iter(shared))]}
-            else:
-                want = set()
-            if inter != want:
-                violations.append((4, f"rho_E({e1}) and rho_E({e2}) meet in {sorted(inter)}"))
-    return (not violations, violations)
 
 
 class MorphismList(list):

@@ -10,13 +10,14 @@ discretized model.
 
 The support G_λ of a cell is the subgraph induced on `support_vertices`, so
 its vertex set fixes it.  `verify_support_bound` therefore groups the keys
-by support vertex set and builds G_λ, its inclusion into G (validated once,
-by `push_keys`) and the cograph verdict once per group, not once per cell.
-For G = K5, K6, K3,3, K2,4 and K2,2,2 and i = 0..3, the 40,606 cells of
-A_{i,3}(G) have only 864 distinct supports between them.  A cell and its
-restriction to G_λ share their key, so the restriction and its push are
-checked on keys.  `enumerate_cells` builds every key itself, so no key is
-validated again.
+by support vertex set and builds G_λ, for the cograph verdict, at most
+once per group, not once per cell.  For G = K5, K6, K3,3, K2,4 and K2,2,2 and
+i = 0..3, the 40,606 cells of A_{i,3}(G) have only 864 distinct supports
+between them.  Every cell is the push of its restriction to G_λ along the
+inclusion G_λ → G, by construction: the restriction has the cell's key, and
+pushing along an inclusion keeps every key (proof in
+`verify_support_bound`), so that is not checked.  `enumerate_cells` builds
+every key itself, so no key is validated again.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BadParamsError, NotAnEmbeddingError
+from .errors import BadParamsError
 from .graphs import SimpleGraph, norm_edge
-from .morphisms import TopMinorMorphism, inclusion_morphism, validate_tm
 
 # vertex states: SELF, or ("half", a, b) for a mark at the vertex on edge (a, b);
 # both are tuples so that sorted cell keys compare cleanly
@@ -92,49 +92,6 @@ def _weight_distributions(total: int, slots: int):
         yield tuple(out)
 
 
-def push_keys(keys, emb: TopMinorMorphism) -> list[tuple]:
-    """Transport cell keys (weights, states) of emb.source along a simplicial
-    embedding, extending by 0 and empty.  The embedding is validated once for
-    all of them.  Mass and i do not change along an embedding, so a key is
-    only checked to live on emb.source: each weighted edge, and each state
-    vertex with its half-edge, must be one of the source's.
-
-    The pairs of a key are sorted, and each is led by a distinct edge or
-    vertex.  A strictly increasing vertex map keeps edges normalized and
-    in order, and vertices in order, so it keeps every key sorted, and
-    only another map needs the sort.  An inclusion is increasing."""
-    rho_v = emb.rho_v
-    if len(set(rho_v.values())) != len(rho_v) or not emb.is_simplicial():
-        raise NotAnEmbeddingError("push_keys needs an injective simplicial map")
-    ok, _ = validate_tm(emb)
-    if not ok:
-        raise NotAnEmbeddingError("invalid morphism")
-    # the image of every edge, and of every vertex state, of the source
-    edge_img = {e: norm_edge(rho_v[e[0]], rho_v[e[1]]) for e in emb.source.edges}
-    state_img = {(v, SELF): (w, SELF) for v, w in rho_v.items()}
-    for e, img in edge_img.items():
-        for v in e:
-            state_img[v, ("half",) + e] = (rho_v[v], ("half",) + img)
-    images = [rho_v[v] for v in sorted(rho_v)]
-    if all(a < b for a, b in zip(images, images[1:])):
-        arrange = tuple
-    else:
-        def arrange(pairs):
-            return tuple(sorted(pairs))
-    try:
-        return [
-            (
-                arrange((edge_img[e], w) for e, w in weights),
-                arrange(state_img[vs] for vs in states),
-            )
-            for weights, states in keys
-        ]
-    except KeyError as missing:
-        raise NotAnEmbeddingError(
-            f"{missing.args[0]} is not on the embedding's source"
-        ) from None
-
-
 def support_vertices(key: tuple) -> frozenset[int]:
     """Vertices of the support G_λ of the cell with this key: self-marked
     vertices and the endpoints of edges that carry a half-edge mark or
@@ -167,9 +124,22 @@ class SupportBoundReport:
 
 
 def verify_support_bound(g: SimpleGraph, i: int, n: int) -> SupportBoundReport:
-    """Check, for every cell: |V(G_λ)| ≤ n + i + Σλ(e) ≤ 2n, that the cell is
-    the push of its restriction to G_λ, and that supports of cells on a
-    cograph are again cographs.  Violations come in cell-key order."""
+    """Check, for every cell: |V(G_λ)| ≤ n + i + Σλ(e) ≤ 2n, and that supports
+    of cells on a cograph are again cographs.  Violations come in cell-key
+    order.
+
+    That a cell is the push of its restriction to G_λ needs no check.  The
+    restriction has the cell's key, and the push along the inclusion
+    G_λ → G sends that key to itself:
+
+    - the inclusion's vertex map is the identity, which is strictly
+      increasing, so it sends every weighted edge, self-mark and half-edge
+      to itself and keeps the pairs of a key in order; no pair moves;
+    - the key lives on G_λ: `support_vertices(key)` holds both ends of
+      every weighted edge and of every half-edge's edge, and every
+      self-marked vertex, and G_λ is induced on them, so it has every edge,
+      vertex and half-edge that the key names.
+    """
     from .cographs import is_cograph
 
     if n < 0:
@@ -191,14 +161,8 @@ def verify_support_bound(g: SimpleGraph, i: int, n: int) -> SupportBoundReport:
                 violations.append(("size", key, size))
             else:
                 fits.append(key)
-        if not fits:
-            continue
-        supp = g.induced(sorted(verts))
-        for key, pushed in zip(fits, push_keys(fits, inclusion_morphism(supp, g))):
-            if pushed != key:
-                violations.append(("image", key, size))
-        if g_is_cograph and not is_cograph(supp):
+        if fits and g_is_cograph and not is_cograph(g.induced(sorted(verts))):
             violations.extend(("cograph", key, size) for key in fits)
-    # stable: a cell's "image" violation stays ahead of its "cograph" one
+    # a cell has one violation at most, so sorting by key orders them all
     violations.sort(key=lambda v: v[1])
     return SupportBoundReport(g, i, n, len(keys), max_support, tuple(violations))

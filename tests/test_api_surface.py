@@ -1,8 +1,11 @@
-"""Every public function, class and method of the package has a caller in
-the package itself, so no API exists only for its own test, and every
-name a package module imports is read in that module.
+"""Every function, class and method of the package, public or private, has
+a caller in the package itself, so no API or helper exists only for its
+own test, and every name a package module imports is read in that module.
 
-A definition counts as used when its name appears as a ``Name`` (read) or
+The definitions checked are the module-level functions and classes and
+the methods of those classes, whatever their name, except dunders
+(``__init__``, ``__post_init__``, ...), which Python calls itself.  A
+definition counts as used when its name appears as a ``Name`` (read) or
 as an ``Attribute`` anywhere in ``src/graphconf`` outside its own body.
 Attribute names are matched without their owner, so the guard can miss an
 unused method that shares a name with a used one; it never flags a used one.
@@ -19,12 +22,14 @@ PACKAGE = Path(graphconf.__file__).parent
 ALLOWED: dict[str, str] = {}
 
 
-def _public(node) -> bool:
-    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+def _checked(node) -> bool:
+    """A function or class definition that is not a dunder."""
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+        node.name.startswith("__") and node.name.endswith("__"))
 
 
 def _scan():
-    """Public definitions as 'module.qualname', and every reference as
+    """Checked definitions as 'module.qualname', and every reference as
     (name, 'module.qualname' of the innermost enclosing definition)."""
     defs, refs = [], []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -37,9 +42,9 @@ def _scan():
             if isinstance(top, ast.ClassDef):
                 scopes += [(m, f"{owner}.{m.name}") for m in top.body
                            if isinstance(m, ast.FunctionDef)]
-            if _public(top):
+            if _checked(top):
                 defs.append(owner)
-                defs += [q for m, q in scopes[1:] if _public(m)]
+                defs += [q for m, q in scopes[1:] if _checked(m)]
             in_methods = {id(n) for m, _ in scopes[1:] for n in ast.walk(m)}
             for scope, q in scopes:
                 for n in ast.walk(scope):
@@ -62,8 +67,17 @@ def _unreferenced() -> set[str]:
     return out
 
 
+def _private(q: str) -> bool:
+    """A private helper: its name, or its class's name, starts with '_'."""
+    return any(part.startswith("_") for part in q.split(".")[1:])
+
+
 def test_every_public_definition_has_a_caller_in_the_package():
-    assert _unreferenced() - set(ALLOWED) == set()
+    assert {q for q in _unreferenced() if not _private(q)} - set(ALLOWED) == set()
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    assert {q for q in _unreferenced() if _private(q)} - set(ALLOWED) == set()
 
 
 def test_allow_list_is_not_stale():

@@ -697,7 +697,7 @@ def onto_count_by_morphisms(gen, h):
     if len(gen.vertices) - len(gen.edges) != len(h.vertices) - len(h.edges):
         return 0
     return sum(1 for rho in iter_tm(gen, h, kind="tm")
-               if sum(p.edge_count for _, p in rho.rho_e_items) == len(h.edges))
+               if sum(len(p.edges) for _, p in rho.rho_e_items) == len(h.edges))
 
 
 def onto_count(gen, h):

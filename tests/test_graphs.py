@@ -116,7 +116,7 @@ def test_theta_graph():
 def test_path_canonical_orientation():
     assert Path((2, 1, 0)) == Path((0, 1, 2))
     p = Path((0, 1, 2))
-    assert p.endpoints == (0, 2)
+    assert p.vertices == (0, 1, 2)
     assert p.oriented_from(2) == (2, 1, 0)
 
 

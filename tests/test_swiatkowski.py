@@ -1,19 +1,19 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
-from graphconf import cographs, swiatkowski
-from graphconf.errors import BadParamsError, NotAnEmbeddingError
-from graphconf.graphs import complement, disjoint_union, family, norm_edge
-from graphconf.morphisms import TopMinorMorphism, enumerate_tm, inclusion_morphism
+from graphconf import cographs
+from graphconf.errors import BadParamsError
+from graphconf.graphs import SimpleGraph, complement, disjoint_union, family, norm_edge
 from graphconf.swiatkowski import (
     SELF,
     enumerate_cells,
-    push_keys,
     support_vertices,
     verify_support_bound,
 )
+from tm_oracle import inclusion_morphism
 
 
 def validated_key(graph, n, i, weights, states):
@@ -129,104 +129,6 @@ def test_tree_top_cells_count_half_edge_choices():
             assert len(enumerate_cells(tree, n, n)) == expected
 
 
-def test_push_identity_and_injectivity():
-    g = family("path", 3)
-    ident = inclusion_morphism(g, g)
-    keys = enumerate_cells(g, 1, 2)
-    assert push_keys(keys, ident) == keys
-    k2 = family("complete", 2)
-    embs = enumerate_tm(k2, g, kind="simplicial", limit=100)
-    for emb in embs:
-        imgs = push_keys(enumerate_cells(k2, 0, 2), emb)
-        assert len(set(imgs)) == len(imgs)
-
-
-def sorted_push(keys, emb):
-    """Oracle for push_keys: map every pair of a key, then sort."""
-    rho = emb.rho_v
-
-    def pair(v, state):
-        return (rho[v], state if state == SELF else ("half",) + norm_edge(rho[state[1]], rho[state[2]]))
-
-    return [
-        (tuple(sorted((norm_edge(rho[a], rho[b]), w) for (a, b), w in weights)),
-         tuple(sorted(pair(v, state) for v, state in states)))
-        for weights, states in keys
-    ]
-
-
-def test_push_along_a_non_monotone_embedding_sorts_its_keys():
-    p3 = family("path", 3)
-    star = family("star", 3)
-    embs = [emb for emb in enumerate_tm(p3, star, kind="simplicial")
-            if sorted(emb.rho_v.values()) != [emb.rho_v[v] for v in sorted(emb.rho_v)]]
-    assert embs
-    for i in (0, 1, 2):
-        keys = enumerate_cells(p3, i, 2)
-        for emb in embs:
-            assert push_keys(keys, emb) == sorted_push(keys, emb), (i, emb.rho_v)
-    # the sort is needed: some key's pairs come out of order unsorted
-    rho = embs[0].rho_v
-    assert any([rho[v] for v, _ in states] != sorted(rho[v] for v, _ in states)
-               for _, states in enumerate_cells(p3, 2, 2))
-
-
-def test_push_along_an_inclusion_keeps_the_keys():
-    k5 = family("complete", 5)
-    h = k5.induced([0, 2, 3])
-    for i in (0, 1, 2):
-        keys = enumerate_cells(h, i, 2)
-        pushed = push_keys(keys, inclusion_morphism(h, k5))
-        assert pushed == keys == sorted_push(keys, inclusion_morphism(h, k5)), i
-
-
-def test_push_extends_by_zero():
-    k2 = family("complete", 2)
-    p3 = family("path", 3)
-    from graphconf.graphs import Path
-
-    emb = TopMinorMorphism(k2, p3, ((0, 0), (1, 1)), (((0, 1), Path((0, 1))),))
-    heavy = validated_key(k2, 2, 0, (((0, 1), 2),), ())
-    (out,) = push_keys([heavy], emb)
-    assert out == ((((0, 1), 2),), ())
-    assert validated_key(p3, 2, 0, *out) == out
-
-
-def test_push_rejects_non_embeddings():
-    c3 = family("cycle", 3)
-    c6 = family("cycle", 6)
-    from graphconf.graphs import Path
-
-    subdiv = TopMinorMorphism(
-        c3,
-        c6,
-        ((0, 0), (1, 2), (2, 4)),
-        (
-            ((0, 1), Path((0, 1, 2))),
-            ((0, 2), Path((0, 5, 4))),
-            ((1, 2), Path((2, 3, 4))),
-        ),
-    )
-    key = enumerate_cells(c3, 0, 1)[0]
-    with pytest.raises(NotAnEmbeddingError):
-        push_keys([key], subdiv)
-
-
-@pytest.mark.parametrize("i, stray", [
-    pytest.param(0, ((((2, 3), 1),), ()), id="edge"),
-    pytest.param(0, ((), ((3, SELF),)), id="vertex"),
-    pytest.param(1, ((), ((0, ("half", 0, 3)),)), id="half-edge"),
-])
-def test_push_rejects_a_key_off_the_source(i, stray):
-    c3 = family("cycle", 3)
-    k4 = family("complete", 4)
-    assert validated_key(k4, 1, i, *stray) == stray  # a cell of the target
-    emb = inclusion_morphism(c3, k4)
-    ok = enumerate_cells(c3, 0, 1)[0]
-    with pytest.raises(NotAnEmbeddingError):
-        push_keys([ok, stray], emb)
-
-
 def test_support_examples():
     k2 = family("complete", 2)
     heavy = validated_key(k2, 2, 0, (((0, 1), 2),), ())
@@ -246,7 +148,6 @@ def test_support_bound_reports():
     assert rep.ok and rep.max_support == 1
     rep = verify_support_bound(family("complete_bipartite", 2, 3), 1, 2)
     assert rep.ok and rep.max_support <= 4
-
 
 
 def push_cell(key, n, i, emb):
@@ -282,7 +183,7 @@ def per_cell_support_bound(g, i, n):
             violations.append(("size", key, size))
             continue
         restricted = validated_key(supp, n, i, weights, states)
-        if push_cell(restricted, n, i, swiatkowski.inclusion_morphism(supp, g)) != key:
+        if push_cell(restricted, n, i, inclusion_morphism(supp, g)) != key:
             violations.append(("image", key, size))
         if g_is_cograph and not cographs.is_cograph(supp):
             violations.append(("cograph", key, size))
@@ -297,10 +198,23 @@ ORACLE_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+_EDGE = family("path", 2)
+# the graphs of the benchmark's `cells` workload
+CELLS_GRAPHS = {
+    "K5": family("complete", 5),
+    "K33": family("complete_bipartite", 3, 3),
+    "K222": complement(disjoint_union(disjoint_union(_EDGE, _EDGE), _EDGE)),
+    "K6": family("complete", 6),
+    "K24": family("complete_bipartite", 2, 4),
+}
+ALL_GRAPHS = {**ORACLE_GRAPHS, **CELLS_GRAPHS}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_GRAPHS))
 def test_grouped_support_bound_matches_per_cell_oracle(name):
-    g = ORACLE_GRAPHS[name]
-    for n in (1, 2, 3):
+    g = ALL_GRAPHS[name]
+    # the per-cell oracle is slow on the two largest graphs at n = 3
+    for n in range(1, 3 if name in ("K222", "K6") else 4):
         for i in range(n + 1):
             rep = verify_support_bound(g, i, n)
             assert (rep.cell_count, rep.max_support, rep.violations) == \
@@ -321,59 +235,41 @@ def test_a_lying_cograph_verdict_reaches_every_cell_of_its_support(monkeypatch):
         assert flagged
 
 
-def test_image_and_cograph_violations_keep_the_oracles_order(monkeypatch):
-    # swapping vertices 0 and 1 keeps each inclusion a valid embedding but
-    # moves every cell that tells 0 from 1, so those cells fail the image test
-    from graphconf.graphs import Path
-
-    def swapped(h, g):
-        s = {0: 1, 1: 0}.get
-        return TopMinorMorphism(h, g, tuple((v, s(v, v)) for v in h.vertices),
-                                tuple((e, Path((s(e[0], e[0]), s(e[1], e[1])))) for e in h.edges))
-
-    real = cographs.is_cograph
-    monkeypatch.setattr(cographs, "is_cograph", lambda h: len(h.vertices) != 3 and real(h))
-    monkeypatch.setattr(swiatkowski, "inclusion_morphism", swapped)
+def test_support_subgraphs_are_built_once_per_distinct_support(monkeypatch):
     g = family("complete", 4)
-    for i in range(3):
-        rep = verify_support_bound(g, i, 2)
-        assert rep.violations == per_cell_support_bound(g, i, 2)[2]
-        assert {kind for kind, _, _ in rep.violations} == {"image", "cograph"}
-
-
-def test_validate_tm_runs_once_per_distinct_support(monkeypatch):
     calls = []
-    real = swiatkowski.validate_tm
-    monkeypatch.setattr(swiatkowski, "validate_tm", lambda emb: calls.append(emb) or real(emb))
-    g = family("complete", 4)
+    real = SimpleGraph.induced
+
+    def induced(self, vs):
+        if self is g:
+            calls.append(frozenset(vs))
+        return real(self, vs)
+
+    monkeypatch.setattr(SimpleGraph, "induced", induced)
+    assert cographs.is_cograph(g)
+    own = Counter(calls)  # the splits of g's own cograph test
     for i in range(3):
         calls.clear()
         assert verify_support_bound(g, i, 2).ok
         supports = {support_vertices(key) for key in enumerate_cells(g, i, 2)}
-        assert len(calls) == len(supports)
-        assert {frozenset(emb.source.vertices) for emb in calls} == supports
+        assert Counter(calls) == own + Counter(supports)
 
 
-_EDGE = family("path", 2)
-# the graphs of the benchmark's `cells` workload
-CELLS_GRAPHS = {
-    "K5": family("complete", 5),
-    "K33": family("complete_bipartite", 3, 3),
-    "K222": complement(disjoint_union(disjoint_union(_EDGE, _EDGE), _EDGE)),
-    "K6": family("complete", 6),
-    "K24": family("complete_bipartite", 2, 4),
-}
-
-
-@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS) + sorted(CELLS_GRAPHS))
+@pytest.mark.parametrize("name", sorted(ALL_GRAPHS))
 def test_every_enumerated_key_is_a_valid_cell(name):
-    g = {**ORACLE_GRAPHS, **CELLS_GRAPHS}[name]
+    g = ALL_GRAPHS[name]
     for n in range(4):
         for i in range(n + 1):
             keys = enumerate_cells(g, i, n)
             assert keys == sorted(set(keys))
+            supports = {}
             for key in keys:
                 assert validated_key(g, n, i, *key) == key
+                # and a cell of its support G_λ
+                verts = support_vertices(key)
+                if verts not in supports:
+                    supports[verts] = g.induced(sorted(verts))
+                assert validated_key(supports[verts], n, i, *key) == key
 
 
 def test_support_bound_rejects_negative_n():

@@ -194,8 +194,10 @@ def generator_images(
     - The morphisms gen -> G'' with image H are the morphisms gen -> H
       whose image is all of H (paths in H are the paths of G'' inside H,
       and the four conditions read the same in both).  Their number is
-      ``_onto_count(gen, H)``, exact for every simple graph.  The
-      isolated vertices are branch vertices of degree 0 with no arc there,
+      ``_onto_count(gen, H)``, exact for every simple graph, with leaves,
+      isolated vertices and path components: it places each leaf by the
+      arc that ends there, and searches only the inner vertices.  The
+      isolated vertices are inner vertices of degree 0 with no arc there,
       so it is k!, for the bijections onto S, times ``_onto_count(core,
       H_E)``.
 
@@ -358,10 +360,14 @@ def _pieces(walk: list[int], kept) -> list[tuple[int, int, int]]:
 
 
 class _ArcProfile(NamedTuple):
-    """A graph cut into arcs at its branch vertices (degree != 2)."""
+    """A graph cut into arcs at its branch vertices (degree != 2).  A
+    branch vertex is a leaf (degree 1) or inner (degree 0 or >= 3), and
+    each arc goes in one field by how many of its ends are leaves."""
 
-    branch: dict[int, int]  # branch vertex -> degree
-    arcs: dict[tuple[int, int], list[int]]  # (a, b), a <= b -> edges of each arc a..b
+    inner: dict[int, int]  # inner vertex -> degree
+    arcs: dict[tuple[int, int], list[int]]  # (a, b), a <= b inner -> edges of each arc a..b
+    legs: dict[int, list[int]]  # inner vertex -> edges of each arc from it to a leaf
+    paths: list[int]  # edges of each arc from a leaf to a leaf (a path component)
     cycles: list[int]  # edges of each cycle component (no branch vertex)
 
 
@@ -370,7 +376,7 @@ def _arc_profile(g: SimpleGraph) -> _ArcProfile:
     walks = [_arc_walk(arc) for arc in ambient_arcs(g)]
     profile = _Join([[(len(walk) - 1, walk[0], walk[-1])] for walk in walks],
                     {v for walk in walks for v in (walk[0], walk[-1])}).profile()
-    profile.branch.update((v, 0) for v in g.vertices if not g.degree(v))
+    profile.inner.update((v, 0) for v in g.vertices if not g.degree(v))
     return profile
 
 
@@ -397,8 +403,8 @@ class _Join:
 
     A union-find over the pieces gives the classes and their lengths, all
     that Abrams' test reads; ``profile`` reads the unjoined ends of each
-    class after it.  Leaf ends are never joined, so they stay out of the
-    union-find.
+    class after it, and files the class by how many of them are leaves.
+    Leaf ends are never joined, so they stay out of the union-find.
 
     It serves the candidates of ``_image_candidates``, whose counts need
     the whole profile.  Stage candidates need only Abrams' test, and
@@ -436,7 +442,7 @@ class _Join:
 
     def profile(self) -> _ArcProfile:
         outer: dict[int, list[int]] = {}  # class root -> the unjoined ends of the class
-        branch: dict[int, int] = {}
+        degree: dict[int, int] = {}  # branch vertex -> its number of unjoined ends
         p = 0
         for pieces in self.groups:
             for _, a, b in pieces:
@@ -446,37 +452,67 @@ class _Join:
                         while self.root[x] != x:
                             x = self.root[x]
                         outer.setdefault(x, []).append(v)
-                        branch[v] = branch.get(v, 0) + 1
+                        degree[v] = degree.get(v, 0) + 1
                 p += 1
-        arcs: dict[tuple[int, int], list[int]] = {}
-        cycles = []
+        profile = _ArcProfile({v: d for v, d in degree.items() if d != 1}, {}, {}, [], [])
         for p, n in self.size.items():
-            if p in outer:
-                arcs.setdefault(tuple(sorted(outer[p])), []).append(n)
+            if p not in outer:
+                profile.cycles.append(n)
+                continue
+            ends = sorted(v for v in outer[p] if degree[v] != 1)
+            if len(ends) == 2:
+                profile.arcs.setdefault(tuple(ends), []).append(n)
+            elif ends:
+                profile.legs.setdefault(ends[0], []).append(n)
             else:
-                cycles.append(n)
-        return _ArcProfile(branch, arcs, cycles)
+                profile.paths.append(n)
+        return profile
 
 
 def _bijections(src: list[int], dst: list[int], ways) -> int:
     """Sum over the bijections src -> dst of the product of ways(s, d):
-    the permanent of the matrix ways(s, d), 0 if it is not square."""
+    the permanent of the matrix ways(s, d), 0 if it is not square.  When
+    all of src, or all of dst, are equal, the rows, or the columns, of the
+    matrix are equal, so each of the k! bijections has the product of the
+    pairing in order, and no permutation is walked."""
     if len(src) != len(dst):
         return 0
+    if len(set(src)) <= 1 or len(set(dst)) <= 1:
+        return math.factorial(len(src)) * math.prod(map(ways, src, dst))
     return sum(math.prod(map(ways, src, perm)) for perm in itertools.permutations(dst))
+
+
+def _arc_ways(m: int, L: int) -> int:
+    """Placements of a path with m edges onto an arc with L edges, ends
+    fixed: its m - 1 interior vertices, in order, among the arc's L - 1."""
+    return math.comb(L - 1, m - 1)
+
+
+def _turn_ways(m: int, L: int) -> int:
+    """``_arc_ways`` in either direction: a loop arc, or a path component
+    whose two leaves may swap."""
+    return 2 * math.comb(L - 1, m - 1)
+
+
+def _cycle_ways(k: int, L: int) -> int:
+    """Placements of a cycle with k vertices onto one with L: L images of
+    a fixed vertex, 2 directions, and the rest among the other L - 1."""
+    return 2 * L * math.comb(L - 1, k - 1)
 
 
 def _onto_count(gen: _ArcProfile, tgt: _ArcProfile) -> int:
     """Number of morphisms gen -> h whose image is all of h, where gen and
     h are given by their ``_arc_profile``s.  Exact for all simple graphs.
 
-    Branch vertices are the vertices of degree != 2.  Let rho be onto h.
+    Branch vertices are the vertices of degree != 2: leaves, of degree 1,
+    and inner vertices, of degree 0 or >= 3.  Let rho be onto h.
 
     - Each vertex of h is a vertex image or a path interior vertex.  A
       vertex image has the degree of its preimage (one path leaves it per
       edge, and no other path reaches it), and an interior vertex has
       degree 2.  So rho restricts to a degree-preserving bijection phi
-      from the branch vertices of gen to those of h, and sends the
+      from the branch vertices of gen to those of h, which sends inner
+      vertices to inner vertices and leaves to leaves, and it sends the
       degree-2 vertices of gen to degree-2 vertices of h.
     - Follow a gen arc from branch vertex a to branch vertex b.  Its image
       is a path (closed when a = b) from phi(a) to phi(b) whose interior
@@ -485,63 +521,82 @@ def _onto_count(gen: _ArcProfile, tgt: _ArcProfile) -> int:
       the gen arcs between a and b one to one with the h arcs between
       phi(a) and phi(b).  Likewise it matches the cycle components
       (components with no branch vertex) of gen with those of h.
-    - Conversely, fix phi and these matchings.  A gen arc with k interior
-      vertices (k + 1 edges) onto an h arc with L edges is placed by
-      picking, in order, k of the L - 1 interior vertices of the h arc
-      for its interior vertices; the paths are the segments in between,
-      and they cover the h arc.  That is C(L - 1, k) ways, and twice that
-      for a loop arc (a = b), which can run either way round: the two
-      directions give different maps since k >= 2 in a simple graph.  A
-      gen cycle with k vertices onto an h cycle with L vertices takes L
-      images for a fixed gen vertex, 2 directions and C(L - 1, k - 1)
-      places for the rest.  The paths so chosen are disjoint apart from
-      shared ends, so each choice is one onto morphism, and different
-      choices differ in rho_V or in an edge's path.
+    - Conversely, fix phi and these matchings.  A gen arc with m edges
+      onto an h arc with L edges is placed by ``_arc_ways``, and twice
+      that for a loop arc (a = b), which can run either way round: the two
+      directions give different maps since m >= 3 in a simple graph.  A
+      gen cycle onto an h cycle is placed by ``_cycle_ways``.  The paths
+      so chosen are disjoint apart from shared ends, so each choice is one
+      onto morphism, and different choices differ in rho_V or in an edge's
+      path.
 
     So the count is the sum over phi of the product, over pairs of branch
     vertices, of the sum over arc matchings of the product of placements,
-    times the same sum over cycle matchings.  phi is built one vertex at a
-    time, and a pair whose arcs cannot be matched prunes it.
+    times the same sum over cycle matchings.
+
+    Leaves need no search of their own: a leaf l ends exactly one arc, in
+    gen as in h, and it is matched with the one arc at phi(l).
+
+    - If the other end of l's arc is an inner vertex v, the arc is a leg
+      of v, matched with a leg of phi(v).  Fix phi on the inner vertices.
+      Each leg ends at its own leaf, in gen as in h, so the maps of the
+      leaves of v's legs whose product is not 0 are the bijections of v's
+      legs onto phi(v)'s.  So the sum over phi on those leaves is
+      ``_bijections`` of the legs with ``_arc_ways``.
+    - If both ends are leaves, the arc is a path component, matched with
+      a path component of h.  phi on its two leaves is that match and one
+      of 2 directions, which differ since the leaves do.  So the sum over
+      phi on the leaves of path components is ``_bijections`` of them
+      with ``_turn_ways``, as for cycle components.
+
+    So phi is searched on the inner vertices only, built one vertex at a
+    time, and a pair whose arcs or legs cannot be matched prunes it.  The
+    inner vertices must be as many in gen as in h, for phi to be onto
+    them.
 
     Only the pairs with a gen arc between them are checked; a pair with
     none has the factor 1 when h has no arc between its images either,
     and h has none once the checked pairs match.  Every edge at a branch
     vertex starts exactly one arc end there, so a branch vertex's degree
-    is its number of arc ends (a loop arc counts twice).  Take v with
-    w = phi(v).  The arcs matched at v's pairs have deg(v) ends at v in
-    gen, and as many at w in h; phi keeps degrees, so they are all
+    is its number of arc ends (a loop arc counts twice).  Take an inner v
+    with w = phi(v).  The arcs and legs matched at v have deg(v) ends at v
+    in gen, and as many at w in h; phi keeps degrees, so they are all
     deg(w) arc ends at w.  So no h arc at w goes to a vertex phi(u) with
-    no gen arc between u and v, and as every h arc that is not a cycle
-    component has a branch end, every one is matched."""
-    if len(gen.branch) != len(tgt.branch):
+    no gen arc between u and v, and every h arc with an inner end is
+    matched, as phi is onto the inner vertices of h.  The others are path
+    and cycle components, all matched, and every leaf of h ends one of
+    these arcs, so phi is onto the leaves too."""
+    if len(gen.inner) != len(tgt.inner):
         return 0
-    cycles = _bijections(gen.cycles, tgt.cycles,
-                         lambda k, L: 2 * L * math.comb(L - 1, k - 1))
-    if not cycles:
+    count = (_bijections(gen.cycles, tgt.cycles, _cycle_ways)
+             * _bijections(gen.paths, tgt.paths, _turn_ways))
+    if not count:
         return 0
-    order = list(gen.branch)
-    # the branch vertices up to and including v with a gen arc to v
+    order = list(gen.inner)
+    # the inner vertices up to and including v with a gen arc to v
     partners = {v: [u for u in order[:i + 1] if (min(u, v), max(u, v)) in gen.arcs]
                 for i, v in enumerate(order)}
     phi: dict[int, int] = {}
 
     def arcs_between(u: int, v: int, x: int, w: int) -> int:
         # gen arcs u..v matched onto h arcs x..w, x = phi(u) and w = phi(v)
-        turns = 2 if u == v else 1
         return _bijections(gen.arcs.get((min(u, v), max(u, v)), []),
                            tgt.arcs.get((min(x, w), max(x, w)), []),
-                           lambda m, L: turns * math.comb(L - 1, m - 1))
+                           _turn_ways if u == v else _arc_ways)
 
     def extend(i: int) -> int:
         if i == len(order):
             return 1
         v = order[i]
+        legs = gen.legs.get(v, [])
         total = 0
-        for w, degree in tgt.branch.items():
-            if degree != gen.branch[v] or w in phi.values():
+        for w, degree in tgt.inner.items():
+            if degree != gen.inner[v] or w in phi.values():
+                continue
+            weight = _bijections(legs, tgt.legs.get(w, []), _arc_ways)
+            if not weight:
                 continue
             phi[v] = w
-            weight = 1
             for u in partners[v]:
                 weight *= arcs_between(u, v, phi[u], w)
                 if not weight:
@@ -553,7 +608,7 @@ def _onto_count(gen: _ArcProfile, tgt: _ArcProfile) -> int:
 
     # extend refers to itself; del breaks the cycle, which would keep both
     # profiles alive until the next full garbage collection
-    count = cycles * extend(0)
+    count *= extend(0)
     del extend
     return count
 

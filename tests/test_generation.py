@@ -19,12 +19,16 @@ from graphconf.generation import (
     _arc_patterns,
     _arc_profile,
     _arc_walk,
+    _arc_ways,
+    _bijections,
+    _cycle_ways,
     _gap_sets,
     _image_candidates,
     _mask_subgraph,
     _onto_count,
     _stage_candidates,
     _stage_subgraphs,
+    _turn_ways,
     betti_stage,
     brute_force_span,
     build_ambient,
@@ -35,8 +39,8 @@ from graphconf.generation import (
     subgraph_homeomorphism_types,
 )
 from graphconf.graphs import (SimpleGraph, ambient_arcs, betti1, disjoint_union, family,
-                              make_graph, norm_edge, subdivide_uniform, subdivision_pieces,
-                              theta_graph)
+                              make_graph, norm_edge, subdivide, subdivide_uniform,
+                              subdivision_pieces, theta_graph)
 from graphconf.homology import HomologyPresentation, cycle_image_subgroup
 from graphconf.morphisms import enumerate_tm, gtm_k_member, iter_tm, smooth
 from graphconf.snf import SNFResult, snf
@@ -759,9 +763,10 @@ def test_every_ambient_of_build_ambient_passes_abrams_test(name, g, n, extra):
 
 
 def _profile_key(profile):
-    # the order of parallel arcs and of cycle components is not part of a profile
-    return (profile.branch, {k: sorted(v) for k, v in profile.arcs.items()},
-            sorted(profile.cycles))
+    # the order of parallel arcs, of legs and of components is not part of a profile
+    return (profile.inner, {k: sorted(v) for k, v in profile.arcs.items()},
+            {k: sorted(v) for k, v in profile.legs.items()},
+            sorted(profile.paths), sorted(profile.cycles))
 
 
 @pytest.mark.parametrize("sub,n,gen,morphisms,distinct", IMAGE_CASES)
@@ -872,10 +877,118 @@ ONTO_CASES += [
                  id="K2+K1+K1-arc-and-two-vertices"),
 ]
 
+# a star with legs of 1, 2 and 3 edges, an unsmoothed generator
+SPIDER = make_graph(range(7), [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+# two inner vertices joined by an edge, with two leaves each
+H_GRAPH = make_graph(range(6), [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+ONTO_CASES += [
+    # legs of 1, 2 and 3 edges onto legs of 3, 4 and 5: no closed form, so
+    # the permanent of C(L - 1, m - 1) is summed over the 3! leg matchings
+    pytest.param(SPIDER, subdivide(SPIDER, {(0, 1): 2, (0, 2): 1, (2, 3): 1, (4, 5): 2}),
+                 55, id="spider-unequal-legs"),
+    # 2 choices of phi on the inner vertices, 2! leg matchings at each
+    pytest.param(H_GRAPH, subdivide_uniform(H_GRAPH, 2), 8, id="H-graph"),
+    # path components of 2 and 1 edges onto segments of 3 and 4, each either
+    # way round: 2 C(2, 1) 2 C(3, 0) + 2 C(3, 1) 2 C(2, 0)
+    pytest.param(disjoint_union(family("path", 3), K2), THETA3.subgraph(LEFT[1:4] + RIGHT[1:5]),
+                 20, id="P3+K2-onto-two-segments"),
+    # the stub of lollipop-stub is a leg, beside vertex 3, the leaf it cut off
+    pytest.param(disjoint_union(lollipop(), K1), LOLLIPOP3.subgraph(LOOP + STEM[:2], [3]),
+                 56, id="lollipop+K1-leg-beside-a-vertex"),
+    # either way round, ends fixed
+    pytest.param(K2, family("path", 5), 2, id="K2-onto-P5"),
+]
+
 
 @pytest.mark.parametrize("gen,h,expected", ONTO_CASES)
 def test_onto_count_named_cases(gen, h, expected):
     assert onto_count(gen, h) == onto_count_by_morphisms(gen, h) == expected
+
+
+# theta'' and K4'' at n = 2: arcs of 3, 6 and 6 edges, and six arcs of 3
+ONTO_AMBIENTS = {"theta": _subdivided(theta_graph(), 2),
+                 "K4": _subdivided(family("complete", 4), 2)}
+
+
+@st.composite
+def onto_pairs(draw):
+    """(gen, h): h a union of up to 3 arcs of theta'' or K4'', each whole,
+    cut to a stub at its first end, or cut to a segment, with up to 2
+    vertices off it; gen a random graph on <= 6 vertices, or, so that it
+    often maps onto h, h smoothed, relabeled and subdivided again up to 6
+    vertices."""
+    sub = ONTO_AMBIENTS[draw(st.sampled_from(sorted(ONTO_AMBIENTS)))]
+    arcs = ambient_arcs(sub)
+    edges = []
+    for a in draw(st.sets(st.integers(0, len(arcs) - 1), min_size=1, max_size=3)):
+        cut = draw(st.integers(0, 2))  # whole, a stub from its first end, or a segment
+        start = draw(st.integers(0, len(arcs[a]) - 1)) if cut == 2 else 0
+        edges += arcs[a][start:draw(st.integers(start + 1, len(arcs[a]))) if cut else None]
+    h = sub.subgraph(edges)
+    off = [v for v in sub.vertices if v not in h.vertex_set]
+    if off:
+        h = sub.subgraph(edges, draw(st.lists(st.sampled_from(off), max_size=2, unique=True)))
+    gen = smooth(h).relabeled()
+    if len(gen.vertices) > 6 or draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        pairs = list(itertools.combinations(range(k), 2))
+        return make_graph(range(k), draw(st.sets(st.sampled_from(pairs))) if pairs else ()), h
+    spare = 6 - len(gen.vertices)
+    if gen.edges and spare:
+        gen = subdivide(gen, draw(st.dictionaries(st.sampled_from(gen.edges),
+                                                  st.integers(1, spare), max_size=1)))
+    return gen, h
+
+
+@settings(max_examples=80, deadline=None)
+@given(onto_pairs())
+def test_onto_count_matches_morphisms_on_random_pairs(pair):
+    gen, h = pair
+    assert onto_count(gen, h) == onto_count_by_morphisms(gen, h)
+
+
+@st.composite
+def bijection_rows(draw):
+    """(src, dst) with repeated values: of one length or not, either side
+    empty, or all one value."""
+    k = draw(st.integers(0, 5))
+
+    def side(top):
+        if draw(st.booleans()):
+            return [draw(st.integers(1, top))] * k
+        return draw(st.lists(st.integers(1, top), min_size=k, max_size=k))
+
+    src, dst = side(3), side(5)
+    if draw(st.integers(0, 3)) == 0:
+        dst = draw(st.lists(st.integers(1, 5), max_size=5))
+    return src, dst
+
+
+@settings(max_examples=300, deadline=None)
+@given(bijection_rows(), st.sampled_from([_arc_ways, _turn_ways, _cycle_ways]))
+def test_bijections_match_the_permutation_sum(rows, ways):
+    src, dst = rows
+    want = sum(math.prod(map(ways, src, perm)) for perm in itertools.permutations(dst))
+    assert _bijections(src, dst, ways) == (want if len(src) == len(dst) else 0)
+
+
+def test_star_onto_count_makes_as_many_bijection_sums_for_any_number_of_legs(monkeypatch):
+    # the legs of the centre are matched by one closed-form sum, and no
+    # search runs over the leaves
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _bijections(*args)
+
+    monkeypatch.setattr(generation, "_bijections", counted)
+    made = {}
+    for k in range(3, 7):
+        calls.clear()
+        star = family("star", k)
+        assert onto_count(star, subdivide_uniform(star, 3)) == math.factorial(k)
+        made[k] = len(calls)
+    assert len(set(made.values())) == 1, made
 
 
 def _count_iter_tm_calls(monkeypatch):

@@ -665,8 +665,10 @@ def generation_check(ctx: AmbientContext, gens: GeneratorList) -> GenerationRepo
     """Span the images of H_i over all sufficiently subdivided topological
     copies of the generators inside the subdivided target, and test fullness.
 
-    Stops early once the span is the whole group.  The report echoes the
-    graph, i, n, extra_subdivision and ordered of ``ctx``.
+    Stops joining once the span, or one generator's image, is the whole
+    group: a full subgroup stays full and its HNF is canonical, so no rank
+    in the report changes.  The report echoes the graph, i, n,
+    extra_subdivision and ordered of ``ctx``.
     """
     acc = Subgroup.zero(ctx.pres)
     per_gen = []
@@ -680,6 +682,8 @@ def generation_check(ctx: AmbientContext, gens: GeneratorList) -> GenerationRepo
         images, count, witness = generator_images(ctx, gen)
         contributed = Subgroup.zero(ctx.pres)
         for img in images:
+            if contributed.is_full():
+                break
             contributed = contributed.join(ctx.image_of_subgraph(img))
         acc = acc.join(contributed)
         per_gen.append((gen, count, len(images), contributed.free_rank()))
@@ -877,9 +881,13 @@ def _stage_candidates(ctx: AmbientContext) -> list[int]:
 
 
 def _stage_span(ctx: AmbientContext, predicate) -> Subgroup:
-    subs = _stage_subgraphs(ctx, predicate)
+    """The join of the images of the stage subgraphs, up to the first
+    that makes it the whole group: a full subgroup stays full, and its
+    HNF is canonical."""
     span = Subgroup.zero(ctx.pres)
-    for h in subs:
+    for h in _stage_subgraphs(ctx, predicate):
+        if span.is_full():
+            break
         span = span.join(ctx.image_of_subgraph(h))
     return span
 

@@ -4,14 +4,17 @@ A chain complex is ranks per degree plus each boundary matrix by column,
 its one stored form, checked once when the complex is built.  The
 (row, col) dicts that ``snf`` reads are built from the columns on demand.
 All homology data is exact over Z: ``homology`` deletes cell pairs with
-incidence ±1 and takes Smith normal forms of what is left, and
-``presentation`` takes them of the whole complex, since it needs chain
-coordinates.  When d_1 is a graph's incidence matrix, a breadth-first
-spanning forest replaces the SNF of d_1: ``presentation`` in degree 1
-reads V and V^-1 of d_1 off it.  That presentation keeps a cocycle
-table, the normal coordinates of each 1-cell, and the image of the
-cycles on a set of 1-cells is read off the table and one spanning forest
-of those cells, with no cycle written out.
+incidence ±1 and takes Smith normal forms of what is left.
+``presentation`` needs chain coordinates, so it takes the kernel from an
+SNF of the whole boundary, writes each relation in its coordinates,
+deletes the unit pairs of that relation matrix by the same loop, and
+takes one SNF with U of what is left; each deleted coordinate gets its
+normal coordinates back by substitution.  When d_1 is a graph's
+incidence matrix, a breadth-first spanning forest replaces the SNF of
+d_1: ``presentation`` in degree 1 reads V and V^-1 of d_1 off it.  That
+presentation keeps a cocycle table, the normal coordinates of each
+1-cell, and the image of the cycles on a set of 1-cells is read off the
+table and one spanning forest of those cells, with no cycle written out.
 Subgroups of a homology group are canonicalized by Hermite normal form
 so that equality and containment are plain lattice comparisons.
 """
@@ -157,22 +160,50 @@ def homology(c: IntegerChainComplex) -> HomologySummary:
 
 def _reduce(c: IntegerChainComplex) -> tuple[IntegerChainComplex, int]:
     """A smaller complex with the homology of c, and the number of base
-    vertices to add back to H_0.  The residual is c restricted to the
-    cells left live, renumbered in order; each of its columns keeps the
-    order of the column of c it comes from.
+    vertices to add back to H_0: ``_base_vertices`` then
+    ``_delete_unit_pairs``, whose docstrings have the proofs, and c
+    restricted to the cells left live."""
+    base = _base_vertices(c)
+    alive = _delete_unit_pairs(c, base)
+    return _restrict(c, alive), len(base)
 
-    Base vertices.  When every nonzero column of d_1 is {+1, -1}, H_0(C)
-    is free on the components of that graph, and any 0-cell generates its
-    component's summand.  Let B hold one 0-cell per component.  Z^B is a
-    subcomplex, and H_0(Z^B) -> H_0(C) is an isomorphism, so the long
-    exact sequence of C/Z^B gives H_k(C/Z^B) = H_k(C) for k >= 1 and
+
+def _base_vertices(c: IntegerChainComplex) -> list[int]:
+    """One 0-cell per component of the graph of d_1 when every nonzero
+    column of d_1 is {+1, -1}, else none.
+
+    Then H_0(C) is free on the components of that graph, and any 0-cell
+    generates its component's summand.  Let B hold the 0-cells returned.
+    Z^B is a subcomplex, and H_0(Z^B) -> H_0(C) is an isomorphism, so the
+    long exact sequence of C/Z^B gives H_k(C/Z^B) = H_k(C) for k >= 1 and
     H_0(C/Z^B) = 0; C/Z^B is c with the rows B of d_1 deleted.  Without
     the guard the step is skipped, since H_0 need not be free:
-    d_1 = [[3, -2]] has H_0 = 0.
+    d_1 = [[3, -2]] has H_0 = 0."""
+    if not c.top_degree or not _is_incidence(c.columns(1)[1]):
+        return []
+    parent = list(range(c.rank(0)))
 
-    Unit pairs.  Let tau be a k-cell and sigma a (k-1)-cell of the live
-    complex with e = <d tau, sigma> = ±1.  As d d tau = 0, tau and d tau
-    span a subcomplex A, and A has zero homology since d maps Z tau onto
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for f in c.columns(1)[0]:
+        if f:
+            parent[find(f[0])] = find(f[1])
+    return [v for v in range(c.rank(0)) if parent[v] == v]
+
+
+def _delete_unit_pairs(c: IntegerChainComplex, first, log: list | None = None) -> list[bytearray]:
+    """Which cells of c are left live once the 0-cells ``first`` are
+    quotiented out and then collapses and coreductions with incidence ±1
+    are deleted until none is left.  The collapses made are appended to
+    ``log``, if given, in order, as (k, sigma, tau): the k-cell sigma and
+    its only live coface tau.
+
+    Let tau be a k-cell and sigma a (k-1)-cell of the live complex with
+    e = <d tau, sigma> = ±1.  As d d tau = 0, tau and d tau span a
+    subcomplex A, and A has zero homology since d maps Z tau onto
     Z d tau.  The coefficient e makes C_{k-1} = Z d tau ⊕ Z^{cells other
     than sigma}, so H(C/A) = H(C), C/A has the other cells as basis, and
     in it sigma = -e * sum over s != sigma of <d tau, s> s.  Hence C/A
@@ -183,13 +214,13 @@ def _reduce(c: IntegerChainComplex) -> tuple[IntegerChainComplex, int]:
     (a collapse) or sigma is tau's only live face (a coreduction), and
     then d_k just loses row sigma and column tau.  So each removal is a
     deletion, and the live cells carry a quotient complex of c (so d^2 = 0
-    still holds there) with the homology of c.
+    still holds there) with the homology of the quotient by ``first``.
 
     Each cell's faces and their coefficients are its column in
     ``c.columns``, visited in the column's order; its cofaces are gathered
     from those.  Live counts of both are kept, and when a count is 1 the
     list is scanned for the live one.  The queue is first in, first out,
-    so coreductions spread out from the base vertices breadth first.  That
+    so coreductions spread out from ``first`` breadth first.  That
     leaves far smaller residuals than last in, first out: 3 cells against
     1,621 for unordered D_3 of the theta graph subdivided for n = 3.
     """
@@ -226,22 +257,8 @@ def _reduce(c: IntegerChainComplex) -> tuple[IntegerChainComplex, int]:
                     if count[t] == 1:
                         queue.append((k + 1, t))
 
-    base_vertices = 0
-    if top and _is_incidence(coeffs[1]):
-        parent = list(range(ranks[0]))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        for f in faces[1]:
-            if f:
-                parent[find(f[0])] = find(f[1])
-        for v in range(ranks[0]):
-            if parent[v] == v:
-                kill(0, v)
-                base_vertices += 1
+    for v in first:
+        kill(0, v)
     for k in range(top + 1):
         live, nf, nc = alive[k], nface[k], ncoface[k]
         queue.extend((k, x) for x in range(ranks[k])
@@ -258,6 +275,8 @@ def _reduce(c: IntegerChainComplex) -> tuple[IntegerChainComplex, int]:
             if coeffs[k + 1][t][faces[k + 1][t].index(x)] in (1, -1):
                 kill(k, x)
                 kill(k + 1, t)
+                if log is not None:
+                    log.append((k, x, t))
                 continue
         if nface[k][x] == 1:
             live = alive[k - 1]
@@ -267,16 +286,23 @@ def _reduce(c: IntegerChainComplex) -> tuple[IntegerChainComplex, int]:
             if coeffs[k][x][p] in (1, -1):
                 kill(k - 1, s)
                 kill(k, x)
+    return alive
 
+
+def _restrict(c: IntegerChainComplex, alive: list[bytearray]) -> IntegerChainComplex:
+    """c restricted to the cells ``alive`` marks, renumbered in order;
+    each column keeps the order of the column of c it comes from."""
+    ranks = c.ranks
     index = [{x: new for new, x in enumerate(compress(range(r), live))}
              for r, live in zip(ranks, alive)]
     columns: list[Columns] = []
-    for k in range(top + 1):
+    for k in range(c.top_degree + 1):
+        faces, coeffs = c.columns(k)
         rows = index[k - 1] if k else {}
         out_rows, out_coeffs = [], []
         for j in index[k]:
             col_rows, col_coeffs = [], []
-            for i, v in zip(faces[k][j], coeffs[k][j]):
+            for i, v in zip(faces[j], coeffs[j]):
                 ii = rows.get(i)
                 if ii is not None:
                     col_rows.append(ii)
@@ -284,7 +310,7 @@ def _reduce(c: IntegerChainComplex) -> tuple[IntegerChainComplex, int]:
             out_rows.append(col_rows)
             out_coeffs.append(col_coeffs)
         columns.append((out_rows, out_coeffs))
-    return IntegerChainComplex(tuple(map(len, index)), tuple(columns)), base_vertices
+    return IntegerChainComplex(tuple(map(len, index)), tuple(columns))
 
 
 def _is_incidence(coeffs1: list[list[int]]) -> bool:
@@ -393,14 +419,15 @@ class HomologyPresentation:
     columns of V past the rank.  At d = 1 on an incidence-matrix d_1 it is
     read off a spanning forest (``_forest_kernel``); otherwise it is an
     elimination.  Either way it carries V^-1 only.
-    ``relation_snf`` is the SNF (with U) of the boundaries from degree d+1
-    written in kernel coordinates, so U * (kernel coords) is a cycle's class in
-    ⊕ Z/diag[j] ⊕ Z^(cycle_rank - rank).
 
-    The ``units`` relations equal to 1 come first (divisibility order),
-    and Z/1 = 0, so projecting their coordinates away is an isomorphism.
-    Normal coordinates are the remaining ``dim`` ones: coordinate k has
-    order ``torsion[k]`` for k < len(torsion) and is free after that.
+    The boundaries from degree d+1, written in kernel coordinates, are the
+    relations, and H_d is Z^cycle_rank modulo them.  ``relation_rank`` is
+    their rank and ``torsion`` their invariant factors above 1, in
+    divisibility order; the other ``units`` invariant factors are 1, and
+    Z/1 = 0.  ``normals[j]`` is the image of kernel coordinate j under an
+    isomorphism of H_d onto Z^dim / ⊕ torsion[k] Z, as a sparse column:
+    normal coordinate k has order ``torsion[k]`` for k < len(torsion) and
+    is free after that.  ``presentation`` builds them.
     In degree 1 on an incidence-matrix d_1, ``cocycle_table`` holds the
     normal coordinates of every 1-cell, and ``image_of_cells`` reads the
     image of a set of 1-cells off it.
@@ -409,7 +436,9 @@ class HomologyPresentation:
     complex: IntegerChainComplex
     degree: int
     kernel: SNFResult
-    relation_snf: SNFResult
+    relation_rank: int
+    torsion: list[int]
+    normals: list[dict[int, int]]  # per kernel coordinate
 
     @property
     def cycle_rank(self) -> int:
@@ -417,16 +446,12 @@ class HomologyPresentation:
 
     @property
     def betti(self) -> int:
-        return self.cycle_rank - self.relation_snf.rank
+        return self.cycle_rank - self.relation_rank
 
     @property
-    def torsion(self) -> list[int]:
-        return self.relation_snf.torsion
-
-    @cached_property
     def units(self) -> int:
-        """Number of relations equal to 1; their coordinates are 0 in H_d."""
-        return self.relation_snf.rank - len(self.torsion)
+        """Number of invariant factors of the relations equal to 1."""
+        return self.relation_rank - len(self.torsion)
 
     @property
     def dim(self) -> int:
@@ -434,18 +459,14 @@ class HomologyPresentation:
         return self.cycle_rank - self.units
 
     def cycle_to_normal(self, chain_vec: dict[int, int]) -> dict[int, int]:
-        """Normal coordinates of a cycle given in chain coordinates.
-
-        U is stored by column, so only the columns in the support of the
-        kernel coordinates are visited; rows of U below ``units`` are
-        skipped and the rest are shifted down by ``units``.
-        """
-        units = self.units
+        """Normal coordinates of a cycle given in chain coordinates: the
+        sum of ``normals[j]`` times its kernel coordinates, so only the
+        columns in their support are visited."""
+        normals = self.normals
         acc: dict[int, int] = {}
         for j, c in self.kernel.kernel_coords(chain_vec).items():
-            for i, u in self.relation_snf.u_cols[j].items():
-                if i >= units:
-                    acc[i - units] = acc.get(i - units, 0) + u * c
+            for i, u in normals[j].items():
+                acc[i] = acc.get(i, 0) + u * c
         return {i: s for i, s in sorted(acc.items()) if s}
 
     @cached_property
@@ -459,27 +480,26 @@ class HomologyPresentation:
         checked once, here, for every column, and InvariantError raised
         otherwise; ``image_of_cells`` does not check again.
 
-        Set phi(e_j) = U' (V^-1 e_j)', where x' keeps the rows of x from
-        ``kernel.rank`` on and U' keeps those of U from ``units`` on, each
-        shifted down to start at 0.  On a cycle z, ``kernel_coords(z)`` is
-        (V^-1 z)' and ``cycle_to_normal(z)`` is U' of that; both are linear
+        Set phi(e_j) = N (V^-1 e_j)', where x' keeps the rows of x from
+        ``kernel.rank`` on, shifted down to start at 0, and N has the
+        columns ``normals``.  On a cycle z, ``kernel_coords(z)`` is
+        (V^-1 z)' and ``cycle_to_normal(z)`` is N of that; both are linear
         in z, and so is phi, which agrees with them on every e_j.  With
         the forest kernel, (V^-1 e_j)' is 0 on a forest cell and the unit
-        at k on the k-th cell outside the forest, so phi(e_j) is 0 or U's
-        column k from row ``units`` on."""
+        at k on the k-th cell outside the forest, so phi(e_j) is 0 or
+        ``normals[k]``."""
         rows, coeffs = self.complex.columns(1)
         if self.degree != 1 or not _is_incidence(coeffs):
             raise InvariantError("a cocycle table needs the H_1 of an incidence-matrix d_1")
-        units, dim, rank = self.units, self.dim, self.kernel.rank
-        vinv, u_cols = self.kernel.vinv_cols, self.relation_snf.u_cols
+        dim, rank = self.dim, self.kernel.rank
+        vinv, normals = self.kernel.vinv_cols, self.normals
         table: list[tuple[int, ...] | None] = []
         for j in range(len(rows)):
             acc = [0] * dim
             for k, w in vinv.get(j, {}).items():
                 if k >= rank:
-                    for i, u in u_cols[k - rank].items():
-                        if i >= units:
-                            acc[i - units] += w * u
+                    for i, u in normals[k - rank].items():
+                        acc[i] += w * u
             table.append(tuple(acc) if any(acc) else None)
         return table
 
@@ -545,20 +565,73 @@ def presentation(c: IntegerChainComplex, d: int) -> HomologyPresentation:
     """Compute the homology presentation of C at degree d.
 
     The kernel is ``_forest_kernel`` when d = 1 and d_1 is a graph's
-    incidence matrix (the gate of ``_reduce``), as it is for D_n(G''), and
-    otherwise the SNF of d_d tracking V^-1."""
+    incidence matrix (the gate of ``_base_vertices``), as it is for
+    D_n(G''), and otherwise the SNF of d_d tracking V^-1.  The boundary of
+    each (d+1)-cell goes through ``kernel_coords``, which raises unless it
+    is a cycle, so this loop also checks d_d d_{d+1} = 0.  Those kernel
+    coordinates are the columns of the relation matrix R, and
+    H_d = coker R.
+
+    Unit pairs.  Read R as a chain complex with the kernel coordinates in
+    degree 0 and the relations in degree 1, so that its H_0 is coker R.
+    ``_delete_unit_pairs`` deletes its collapses and coreductions; each
+    deletion is a quotient by an acyclic pair A = (t, R t), which its
+    docstring proves keeps the homology, so the quotient map of the
+    coordinates induces an isomorphism of coker R onto coker R' for the
+    residual R'.  It is no projection: in the quotient, with
+    e = <R t, s> = ±1, s = -e * sum over live i != s of R[i, t] i.  No base
+    vertex is quotiented out first, as ``_reduce`` does: that would divide
+    coker R itself by a summand, as when R is an incidence matrix.
+
+    Then one SNF with U of R' alone: U R' V = D.  As for any SNF, U maps
+    coker R' onto ⊕ Z/D[k], and dropping its rows of the unit relations
+    leaves ``normals`` for the coordinates of R'.  Each of the others
+    gets the normal column of its class, in reverse order of deletion:
+    - a coordinate s deleted by a coreduction with t is 0 in the quotient,
+      as t has no live face but s, so it gets 0;
+    - a coordinate s deleted by a collapse with t gets
+      -e * sum over i != s of R[i, t] normals[i].
+    The sum runs over the whole column t of R.  A coordinate i there that
+    was live when s was deleted was deleted later or is in R', so its
+    column is already set (0 if it was coreduced).  Any other was deleted
+    earlier, and not by a collapse: t would then have been a second live
+    coface of it, as t is still live when s goes.  So it was coreduced,
+    and its column is the 0 it starts with.  Each pair takes one
+    coordinate and adds one to the rank, so the rank of R is the number of
+    coordinates deleted plus the rank of R', and R has the torsion of R'."""
     if d == 1 and _is_incidence(c.columns(1)[1]):
         kernel = _forest_kernel(c.columns(1), c.rank(0))
     else:
         kernel = snf(c.boundary(d), (c.rank(d - 1), c.rank(d)), track_vinv=True)
-    rel_cols: dict[tuple[int, int], int] = {}
-    for j, (rows, coeffs) in enumerate(zip(*c.columns(d + 1))):
-        if rows:
-            for i, v in kernel.kernel_coords(dict(zip(rows, coeffs))).items():
-                rel_cols[(i, j)] = v
     z = kernel.n - kernel.rank
-    relation_snf = snf(rel_cols, (z, c.rank(d + 1)), track_u=True)
-    return HomologyPresentation(c, d, kernel, relation_snf)
+    rel_rows: list[list[int]] = []
+    rel_coeffs: list[list[int]] = []
+    for rows, coeffs in zip(*c.columns(d + 1)):
+        kc = kernel.kernel_coords(dict(zip(rows, coeffs))) if rows else {}
+        rel_rows.append(list(kc))
+        rel_coeffs.append(list(kc.values()))
+    no_faces = [[]] * z
+    rel = IntegerChainComplex((z, len(rel_rows)),
+                              ((no_faces, no_faces), (rel_rows, rel_coeffs)))
+    collapses: list[tuple[int, int, int]] = []
+    alive = _delete_unit_pairs(rel, (), collapses)
+    residual = _restrict(rel, alive)
+    res = snf(residual.boundary(1), residual.ranks, track_u=True)
+    units = res.rank - len(res.torsion)
+    normals: list[dict[int, int]] = [{} for _ in range(z)]
+    for k, s in enumerate(compress(range(z), alive[0])):
+        normals[s] = {i - units: u for i, u in res.u_cols[k].items() if i >= units}
+    for _, s, t in reversed(collapses):
+        acc: dict[int, int] = {}
+        for i, v in zip(rel_rows[t], rel_coeffs[t]):
+            if i == s:
+                e = v
+            else:
+                for k, x in normals[i].items():
+                    acc[k] = acc.get(k, 0) + v * x
+        normals[s] = {k: -e * x for k, x in acc.items() if x}
+    rank = z - residual.rank(0) + res.rank
+    return HomologyPresentation(c, d, kernel, rank, res.torsion, normals)
 
 
 @dataclass(frozen=True)
@@ -566,13 +639,13 @@ class Subgroup:
     """A subgroup of one homology group, canonicalized by HNF.
 
     The HNF lives in the ambient's ``dim`` normal coordinates and always
-    includes the torsion relations torsion[k] * e_k.  This is exact: in
-    the coordinates of U, H_d = ⊕ Z/diag[j] ⊕ Z^(cycle_rank - rank), and
-    dropping the unit coordinates (Z/1 = 0) is an isomorphism onto
-    Z^dim / ⊕ torsion[k] Z.  So subgroups of H_d correspond one to one
-    with the lattices in Z^dim that contain the torsion relations, and
-    since the HNF of a lattice is unique, two generating sets span the
-    same subgroup iff their canonical forms are equal.
+    includes the torsion relations torsion[k] * e_k.  This is exact: the
+    ambient's ``normals`` give an isomorphism of H_d onto
+    Z^dim / ⊕ torsion[k] Z (proved in ``presentation``).  So subgroups of
+    H_d correspond one to one with the lattices in Z^dim that contain the
+    torsion relations, and since the HNF of a lattice is unique, two
+    generating sets span the same subgroup iff their canonical forms are
+    equal.
     """
 
     ambient: HomologyPresentation
@@ -612,8 +685,8 @@ class Subgroup:
 
     def _same_ambient(self, other: "Subgroup") -> bool:
         return self.ambient is other.ambient or (
-            self.ambient.cycle_rank == other.ambient.cycle_rank
-            and self.ambient.relation_snf.diag == other.ambient.relation_snf.diag
+            (self.ambient.cycle_rank, self.ambient.relation_rank, self.ambient.torsion)
+            == (other.ambient.cycle_rank, other.ambient.relation_rank, other.ambient.torsion)
         )
 
     def _check_ambient(self, other: "Subgroup"):

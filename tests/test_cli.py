@@ -85,7 +85,9 @@ HOMOLOGY_PINS = [
 ]
 PIN_GRAPHS = {"theta": theta_graph, "K4": lambda: family("complete", 4),
               "K5": lambda: family("complete", 5),
-              "K33": lambda: family("complete_bipartite", 3, 3)}
+              "K33": lambda: family("complete_bipartite", 3, 3),
+              "C3": lambda: family("cycle", 3), "C4": lambda: family("cycle", 4),
+              "star3": lambda: family("star", 3)}
 
 
 @pytest.mark.parametrize("graph,n,extra,ordered,cells,betti,torsion", HOMOLOGY_PINS,
@@ -101,6 +103,58 @@ def test_homology_output_is_pinned(graph, n, extra, ordered, cells, betti, torsi
     euler = sum((-1) ** d * c for d, c in enumerate(cells))
     assert (obj["cells"], obj["euler"], obj["betti"], obj["torsion"]) == (
         cells, euler, betti, torsion)
+
+
+# (graph, n, extra subdivision, gens, ambient Betti number, achieved rank,
+# per generator (vertices, edges, morphisms, image subgraphs, image rank))
+# of the benchmark's generate jobs at identity labels
+GENERATE_PINS = [
+    ("K4", 2, 1, ["C3"], 4, 4, [(3, 3, 15360, 7, 4)]),
+    ("theta", 2, 0, ["star3", "C3"], 3, 3, [(4, 3, 2940, 54, 1), (3, 3, 2328, 3, 3)]),
+    ("C4", 3, 0, ["C3"], 1, 1, [(3, 3, 3360, 1, 1)]),
+    ("star3", 3, 0, ["star3"], 3, 3, [(4, 3, 384, 1, 3)]),
+]
+
+
+@pytest.mark.parametrize("graph,n,extra,gens,betti,rank,per_gen", GENERATE_PINS,
+                         ids=[f"{g}-n{n}-e{e}-{'+'.join(gens)}"
+                              for g, n, e, gens, *_ in GENERATE_PINS])
+def test_generate_output_is_pinned(graph, n, extra, gens, betti, rank, per_gen, capsys, g6):
+    path = g6(f"{graph}.json", PIN_GRAPHS[graph]())
+    gen_paths = [g6(f"gen-{name}.json", PIN_GRAPHS[name]()) for name in gens]
+    assert main(["generate", "--graph", path, "-n", str(n), "-i", "1", "--unordered",
+                 "--extra-subdivision", str(extra), "--gens", *gen_paths]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["generators"] == [
+        {"vertices": v, "edges": e, "morphisms": m, "image_subgraphs": im, "image_rank": r}
+        for v, e, m, im, r in per_gen]
+    assert (obj["i"], obj["n"], obj["ambient_betti"], obj["ambient_torsion"],
+            obj["achieved_rank"], obj["is_generated"]) == (1, n, betti, [], rank, rank == betti)
+
+
+# (graph, stage, rank, ambient Betti number) of the benchmark's stage jobs
+# at identity labels, all at n = 2
+STAGE_PINS = [
+    ("K4", "betti:1", 4, 4),
+    ("K4", "robertson:2", 4, 4),
+    ("theta", "betti:0", 1, 3),
+    ("theta", "betti:1", 3, 3),
+    ("theta", "betti:2", 3, 3),
+    ("theta", "robertson:1", 1, 3),
+    ("theta", "robertson:2", 3, 3),
+    ("theta", "robertson:3", 3, 3),
+]
+
+
+@pytest.mark.parametrize("graph,stage,rank,betti", STAGE_PINS,
+                         ids=[f"{g}-{stage}" for g, stage, *_ in STAGE_PINS])
+def test_stage_output_is_pinned(graph, stage, rank, betti, capsys, g6):
+    path = g6(f"{graph}.json", PIN_GRAPHS[graph]())
+    assert main(["generate", "--graph", path, "-n", "2", "-i", "1", "--unordered",
+                 "--stage", stage]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["stage"], obj["rank"], obj["ambient_betti"], obj["full"]) == (
+        stage, rank, betti, rank == betti)
 
 
 # sha256 of `homology --dump-complex` stdout at identity labels, taken

@@ -94,6 +94,40 @@ def test_stage_spans_on_theta():
     assert r1.contains(b0) and r2.contains(r1)
 
 
+def _counting_images(monkeypatch):
+    """Patch image_of_subgraph to record each subgraph it is asked for."""
+    asked = []
+    original = generation.AmbientContext.image_of_subgraph
+
+    def counting(ctx, h):
+        asked.append(h)
+        return original(ctx, h)
+
+    monkeypatch.setattr(generation.AmbientContext, "image_of_subgraph", counting)
+    return asked
+
+
+@pytest.mark.parametrize("name,g,joined,subgraphs", [
+    ("theta", theta_graph(), 2, 5), ("K4", family("complete", 4), 12, 41)],
+    ids=["theta", "K4"])
+def test_stage_span_stops_once_full(monkeypatch, name, g, joined, subgraphs):
+    # a full span stays full, so the later stage subgraphs need no image
+    ctx = build_ambient(g, 1, 2, ordered=False)
+    assert len(_stage_subgraphs(ctx, stage_predicate("betti:1"))) == subgraphs
+    asked = _counting_images(monkeypatch)
+    assert betti_stage(ctx, 1).is_full()
+    assert len(asked) == joined
+
+
+def test_generator_images_stop_once_full(monkeypatch):
+    # C3 in K4'' at n = 2: 7 image subgraphs, and the first 4 span H_1
+    ctx = build_ambient(family("complete", 4), 1, 2, 1, ordered=False)
+    asked = _counting_images(monkeypatch)
+    report = generation_check(ctx, GeneratorList.of(family("cycle", 3)))
+    assert [entry[1:] for entry in report.per_generator] == [(15360, 7, 4)]
+    assert report.is_generated and len(asked) == 4
+
+
 def test_stage_params_validated():
     c3 = family("cycle", 3)
     ctx = build_ambient(c3, 1, 1)

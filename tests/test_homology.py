@@ -354,20 +354,19 @@ def kernel_basis(pres):
 
 
 def test_cycle_to_normal_matches_row_scan():
-    # reference: U times the kernel coordinates, one row of U at a time,
-    # for the rows at or past the unit relations, shifted down by their count
+    # reference: the normal columns times the kernel coordinates, one
+    # normal coordinate at a time
     cx = build_discretized(family("complete", 5), 2, ordered=False)
     pres = presentation(cx.chain, 1)
-    units = pres.units
-    assert units > 0
-    u_cols = pres.relation_snf.u_cols
+    assert pres.units > 0
+    normals = pres.normals
     basis = kernel_basis(pres)
     supports = set()
     for b, c in zip(basis, basis[1:]):
         chain = {i: b.get(i, 0) - 2 * c.get(i, 0) for i in set(b) | set(c)}
         kc = pres.kernel.kernel_coords(chain)
-        expect = [(i - units, s) for i in range(units, pres.cycle_rank)
-                  if (s := sum(u_cols[j].get(i, 0) * x for j, x in kc.items()))]
+        expect = [(i, s) for i in range(pres.dim)
+                  if (s := sum(normals[j].get(i, 0) * x for j, x in kc.items()))]
         assert list(pres.cycle_to_normal(chain).items()) == expect
         supports.add(len(expect))
     assert max(supports) > 1
@@ -415,17 +414,18 @@ def test_cycle_image_subgroup():
 # -- subgroups against the full-coordinate lattice ------------------------------
 
 
-def full_coordinate_hnf(pres, cycles):
-    """Reference canonical form over all cycle_rank coordinates: U applied
-    to the kernel coordinates, with every relation diag[j] * e_j."""
+def full_coordinate_hnf(pres, full, cycles):
+    """Reference canonical form over all cycle_rank coordinates: U of
+    ``full``, the SNF of all the relations of pres, applied to the kernel
+    coordinates, with every relation diag[j] * e_j."""
     cols = []
     for cycle in cycles:
         acc = {}
         for j, x in pres.kernel.kernel_coords(cycle).items():
-            for i, u in pres.relation_snf.u_cols[j].items():
+            for i, u in full.u_cols[j].items():
                 acc[i] = acc.get(i, 0) + u * x
         cols.append({i: v for i, v in acc.items() if v})
-    cols += [{j: d} for j, d in enumerate(pres.relation_snf.diag)]
+    cols += [{j: d} for j, d in enumerate(full.diag)]
     return hermite_columns(cols, pres.cycle_rank)
 
 
@@ -465,18 +465,20 @@ def _ambient(name):
 def test_subgroup_matches_full_coordinate_lattice(name):
     pres = _ambient(name)
     sets = random_cycle_sets(pres, random.Random(name))
+    full = relation_snf(pres.complex, pres.degree, pres.kernel)
+    assert pres.relation_rank == full.rank
     subs = [cycle_image_subgroup(pres, s) for s in sets]
-    refs = [full_coordinate_hnf(pres, s) for s in sets]
-    ref_full = full_coordinate_hnf(pres, kernel_basis(pres))
+    refs = [full_coordinate_hnf(pres, full, s) for s in sets]
+    ref_full = full_coordinate_hnf(pres, full, kernel_basis(pres))
     for sub, ref in zip(subs, refs):
-        assert sub.free_rank() == len(ref) - pres.relation_snf.rank
+        assert sub.free_rank() == len(ref) - pres.relation_rank
         assert sub.is_full() == (ref == ref_full)
     assert subs[1].is_full() and subs[0] == subs[4] == Subgroup.zero(pres)
     for (a, ra), (b, rb) in itertools.product(zip(subs, refs), repeat=2):
         assert a.contains(b) == all(hnf_contains(ra, dict(col)) for col in rb)
         assert (a == b) == (ra == rb)
         joined = hermite_columns([dict(col) for col in ra + rb], pres.cycle_rank)
-        assert a.join(b).free_rank() == len(joined) - pres.relation_snf.rank
+        assert a.join(b).free_rank() == len(joined) - pres.relation_rank
         assert a.join(b).is_full() == (joined == ref_full)
     if name in ("K33", "projective_plane"):
         assert pres.torsion == [2]
@@ -576,16 +578,20 @@ def test_degree_1_presentation_runs_one_snf(monkeypatch):
     # only the relations go through snf; d_1 of D_n(G'') is an incidence matrix
     # (the package's ``homology`` is the function, so fetch the module)
     homology_module = importlib.import_module("graphconf.homology")
-    calls = []
+    calls, shapes = [], []
 
     def counting(entries, shape, **track):
         calls.append(track)
+        shapes.append(shape)
         return snf(entries, shape, **track)
 
     monkeypatch.setattr(homology_module, "snf", counting)
     cx = build_discretized(subdivide_uniform(family("complete", 4), 3), 2, ordered=False)
     presentation(cx.chain, 1)
     assert calls == [{"track_u": True}]
+    # of the 133 cycle coordinates and 129 relations, unit pairs leave the
+    # 4 free coordinates and no relation for that SNF
+    assert shapes == [(4, 0)]
     # a d_1 that is no incidence matrix, and degree 2, keep the tracked SNF
     calls.clear()
     presentation(from_entries((1, 2, 1), ({}, {(0, 0): 3, (0, 1): -2},
@@ -617,17 +623,42 @@ def test_image_of_cells_matches_the_forest_cycles(c, rng):
         assert pres.image_of_cells(inside) == cycle_image_subgroup(pres, cycles)
 
 
-def snf_presentation(c, d):
-    """The presentation with the kernel from an SNF of d_d tracking V^-1,
-    for every degree: the oracle for the forest kernel."""
-    kernel = snf(c.boundary(d), (c.rank(d - 1), c.rank(d)), track_vinv=True)
+def relation_snf(c, d, kernel):
+    """The SNF with U of every relation of H_d(c): the boundary of each
+    (d+1)-cell in the coordinates of ``kernel``, one column per cell."""
     rel = {}
     for j, (rows, coeffs) in enumerate(zip(*c.columns(d + 1))):
         if rows:
             for i, v in kernel.kernel_coords(dict(zip(rows, coeffs))).items():
                 rel[(i, j)] = v
-    relation_snf = snf(rel, (kernel.n - kernel.rank, c.rank(d + 1)), track_u=True)
-    return HomologyPresentation(c, d, kernel, relation_snf)
+    return snf(rel, (kernel.n - kernel.rank, c.rank(d + 1)), track_u=True)
+
+
+def snf_presentation(c, d):
+    """The presentation with the kernel from an SNF of d_d tracking V^-1,
+    for every degree, and the normal columns read off U of one SNF of all
+    the relations, from the row past the unit relations on: the oracle
+    for the forest kernel and for the deletion of unit pairs."""
+    kernel = snf(c.boundary(d), (c.rank(d - 1), c.rank(d)), track_vinv=True)
+    full = relation_snf(c, d, kernel)
+    units = full.rank - len(full.torsion)
+    normals = [{i - units: u for i, u in full.u_cols[j].items() if i >= units}
+               for j in range(kernel.n - kernel.rank)]
+    return HomologyPresentation(c, d, kernel, full.rank, full.torsion, normals)
+
+
+def assert_same_subgroups(fast, slow, sets):
+    """The cycle sets, in chain coordinates, span subgroups of the same
+    free rank and fullness in both presentations, with the same
+    containments and equalities.  The HNF tuples of two presentations are
+    in different bases and are not compared."""
+    fast_subs = [cycle_image_subgroup(fast, s) for s in sets]
+    slow_subs = [cycle_image_subgroup(slow, s) for s in sets]
+    for a, b in zip(fast_subs, slow_subs):
+        assert (a.free_rank(), a.is_full()) == (b.free_rank(), b.is_full())
+    for (a, b), (x, y) in itertools.product(zip(fast_subs, slow_subs), repeat=2):
+        assert a.contains(x) == b.contains(y)
+        assert (a == x) == (b == y)
 
 
 FOREST_ORACLE_CASES = [
@@ -646,13 +677,74 @@ def test_forest_presentation_matches_the_snf_presentation(name, g, ordered):
     assert fast.kernel == _forest_kernel(ctx.complex.chain.columns(1), ctx.complex.chain.rank(0))
     for attr in ("cycle_rank", "betti", "torsion", "units", "dim"):
         assert getattr(fast, attr) == getattr(slow, attr), attr
-    # cycles in chain coordinates mean the same to both; HNF tuples of the
-    # two presentations are in different bases and are not compared
-    sets = random_cycle_sets(fast, random.Random(name))
-    fast_subs = [cycle_image_subgroup(fast, s) for s in sets]
-    slow_subs = [cycle_image_subgroup(slow, s) for s in sets]
-    for a, b in zip(fast_subs, slow_subs):
-        assert (a.free_rank(), a.is_full()) == (b.free_rank(), b.is_full())
-    for (a, b), (x, y) in itertools.product(zip(fast_subs, slow_subs), repeat=2):
-        assert a.contains(x) == b.contains(y)
-        assert (a == x) == (b == y)
+    assert_same_subgroups(fast, slow, random_cycle_sets(fast, random.Random(name)))
+
+
+# -- relations presented by deleting unit pairs -----------------------------------
+
+
+@st.composite
+def with_relations(draw, c):
+    """c, an incidence_complexes() draw, with a degree 2 whose columns are
+    random integer combinations of its fundamental cycles: single cycles,
+    which are unit relations, and sums with coefficients up to 3, which
+    are often not."""
+    basis = fundamental_cycles(c)
+    rows, coeffs = [], []
+    for _ in range(draw(st.integers(0, 6)) if basis else 0):
+        picks = draw(st.lists(st.tuples(st.integers(0, len(basis) - 1),
+                                         st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                              min_size=1, max_size=3))
+        col = {}
+        for k, x in picks:
+            for j, v in basis[k].items():
+                col[j] = col.get(j, 0) + x * v
+        col = {j: v for j, v in sorted(col.items()) if v}
+        rows.append(list(col))
+        coeffs.append(list(col.values()))
+    return IntegerChainComplex((*c.ranks, len(rows)), (*map(c.columns, range(2)), (rows, coeffs)))
+
+
+@st.composite
+def presentation_cases(draw):
+    """A complex and a degree d: known_complexes(), with torsion and
+    non-unit entries, at d in 0..2 up to its top; incidence_complexes() at
+    d = 0 or 1; or one of those with a degree 2 from ``with_relations`` at
+    d = 1, where the relations meet the forest kernel."""
+    source = draw(st.sampled_from(["known", "incidence", "relations"]))
+    if source == "relations":
+        return draw(incidence_complexes().flatmap(with_relations)), 1
+    c = draw(known_complexes())[0] if source == "known" else draw(incidence_complexes())
+    return c, draw(st.integers(0, min(2, c.top_degree)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentation_cases(), st.randoms(use_true_random=False))
+def test_unit_pair_presentation_matches_the_full_snf(case, rng):
+    c, d = case
+    fast, slow = presentation(c, d), snf_presentation(c, d)
+    for attr in ("cycle_rank", "betti", "torsion", "units", "dim"):
+        assert getattr(fast, attr) == getattr(slow, attr), attr
+    # each relation is 0 in H_d: its normal coordinates are 0 modulo the torsion
+    torsion = fast.torsion
+    for rows, coeffs in zip(*c.columns(d + 1)):
+        normal = fast.cycle_to_normal(dict(zip(rows, coeffs)))
+        assert all(k < len(torsion) and x % torsion[k] == 0 for k, x in normal.items())
+    if fast.cycle_rank:
+        assert cycle_image_subgroup(fast, kernel_basis(fast)).is_full()
+        assert_same_subgroups(fast, slow, random_cycle_sets(fast, rng))
+
+
+def test_incidence_relations_keep_every_component():
+    # at d = 0 the relations are the columns of d_1, all {+1, -1}; a base
+    # vertex per component taken out of them would leave H_0 = 0
+    c = from_entries((5, 4), ({}, {(0, 0): -1, (1, 0): 1, (1, 1): -1, (2, 1): 1,
+                                   (0, 2): 1, (2, 2): -1, (3, 3): -1, (4, 3): 1}))
+    fast, slow = presentation(c, 0), snf_presentation(c, 0)
+    assert (fast.betti, fast.torsion, fast.units, fast.dim) == (2, [], 3, 2)
+    assert (slow.betti, slow.torsion, slow.units, slow.dim) == (2, [], 3, 2)
+    points = [[{v: 1}] for v in range(5)]
+    assert_same_subgroups(fast, slow, points + [[{0: 1}, {3: 1}], [{2: 1, 4: -1}]])
+    first, second = (cycle_image_subgroup(fast, p) for p in ([{0: 1}], [{4: 1}]))
+    assert first.free_rank() == second.free_rank() == 1
+    assert first != second and first.join(second).is_full()

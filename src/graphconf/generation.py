@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -208,11 +209,12 @@ def generator_images(
     H_E is listed.  ``iter_tm`` runs only for the witness, and stops at
     it.
 
-    Each candidate comes as the ``_Join`` of its pieces, which gives both
-    the profile that ``_onto_count`` reads and Abrams' test.  f needs no
-    graph either: each edge's path, with L edges, adds L - 1 of each, so
-    |V(H_E)| - |E(H_E)| = |V(core)| - |E(core)| when the count is not 0.
-    A ``SimpleGraph`` is built only for an H_E that passes."""
+    Each candidate comes with its ``_ArcProfile``, which ``_onto_count``
+    reads, and its verdict in Abrams' test, both read off its classes in
+    the ``_ArcSearch``.  f needs no graph either: each edge's path, with L
+    edges, adds L - 1 of each, so |V(H_E)| - |E(H_E)| = |V(core)| -
+    |E(core)| when the count is not 0.  A ``SimpleGraph`` is built only
+    for an H_E that passes."""
     amb = ctx.subdivided
     core = gen.subgraph(gen.edges)
     k = len(gen.vertices) - len(core.vertices)
@@ -220,12 +222,12 @@ def generator_images(
     off = len(amb.vertices) - len(core.vertices) + len(core.edges)  # f + |E(H_E)|
     passing: dict = {}  # (vertex set, edge set) -> image that passes
     count = 0
-    for edges, join in _image_candidates(amb, core):
-        onto = _onto_count(profile, join.profile())
+    for edges, candidate, sufficient in _image_candidates(amb, core, ctx.n):
+        onto = _onto_count(profile, candidate)
         if not onto:
             continue
         count += onto * math.factorial(k) * math.comb(off - len(edges), k)
-        if join.sufficient(ctx.n):
+        if sufficient:
             h = amb.subgraph(edges)
             free = [v for v in amb.vertices if v not in h.vertex_set]
             for extra in itertools.combinations(free, k):
@@ -238,68 +240,51 @@ def generator_images(
     return list(passing.values()), count, witness
 
 
-def _image_candidates(amb: SimpleGraph, core: SimpleGraph):
-    """Edge sets of G'' that may be the image of ``core``, a graph with no
-    isolated vertex, each with the ``_Join`` of its pieces.
+def _image_candidates(amb: SimpleGraph, core: SimpleGraph, n: int) -> list:
+    """The edge sets of G'' whose vertices of degree other than 0 and 2,
+    with their degrees, are those of ``core``, a graph with no isolated
+    vertex; each with its ``_ArcProfile`` and whether it passes Abrams'
+    test for n.
 
-    On each ambient arc a candidate takes nothing, the whole arc, or
-    segments, its pieces there; a piece end at an interior vertex of the
-    arc is a leaf of the candidate, and all such ends together are at most
-    the leaves of core.  A candidate is yielded only if its vertices of
-    degree other than 0 and 2, with their degrees, are those of core.
-    Arcs are chosen one at a time, and the degree of a branch vertex of
-    G'' is checked against what core has left once its last arc is."""
-    left = Counter(d for v in core.vertices if (d := core.degree(v)) != 2)
-    arcs = ambient_arcs(amb)
-    walks = [_arc_walk(arc) for arc in arcs]
-    joints = {v for walk in walks for v in (walk[0], walk[-1])}
-    ends = [(walk[0], walk[-1]) if amb.degree(walk[0]) != 2 else () for walk in walks]
-    last = {b: i for i, pair in enumerate(ends) for b in pair}
-    closing: list[list[int]] = [[] for _ in arcs]
-    for b, i in last.items():
-        closing[i].append(b)
-    patterns = [_arc_patterns(arc, walk, pair, left[1])
-                for arc, walk, pair in zip(arcs, walks, ends)]
-    degree = dict.fromkeys(last, 0)  # branch vertex of G'' -> its degree so far
-    chosen: list[tuple] = []
+    On each ambient arc a candidate takes a pattern of ``_arc_patterns``.
+    The search takes core's degrees off as it goes: the leaves inside an
+    arc when its pattern is taken, and the H-degree of each branch vertex
+    of G'' once it is decided.  The start of a cycle component of G'' has
+    degree 2 in G'', and a leaf there is a flip of the component's pattern,
+    so it is taken off with the leaves inside the component."""
+    count = Counter(d for v in core.vertices if (d := core.degree(v)) != 2)
+    search = _ArcSearch(amb)
+    at, chosen = search.at, search.chosen
+    starts = {walk[0] for walk in search.walks if amb.degree(walk[0]) == 2}
+    choices = [[(inside, pieces, edges) for edges, pieces, inside in _arc_patterns(
+                    arc, walk, () if walk[0] in starts else (walk[0], walk[-1]), count[1])]
+               for arc, walk in zip(search.arcs, search.walks)]
+    out = []
+    # the state: core's unmatched vertices of degree d != 2 as digit d, of
+    # w bits, of an int
+    w = len(core.vertices).bit_length()
+    digit = (1 << w) - 1
 
-    def rec(i: int):
-        if i == len(arcs):
-            if not any(left.values()):
-                yield ([e for edges, _ in chosen for e in edges],
-                       _Join([pieces for _, pieces in chosen], joints))
-            return
-        for edges, pieces, inside, reached in patterns[i]:
-            if inside > left[1]:
-                continue
-            left[1] -= inside
-            for b in reached:
-                degree[b] += 1
-            taken = []
-            for b in closing[i]:
-                d = degree[b]
-                if d in (0, 2):
-                    continue
-                if not left[d]:
-                    break
-                left[d] -= 1
-                taken.append(d)
-            else:
-                chosen.append((edges, pieces))
-                yield from rec(i + 1)
-                chosen.pop()
-            for d in taken:
-                left[d] += 1
-            for b in reached:
-                degree[b] -= 1
-            left[1] += inside
+    def take(left: int, inside: int) -> int | None:
+        if inside > left >> w & digit:
+            return None  # and so is every later pattern, with more
+        return left - (inside << w)
 
-    # rec refers to itself; del breaks the cycle, also when the caller
-    # stops early
-    try:
-        yield from rec(0)
-    finally:
-        del rec
+    def close(left: int, v: int, roots: list[int]) -> int | None:
+        d = len(at[v])
+        if d in (0, 2) or v in starts:
+            return left
+        if not left >> w * d & digit:
+            return None
+        return left - (1 << w * d)
+
+    def leaf(left: int) -> None:
+        if not left:
+            out.append(([e for _, _, edges in chosen for e in edges],
+                        search.profile(), search.sufficient(n)))
+
+    search.run(choices, take, close, leaf, sum(c << w * d for d, c in count.items()))
+    return out
 
 
 def _arc_walk(arc: list[tuple[int, int]]) -> list[int]:
@@ -316,8 +301,7 @@ def _arc_walk(arc: list[tuple[int, int]]) -> list[int]:
 def _arc_patterns(arc: list[tuple[int, int]], walk: list[int], ends: tuple[int, ...],
                   budget: int) -> list:
     """The edge subsets of one ambient arc with at most ``budget`` segment
-    ends inside it, as (edges, pieces, ends inside, the arc ends it
-    reaches).
+    ends inside it, as (edges, pieces, ends inside), by ends inside.
 
     ``walk`` is ``_arc_walk(arc)``, and ``ends`` holds the arc's first and
     last vertex, or nothing for a cycle component.  A subset is its first
@@ -340,9 +324,7 @@ def _arc_patterns(arc: list[tuple[int, int]], walk: list[int], ends: tuple[int, 
                     take ^= p in at
                     if take:
                         kept.append(p)
-                # take is now the last edge's membership
-                reached = tuple(end for end, hit in zip(ends, (first, take)) if hit)
-                out.append((tuple(arc[p] for p in kept), _pieces(walk, kept), j, reached))
+                out.append((tuple(arc[p] for p in kept), _pieces(walk, kept), j))
     return out
 
 
@@ -372,20 +354,30 @@ class _ArcProfile(NamedTuple):
 
 
 def _arc_profile(g: SimpleGraph) -> _ArcProfile:
-    """g's whole ambient arcs joined, with its isolated vertices of degree 0."""
-    walks = [_arc_walk(arc) for arc in ambient_arcs(g)]
-    profile = _Join([[(len(walk) - 1, walk[0], walk[-1])] for walk in walks],
-                    {v for walk in walks for v in (walk[0], walk[-1])}).profile()
+    """g's whole ambient arcs joined, with its isolated vertices of degree
+    0: the ``_ArcSearch`` of g with one choice per arc, the whole arc."""
+    search = _ArcSearch(g)
+    found = []
+
+    def keep(state, *_):
+        return state
+
+    search.run([[(None, [(len(walk) - 1, walk[0], walk[-1])])] for walk in search.walks],
+               keep, keep, lambda _: found.append(search.profile()), ())
+    profile, = found
     profile.inner.update((v, 0) for v in g.vertices if not g.degree(v))
     return profile
 
 
-class _Join:
-    """The arcs and cycle components of a subgraph H of a graph G, joined
-    from H's pieces: its maximal runs of edges on each ambient arc of G,
-    as (edge count, end, end), one list per arc.  ``joints`` holds the
-    ends of G's ambient arcs (``_arc_walk``; a cycle component of G starts
-    and ends at one of its vertices).
+class _ArcSearch:
+    """The subgraphs H of a graph G made of one choice of pieces on each
+    ambient arc of G, searched arc by arc, with the arcs and cycle
+    components of H kept as classes of its pieces.
+
+    A piece of H is a maximal run of its edges on one ambient arc of G, as
+    (edge count, end, end) (``_pieces``).  The joints are the ends of G's
+    ambient arcs (``_arc_walk``; a cycle component of G starts and ends at
+    one of its vertices).
 
     - An interior vertex of an ambient arc has degree 2 in G, so it has
       degree 2 in H exactly when it lies inside a piece, and is a leaf of
@@ -401,71 +393,145 @@ class _Join:
       at its end, joins itself), else an arc between its two unjoined
       ends, which are branch vertices of H.
 
-    A union-find over the pieces gives the classes and their lengths, all
-    that Abrams' test reads; ``profile`` reads the unjoined ends of each
-    class after it, and files the class by how many of them are leaves.
-    Leaf ends are never joined, so they stay out of the union-find.
+    ``run`` places one choice per arc and decides each joint once the last
+    arc at it is placed: the two pieces that meet there are joined, or, at
+    any other count, every class there ends there.  A union-find over the
+    pieces holds the classes, each root with its class's edge count and
+    ends at undecided joints; a class with none left is final, and so is
+    its edge count.  A log of the joins undoes them as the search backs
+    up.  Leaf ends are never joined, so they stay out of ``at``.  At a leaf
+    of the search the classes are the arcs and cycle components of H:
+    ``sufficient`` reads Abrams' test off their sizes, and ``profile``
+    files each by how many of its unjoined ends are leaves."""
 
-    It serves the candidates of ``_image_candidates``, whose counts need
-    the whole profile.  Stage candidates need only Abrams' test, and
-    ``_stage_candidates`` applies the same rule joint by joint while it
-    searches, so it builds no join."""
+    def __init__(self, g: SimpleGraph):
+        self.arcs = ambient_arcs(g)
+        self.walks = [_arc_walk(arc) for arc in self.arcs]
+        last = {v: i for i, walk in enumerate(self.walks) for v in (walk[0], walk[-1])}
+        # per arc: the joints it decides, as the last arc there
+        self.closing = [[v for v, j in last.items() if j == i] for i in range(len(self.arcs))]
+        self.at: dict[int, list[int]] = {v: [] for v in last}  # joint -> its pieces, once per end
+        self.chosen: list[tuple] = []  # per arc placed: its choice, as (payload, pieces, ...)
+        self.root: list[int] = []  # piece -> its parent in the union-find
+        self.size: list[int] = []  # class root -> edge count of the class
+        self.undecided: list[int] = []  # class root -> its ends at undecided joints
 
-    def __init__(self, groups: list, joints):
-        at: dict[int, list[int]] = {}  # joint -> its pieces, once per end there
-        size: dict[int, int] = {}  # class root -> edge count of the class
-        for pieces in groups:
-            for n, a, b in pieces:
-                p = len(size)
-                size[p] = n
-                if a in joints:
-                    at.setdefault(a, []).append(p)
-                if b in joints:
-                    at.setdefault(b, []).append(p)
-        root = list(range(len(size)))
-        for meeting in at.values():
-            if len(meeting) == 2:
-                x, y = meeting
+    def run(self, choices: list, take, close, leaf, state) -> None:
+        """Depth first over ``choices[i]``, the choices (payload, pieces,
+        ...) on arc i in ``ambient_arcs`` order, calling ``leaf(state)`` at
+        each leaf while ``chosen`` and the classes are the leaf's.
+        ``take(state, payload)`` gives the state below a choice before it
+        is placed, or None to pass over it and the later choices on its
+        arc; ``close(state, v, roots)`` gives it once joint v is decided,
+        with the roots of the classes there (one when two pieces meet), or
+        None to prune the choice with every extension."""
+        root, size, undecided, at, chosen = self.root, self.size, self.undecided, self.at, self.chosen
+        closing = self.closing
+        log: list[tuple[int, int, int]] = []  # per class decided: (merged, root, ends decided)
+        # per choice: (edge count, joint ends) of each piece, and each joint end
+        table = [[(choice, [(s, (a in at) + (b in at)) for s, a, b in choice[1]],
+                   [(at[v], k) for k, (_, a, b) in enumerate(choice[1]) for v in (a, b) if v in at])
+                  for choice in arc] for arc in choices]
+
+        def decide(v: int) -> list[int]:
+            # join the two pieces that meet at v, or end every class there
+            meet = at[v]
+            if len(meet) == 2:
+                x, y = meet
                 while root[x] != x:
                     x = root[x]
                 while root[y] != y:
                     y = root[y]
                 if x != y:
                     root[x] = y
-                    size[y] += size.pop(x)
-        self.groups, self.at, self.size, self.root = groups, at, size, root
+                    size[y] += size[x]
+                    undecided[y] += undecided[x]
+                undecided[y] -= 2
+                log.append((x, y, 2))
+                return [y]
+            roots = []
+            for x in meet:
+                while root[x] != x:
+                    x = root[x]
+                undecided[x] -= 1
+                log.append((x, x, 1))
+                roots.append(x)
+            return roots
+
+        def rec(i: int, state) -> None:
+            if i == len(table):
+                leaf(state)
+                return
+            decided = closing[i]
+            for choice, pieces, joints in table[i]:
+                below = take(state, choice[0])
+                if below is None:
+                    break
+                first, mark = len(root), len(log)
+                for s, count in pieces:
+                    root.append(len(root))
+                    size.append(s)
+                    undecided.append(count)
+                for meet, k in joints:
+                    meet.append(first + k)
+                chosen.append(choice)
+                for v in decided:
+                    below = close(below, v, decide(v))
+                    if below is None:
+                        break
+                else:
+                    rec(i + 1, below)
+                while len(log) > mark:
+                    x, y, count = log.pop()
+                    undecided[y] += count
+                    if x != y:
+                        undecided[y] -= undecided[x]
+                        size[y] -= size[x]
+                        root[x] = x
+                for meet, _ in joints:
+                    meet.pop()
+                chosen.pop()
+                del root[first:], size[first:], undecided[first:]
+
+        # rec refers to itself; del breaks the cycle, which would keep the
+        # table alive until the next full garbage collection
+        try:
+            rec(0, state)
+        finally:
+            del rec
 
     def sufficient(self, n: int) -> bool:
         """Abrams' test, as ``is_sufficiently_subdivided``: every arc of H,
         open or closed, and every cycle component has >= n+1 edges."""
-        return min(self.size.values(), default=n + 1) > n
+        return all(self.size[x] > n for x, r in enumerate(self.root) if r == x)
 
     def profile(self) -> _ArcProfile:
+        at, root, size = self.at, self.root, self.size
+        profile = _ArcProfile({v: len(p) for v, p in at.items() if len(p) > 2}, {}, {}, [], [])
         outer: dict[int, list[int]] = {}  # class root -> the unjoined ends of the class
-        degree: dict[int, int] = {}  # branch vertex -> its number of unjoined ends
         p = 0
-        for pieces in self.groups:
-            for _, a, b in pieces:
+        for choice in self.chosen:
+            for _, a, b in choice[1]:
                 for v in (a, b):
-                    if len(self.at.get(v, ())) != 2:
+                    if len(at.get(v, ())) != 2:
                         x = p
-                        while self.root[x] != x:
-                            x = self.root[x]
+                        while root[x] != x:
+                            x = root[x]
                         outer.setdefault(x, []).append(v)
-                        degree[v] = degree.get(v, 0) + 1
                 p += 1
-        profile = _ArcProfile({v: d for v, d in degree.items() if d != 1}, {}, {}, [], [])
-        for p, n in self.size.items():
-            if p not in outer:
-                profile.cycles.append(n)
+        for x, r in enumerate(root):
+            if r != x:
                 continue
-            ends = sorted(v for v in outer[p] if degree[v] != 1)
+            if x not in outer:
+                profile.cycles.append(size[x])
+                continue
+            ends = sorted(v for v in outer[x] if v in profile.inner)
             if len(ends) == 2:
-                profile.arcs.setdefault(tuple(ends), []).append(n)
+                profile.arcs.setdefault(tuple(ends), []).append(size[x])
             elif ends:
-                profile.legs.setdefault(ends[0], []).append(n)
+                profile.legs.setdefault(ends[0], []).append(size[x])
             else:
-                profile.paths.append(n)
+                profile.paths.append(size[x])
         return profile
 
 
@@ -718,8 +784,8 @@ def _stage_subgraphs(ctx: AmbientContext, predicate) -> list[SimpleGraph]:
     ``predicate`` must be invariant under subdividing an edge (both stage
     predicates are: ``betti1 <= s``, and topological-minor containment of
     the Robertson chain).  Only the candidates of ``_stage_candidates``
-    are tested, largest first; it returns only those that pass Abrams'
-    test, so a subgraph is built only for one of them.
+    are tested, largest first; its ``_ArcSearch`` keeps only those that
+    pass Abrams' test, so a subgraph is built only for one of them.
 
     G'' passes Abrams' test exactly when each of its ambient arcs has more
     than n edges.  Then it is the first candidate and every other one is a
@@ -777,104 +843,36 @@ def _stage_candidates(ctx: AmbientContext) -> list[int]:
     decreasing size, then decreasing mask, which within one size is the
     ``itertools.combinations`` order, so the empty mask comes last.
 
-    The masks come from one search over the ambient arcs, one arc at a
-    time, whose choices on an arc are its gap patterns.  On each arc a
-    candidate's edges fall into pieces, the whole arc or the segments
-    between its gaps, and as in ``_Join`` the arcs and cycle components
-    of the candidate are the classes of pieces under "meet at a joint of
-    H-degree 2": chains of pieces through joints (ends of ambient arcs)
-    where exactly two piece ends meet.  A piece end inside an arc is a
-    leaf, never joined.  A joint is decided once its last arc is placed:
-    the two pieces that meet there are joined, or, at any other count,
-    their classes end there.  A class whose joint ends are all decided is
-    final, so is its size, and Abrams' test asks it for more than n edges:
-    a class with n or fewer prunes the search at once, with every
-    extension.  A piece with no joint end lies between two gaps and has at
-    least n+1 edges by their spacing, so it is never checked.  A leaf of
-    the search has all its joints decided, all its classes checked, and so
-    passes Abrams' test; every mask that passes is reached.
+    The masks come from the ``_ArcSearch`` of G'' over each arc's gap
+    patterns and the empty choice.  Abrams' test asks each class of pieces
+    for more than n edges, so the search drops a class that becomes final
+    with n or fewer, with every extension.  A piece with no joint end lies
+    between two gaps and has at least n+1 edges by their spacing, so it is
+    never checked.  A leaf of the search has all its joints decided, all
+    its classes checked, and so passes Abrams' test; every mask that
+    passes is reached.
     """
     amb, n = ctx.subdivided, ctx.n
     bit = {e: 1 << (len(amb.edges) - 1 - j) for j, e in enumerate(amb.edges)}
-    arcs = ambient_arcs(amb)
-    walks = [_arc_walk(arc) for arc in arcs]
-    last = {v: i for i, walk in enumerate(walks) for v in (walk[0], walk[-1])}
-    closing: list[list[int]] = [[] for _ in arcs]  # per arc: the joints it decides
-    for v, i in last.items():
-        closing[i].append(v)
-    choices = []  # per arc: its patterns, as bits -> pieces (edge count, joint ends)
-    for arc, walk in zip(arcs, walks):
+    search = _ArcSearch(amb)
+    choices = []  # per arc: its patterns, as (bits, pieces)
+    for arc, walk in zip(search.arcs, search.walks):
         full = sum(bit[e] for e in arc)
         table: dict = {0: []}
         for gaps in _gap_sets(len(arc), n + 2):
-            table[full - sum(bit[arc[k]] for k in gaps)] = [
-                (size, [v for v in (a, b) if v in last])
-                for size, a, b in _pieces(walk, [k for k in range(len(arc)) if k not in gaps])]
+            table[full - sum(bit[arc[k]] for k in gaps)] = _pieces(
+                walk, [k for k in range(len(arc)) if k not in gaps])
         choices.append(list(table.items()))
-    root: list[int] = []  # piece -> its parent in a union-find of the classes
-    size: list[int] = []  # class root -> edge count of the class
-    undecided: list[int] = []  # class root -> its ends at undecided joints
-    at: dict[int, list[int]] = {v: [] for v in last}  # joint -> its pieces, once per end
-    log: list[tuple[int, int, int]] = []  # the joins made, to undo
+    size, undecided = search.size, search.undecided
+
+    def close(mask: int, v: int, roots: list[int]) -> int | None:
+        for x in roots:
+            if not undecided[x] and size[x] <= n:
+                return None
+        return mask
+
     out: list[int] = []
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    def join(x: int, y: int, ends: int) -> bool:
-        # merge class x into class y unless they are one, decide ``ends`` of
-        # y's joint ends, and report whether y still may pass
-        if x != y:
-            root[x] = y
-            size[y] += size[x]
-            undecided[y] += undecided[x]
-        undecided[y] -= ends
-        log.append((x, y, ends))
-        return undecided[y] > 0 or size[y] > n
-
-    def decide(v: int) -> bool:
-        # join the two pieces that meet at joint v, or end every class there
-        meet = at[v]
-        if len(meet) == 2:
-            return join(find(meet[0]), find(meet[1]), 2)
-        return all(join(x, x, 1) for x in map(find, meet))
-
-    def place(i: int, mask: int) -> None:
-        if i == len(choices):
-            out.append(mask)
-            return
-        for bits, pieces in choices[i]:
-            first, mark = len(root), len(log)
-            for s, ends in pieces:
-                p = len(root)
-                root.append(p)
-                size.append(s)
-                undecided.append(len(ends))
-                for v in ends:
-                    at[v].append(p)
-            for v in closing[i]:
-                if not decide(v):
-                    break
-            else:
-                place(i + 1, mask | bits)
-            while len(log) > mark:
-                x, y, ends = log.pop()
-                undecided[y] += ends
-                if x != y:
-                    undecided[y] -= undecided[x]
-                    size[y] -= size[x]
-                    root[x] = x
-            for _, ends in pieces:
-                for v in ends:
-                    at[v].pop()
-            del root[first:], size[first:], undecided[first:]
-
-    # place refers to itself; del breaks the cycle, which would keep every
-    # list above alive until the next full garbage collection
-    place(0, 0)
-    del place
+    search.run(choices, operator.or_, close, out.append, 0)
     out.sort(reverse=True)
     out.sort(key=int.bit_count, reverse=True)  # stable: by size, then by mask
     return out

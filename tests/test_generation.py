@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import types
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -808,12 +809,39 @@ def test_candidate_profiles_match_the_built_subgraph(sub, n, gen, morphisms, dis
     # the profile joined from a candidate's pieces is the one walked on the
     # subgraph it spans, and its Abrams verdict is is_sufficiently_subdivided's
     core = GENERATORS[gen].subgraph(GENERATORS[gen].edges)
-    candidates = list(_image_candidates(sub, core))
+    candidates = list(_image_candidates(sub, core, n))
     assert candidates or not core.edges
-    for edges, join in candidates:
+    for edges, profile, sufficient in candidates:
         h = sub.subgraph(edges)
-        assert _profile_key(join.profile()) == _profile_key(_arc_profile(h)), edges
-        assert join.sufficient(n) == is_sufficiently_subdivided(h, n), edges
+        assert _profile_key(profile) == _profile_key(_arc_profile(h)), edges
+        assert sufficient == is_sufficiently_subdivided(h, n), edges
+
+
+IMAGE_CORES = {"P2": K2, "P3": family("path", 3), "star3": STAR3, "C3": C3,
+               "P3+P3": disjoint_union(family("path", 3), family("path", 3)),
+               "C3+P2": disjoint_union(C3, K2)}
+
+
+def _branch_degrees(edges):
+    """The degrees other than 0 and 2 of the vertices of an edge set."""
+    return sorted(d for d in Counter(v for e in edges for v in e).values() if d != 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stage_graphs(), st.sampled_from([1, 2, 3]))
+def test_image_candidates_are_the_edge_sets_with_the_core_branch_degrees(g, pieces):
+    # every edge set of G'' whose vertices of degree other than 0 and 2, with
+    # their degrees, are those of core, each once
+    sub = subdivide_uniform(g, pieces)
+    assume(len(sub.edges) <= 12)
+    by_degrees: dict = {}
+    for size in range(len(sub.edges) + 1):
+        for edges in itertools.combinations(sub.edges, size):
+            by_degrees.setdefault(tuple(_branch_degrees(edges)), set()).add(frozenset(edges))
+    for name, core in IMAGE_CORES.items():
+        got = [frozenset(edges) for edges, _, _ in _image_candidates(sub, core, 1)]
+        assert len(got) == len(set(got)), name
+        assert set(got) == by_degrees.get(tuple(_branch_degrees(core.edges)), set()), name
 
 
 @pytest.mark.parametrize("sub,gen,images", [
@@ -838,8 +866,8 @@ def test_generator_images_build_graphs_only_for_passing_images(monkeypatch, sub,
     assert len(got) == images and witness is not None
     assert calls == [] and len(built) == images
     # some candidates with an onto morphism fail Abrams' test for star3
-    onto = sum(1 for _, join in _image_candidates(sub, gen)
-               if _onto_count(_arc_profile(gen), join.profile()))
+    onto = sum(1 for _, profile, _ in _image_candidates(sub, gen, 2)
+               if _onto_count(_arc_profile(gen), profile))
     assert onto == images if gen is C3 else onto > images
 
 
@@ -864,7 +892,7 @@ ONTO_CASES = [
 def test_arc_patterns_list_each_subset_once(g):
     # every edge subset of an arc with at most `budget` leaves inside it (at
     # vertices of degree 2 in g), once, with its maximal runs of edges as
-    # pieces and the arc ends its end edges reach
+    # pieces
     for arc in ambient_arcs(g):
         walk = _arc_walk(arc)
         assert [norm_edge(a, b) for a, b in zip(walk, walk[1:])] == arc
@@ -878,9 +906,8 @@ def test_arc_patterns_list_each_subset_once(g):
                 pieces = [(len(run), walk[run[0]], walk[run[-1] + 1]) for run in runs]
                 inside = sum(1 for v in g.vertices if g.degree(v) == 2
                              and sum(v in e for e in edges) == 1)
-                reached = tuple(end for end, e in zip(ends, (arc[0], arc[-1])) if e in edges)
                 if inside <= budget:
-                    want.append((edges, pieces, inside, reached))
+                    want.append((edges, pieces, inside))
             assert sorted(_arc_patterns(arc, walk, ends, budget)) == sorted(want)
 
 
